@@ -2,10 +2,9 @@
 the orbit-image ideal for the quadratic matrix equation X^2 = aX over GF(q)."""
 
 from .errors import BudgetExceededError, SingularMatrixError
-from .gf import Field, FieldElement, all_elements, int_to_field, make_field
+from .gf import Field, FieldElement, all_elements, make_field
 from .matfq import (Matrix, char_coeffs, companion, conjugate, direct_sum,
-                    format_matrix, gl_order, matrix_from_index, matrix_index,
-                    parse_matrix)
+                    gl_order, matrix_from_index, matrix_index, parse_matrix)
 from .polyfq import (PolyMatrix, SmithForm, UniPoly, char_matrix,
                      companion_not_solution, elementary_divisors,
                      factor_monic, invariant_factors, monic_irreducibles,

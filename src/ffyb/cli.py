@@ -23,7 +23,7 @@ from . import polyfq
 from . import solutions as sol_mod
 from .errors import BudgetExceededError
 from .gf import make_field
-from .matfq import format_matrix, parse_matrix
+from .matfq import parse_matrix
 from .solutions import EquationInstance
 
 SCHEMA_VERSION = 1
@@ -132,7 +132,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
         sols = sol_mod.brute_force_solutions(inst, budget=args.budget,
                                              threads=args.threads)
         report["total"] = str(len(sols))
-        report["solutions"] = [format_matrix(x) for x in sols]
+        report["solutions"] = [x.text() for x in sols]
     else:
         total = sol_mod.brute_force_count(inst, budget=args.budget,
                                           threads=args.threads)
@@ -146,7 +146,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     label = orb_mod.classify(inst, X)
     report = _base_report("classify", inst, extras)
     report.update({
-        "matrix": format_matrix(X),
+        "matrix": X.text(),
         "label": label.text(),
         "rank": orb_mod.label_rank(inst, label),
         "orbit_size": str(orb_mod.orbit_size(inst, label)),
@@ -172,10 +172,10 @@ def cmd_smith(args) -> tuple[dict, int]:
     factors = polyfq.invariant_factors(X)
     report = _base_report("smith", inst, extras)
     report.update({
-        "matrix": format_matrix(X),
+        "matrix": X.text(),
         "invariant_factors": [h.text() for h in factors],
         "elementary_divisors": [g.text() for g in polyfq.elementary_divisors(X)],
-        "rational_canonical_form": format_matrix(polyfq.rational_canonical_form(X)),
+        "rational_canonical_form": polyfq.rational_canonical_form(X).text(),
     })
     return report, 0
 
@@ -200,8 +200,7 @@ def cmd_ideal(args) -> tuple[dict, int]:
     if args.verify:
         budget = args.budget if args.budget else ideal_mod.DEFAULT_VARIETY_BUDGET
         check = ideal_mod.verify_variety(inst, budget=budget)
-        pts = ideal_mod.variety(gens, inst.field, budget=budget)
-        report["variety"] = [[c.encoding for c in pt] for pt in pts]
+        report["variety"] = [[c.encoding for c in pt] for pt in check.points]
         report["verdict"] = check.equal
         if not check.equal:
             code = 1

@@ -1,11 +1,15 @@
 """Exact arithmetic in finite fields GF(p^s).
 
 A :class:`Field` fixes a prime p, an extension degree s and a monic
-irreducible modulus of degree s over GF(p).  Elements are little-endian
-coefficient vectors reduced mod (p, modulus), and every element has a
-canonical integer encoding in 0..q-1 (its coefficient vector read as base-p
-digits) which is the wire format used by the CLI and by the enumeration
+irreducible modulus of degree s over GF(p).  An element is its canonical
+integer encoding in 0..q-1: the coefficient vector of its residue mod
+(p, modulus), read as base-p digits, least significant first.  The same
+integer is the wire format of the CLI and the digit of the enumeration
 scanners.
+
+Prime fields compute mod p.  Extension fields compute through exp, log and
+Zech-log tables of size q over a primitive element, built on first use;
+the q x q tables of the scanners are built from those with numpy.
 
 The modulus is chosen deterministically: candidates are ordered
 lexicographically by their non-leading coefficient tuple, constant term
@@ -18,8 +22,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
 # Enumeration-based oracles make larger fields pointless; the cap also keeps
-# the modulus search and the encoded arithmetic tables small.
+# the modulus search and the O(q) log tables small.
 MAX_ORDER = 2**20
 
 
@@ -49,70 +55,29 @@ def coeff_tuples(base: int, length: int):
     return itertools.product(range(base), repeat=length)
 
 
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over GF(p) on little-endian int lists.  Used for the
-# modulus search and for element reduction; no Field objects involved.
+def _digit_add(a, b, p: int, s: int):
+    """Digitwise sum mod p of encodings, i.e. field addition; works
+    elementwise (with broadcasting) on numpy arrays as well as on ints."""
+    if p == 2:
+        return a ^ b
+    out, w = 0, 1
+    for _ in range(s):
+        out = out + (a // w + b // w) % p * w
+        w *= p
+    return out
 
-def _trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
-
-
-def _poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    if len(rem) < len(g):
-        return [], _trim(rem)
-    inv_lead = pow(g[-1], p - 2, p)
-    quot = [0] * (len(rem) - len(g) + 1)
-    while len(rem) >= len(g):
-        c = rem[-1] * inv_lead % p
-        d = len(rem) - len(g)
-        quot[d] = c
-        for i, b in enumerate(g):
-            rem[d + i] = (rem[d + i] - c * b) % p
-        _trim(rem)
-        if not rem:
-            break
-    return _trim(quot), rem
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree at most deg(f)/2."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in coeff_tuples(p, d):
-            _, rem = _poly_divmod(f, [*tail, 1], p)
-            if not rem:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 
 class Field:
     """GF(p^s) with a fixed modulus.  Immutable; safe to share."""
 
-    __slots__ = ("p", "s", "q", "modulus", "_tables")
+    __slots__ = ("p", "s", "q", "modulus", "_logs", "_tables")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
         self.s = s
         self.q = p**s
         self.modulus = modulus
+        self._logs = None
         self._tables = None
 
     def __eq__(self, other):
@@ -128,121 +93,149 @@ class Field:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.s})"
 
-    def element(self, coeffs) -> "FieldElement":
-        """Build an element from (up to s) little-endian residues mod p."""
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.s:
-            raise ValueError(f"expected at most {self.s} coefficients, got {len(cs)}")
-        cs += [0] * (self.s - len(cs))
-        return FieldElement(self, tuple(cs))
-
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.s)
+        return FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return self.element([1])
+        return FieldElement(self, 1)
 
     def from_encoding(self, k: int) -> "FieldElement":
-        """Decode the canonical integer encoding (base-p digits of k)."""
+        """The element with canonical integer encoding k."""
         if not 0 <= k < self.q:
             raise ValueError(f"encoding {k} out of range 0..{self.q - 1}")
-        coeffs = []
-        for _ in range(self.s):
-            k, r = divmod(k, self.p)
-            coeffs.append(r)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, k)
 
     def from_int(self, k: int) -> "FieldElement":
-        """The image of the integer k, i.e. (k mod p) times the identity."""
-        return self.element([k % self.p])
+        """Cast an integer scalar into the field: (k mod p) in the prime
+        subfield, i.e. k times the identity."""
+        return FieldElement(self, k % self.p)
 
-    def encoded_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """(add, mul) tables over integer encodings, built lazily.
+    # -- arithmetic on encodings ------------------------------------------
+
+    def _log_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """(exp, log, zech) of an extension field, built on first use.
+
+        exp[i] = g^i for a primitive element g (i < q-1), log inverts it
+        (log[0] is unused), and zech[i] = log(1 + g^i), or -1 where
+        1 + g^i = 0."""
+        if self._logs is None:
+            p, s, q = self.p, self.s, self.q
+            for g in range(p, q):  # the prime subfield holds no generator
+                # times_g[k] = g * k, grown one base-p digit of k at a time
+                times_g = np.zeros(1, dtype=np.int64)
+                v = g  # g * x^t
+                for _ in range(s):
+                    step, dv = [times_g], 0
+                    for _ in range(p - 1):
+                        dv = _digit_add(dv, v, p, s)
+                        step.append(_digit_add(times_g, dv, p, s))
+                    times_g = np.concatenate(step)
+                    # v * x: shift the digits up; hi * x^s reduces to -hi * (modulus - x^s)
+                    hi, lo = divmod(v, p ** (s - 1))
+                    fold = sum(-hi * m % p * p**t for t, m in enumerate(self.modulus[:-1]))
+                    v = _digit_add(lo * p, fold, p, s)
+                # exp[:2L] from exp[:L] and times_g = (g^L * .), by doubling
+                exp = np.ones(1, dtype=np.int64)
+                while len(exp) < q - 1:
+                    exp = np.concatenate([exp, times_g[exp]])
+                    times_g = times_g[times_g]
+                exp = exp[:q - 1]
+                if np.count_nonzero(exp == 1) == 1:  # g has order q - 1
+                    break
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            succ = exp - exp % p + (exp + 1) % p  # 1 + g^i
+            zech = np.where(succ == 0, -1, log[succ]).tolist()
+            self._logs = (exp.tolist(), log.tolist(), zech)
+        return self._logs
+
+    def _add(self, a: int, b: int) -> int:
+        if self.s == 1:
+            return (a + b) % self.p
+        if not a or not b:
+            return a or b
+        exp, log, zech = self._logs or self._log_tables()
+        la = log[a]
+        z = zech[(log[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else exp[(la + z) % (self.q - 1)]
+
+    def _mul(self, a: int, b: int) -> int:
+        if self.s == 1:
+            return a * b % self.p
+        if not a or not b:
+            return 0
+        exp, log, _ = self._logs or self._log_tables()
+        return exp[(log[a] + log[b]) % (self.q - 1)]
+
+    def _inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        if self.s == 1:
+            return pow(a, -1, self.p)
+        exp, log, _ = self._logs or self._log_tables()
+        return exp[-log[a] % (self.q - 1)]
+
+    def encoded_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(add, mul) q x q int64 tables over encodings, built lazily.
 
         The scanners run on these tables instead of element objects."""
         if self._tables is None:
-            elems = [self.from_encoding(i) for i in range(self.q)]
-            add = [[(x + y).encoding for y in elems] for x in elems]
-            mul = [[(x * y).encoding for y in elems] for x in elems]
+            p, s, q = self.p, self.s, self.q
+            k = np.arange(q, dtype=np.int64)
+            if s == 1:
+                add = (k[:, None] + k) % p
+                mul = k[:, None] * k % p
+            else:
+                add = _digit_add(k[:, None], k, p, s)
+                exp, log, _ = self._log_tables()
+                log_a = np.array(log, dtype=np.int64)
+                mul = np.array(exp, dtype=np.int64)[(log_a[:, None] + log_a) % (q - 1)]
+                mul[0, :] = mul[:, 0] = 0
             self._tables = (add, mul)
         return self._tables
 
 
 class FieldElement:
-    """An element of a Field: an immutable coefficient vector."""
+    """An element of a Field, held as its integer encoding."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "encoding")
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...]):
+    def __init__(self, field: Field, encoding: int):
         self.field = field
-        self.coeffs = coeffs
-
-    @property
-    def encoding(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
+        self.encoding = encoding
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.encoding == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.encoding != 0
 
     def _check(self, other) -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
 
     def __add__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        p = self.field.p
-        return FieldElement(self.field,
-                            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(self.field, self.field._add(self.encoding, other.encoding))
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        self._check(other)
-        p = self.field.p
-        return FieldElement(self.field,
-                            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple(-c % p for c in self.coeffs))
+    def __neg__(self):  # times -1, the encoding p - 1
+        return FieldElement(self.field, self.field._mul(self.encoding, self.field.p - 1))
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        fld = self.field
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs), fld.p)
-        if len(prod) >= len(fld.modulus):
-            _, prod = _poly_divmod(prod, list(fld.modulus), fld.p)
-        prod += [0] * (fld.s - len(prod))
-        return FieldElement(fld, tuple(prod))
+        return FieldElement(self.field, self.field._mul(self.encoding, other.encoding))
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse via extended Euclid over GF(p)[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        p = self.field.p
-        r0, r1 = list(self.field.modulus), _trim(list(self.coeffs))
-        t0, t1 = [], [1]
-        while r1:
-            quot, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _trim([(a - b) % p
-                                for a, b in itertools.zip_longest(t0, _poly_mul(quot, t1, p),
-                                                                   fillvalue=0)])
-        # r0 is a nonzero constant gcd; scale t0 by its inverse
-        c = pow(r0[0], p - 2, p)
-        t0 = [a * c % p for a in t0]
-        t0 += [0] * (self.field.s - len(t0))
-        return FieldElement(self.field, tuple(t0[: self.field.s]))
+        return FieldElement(self.field, self.field._inv(self.encoding))
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -265,10 +258,11 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.encoding == other.encoding and (self.field is other.field
+                                                    or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.modulus))
+        return hash((self.encoding, self.field.p, self.field.modulus))
 
     def __repr__(self):
         return f"{self.encoding}@{self.field!r}"
@@ -286,18 +280,18 @@ def make_field(p: int, s: int = 1) -> Field:
         raise ValueError(f"extension degree s = {s} must be >= 1")
     if p**s > MAX_ORDER:
         raise ValueError(f"field order {p}^{s} exceeds supported maximum {MAX_ORDER}")
+    if s == 1:
+        return Field(p, 1, (0, 1))
+    from .polyfq import UniPoly, is_irreducible_poly
+
+    prime = make_field(p)
     for tail in coeff_tuples(p, s):
-        candidate = [*tail, 1]
-        if _is_irreducible(candidate, p):
-            return Field(p, s, tuple(candidate))
+        # x divides every candidate with a zero constant term
+        if tail[0] and is_irreducible_poly(UniPoly.from_encodings(prime, (*tail, 1))):
+            return Field(p, s, (*tail, 1))
     raise AssertionError(f"no monic irreducible of degree {s} over GF({p})")  # impossible
 
 
 def all_elements(field: Field) -> list[FieldElement]:
     """All q elements in encoding order (a bijection with 0..q-1)."""
-    return [field.from_encoding(i) for i in range(field.q)]
-
-
-def int_to_field(field: Field, k: int) -> FieldElement:
-    """Cast an integer scalar into the field: (k mod p) in the prime subfield."""
-    return field.from_int(k)
+    return [FieldElement(field, i) for i in range(field.q)]

@@ -16,13 +16,13 @@ index so ranges stay independently computable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from math import comb
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .gf import Field, FieldElement, int_to_field
+from .gf import Field, FieldElement
 from .invariants import image_points
 from .solutions import EquationInstance
 
@@ -163,7 +163,7 @@ def base_generators(inst: EquationInstance) -> GeneratorSet:
     """The three quadrics of the two-variable base case."""
     inst.require_nonzero_a()
     fld, a = inst.field, inst.a
-    two = int_to_field(fld, 2)
+    two = fld.from_int(2)
     x1 = MultiPoly.variable(fld, 2, 1)
     x2 = MultiPoly.variable(fld, 2, 2)
     mono = MultiPoly.monomial
@@ -184,7 +184,7 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
         return base_generators(inst)
     prev = generating_set(inst, n - 1)
     fld, a = inst.field, inst.a
-    w = tuple(int_to_field(fld, comb(n, i)) * a**i for i in range(1, n))
+    w = tuple(fld.from_int(comb(n, i)) * a**i for i in range(1, n))
     a_pow_n_inv = (a**n).inv()
     xn = MultiPoly.variable(fld, n, n)
     gens = []
@@ -195,7 +195,7 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
         exps = [0] * n
         exps[i - 1] += 1
         exps[n - 1] += 1
-        coeff = int_to_field(fld, comb(n, i)) * a**i
+        coeff = fld.from_int(comb(n, i)) * a**i
         gens.append(MultiPoly.monomial(fld, n, exps, fld.one()) - xn * coeff)
     if len(gens) != comb(n + 1, 2):
         raise ArithmeticError("generator count is off (internal bug)")
@@ -210,11 +210,6 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
 # Point encoding: index = sum of enc(x_i) * q^(i-1); the scan checks every
 # generator on every surviving point, in chunks of the index range.
 
-def _np_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    add, mul = field.encoded_tables()
-    return np.asarray(add, dtype=np.int64), np.asarray(mul, dtype=np.int64)
-
-
 def variety(gens: GeneratorSet, field: Field, *,
             budget: int = DEFAULT_VARIETY_BUDGET) -> list[tuple[FieldElement, ...]]:
     """All common zeros in F_q^n, in ascending point-encoding order."""
@@ -223,7 +218,7 @@ def variety(gens: GeneratorSet, field: Field, *,
     space = q**n
     if space > budget:
         raise BudgetExceededError(space, budget, "variety scan")
-    add_t, mul_t = _np_tables(field)
+    add_t, mul_t = field.encoded_tables()
     compiled = [[(c.encoding, exps) for exps, c in g.sorted_terms()]
                 for g in gens.generators]
     hits: list[int] = []
@@ -265,6 +260,7 @@ class VarietyCheck:
     variety_size: int
     image_size: int
     equal: bool
+    points: tuple = dc_field(default=(), compare=False, repr=False)  # the scanned variety
 
     def to_json_dict(self) -> dict:
         return {
@@ -287,5 +283,5 @@ def verify_variety(inst: EquationInstance, *,
     return VarietyCheck(
         n=inst.n, q=inst.q, a_encoding=inst.a.encoding,
         variety_size=len(pts), image_size=len(img),
-        equal=set(pts) == img,
+        equal=set(pts) == img, points=tuple(pts),
     )

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import BudgetExceededError
-from .gf import FieldElement, int_to_field
+from .gf import FieldElement
 from .matfq import char_coeffs
 from .orbits import OrbitLabel, representative
 from .solutions import EquationInstance
@@ -63,7 +63,7 @@ def image_points(inst: EquationInstance) -> list[ImagePoint]:
     fld = inst.field
     pts = []
     for j in range(n + 1):
-        coords = tuple(int_to_field(fld, comb(j, i)) * a**i for i in range(1, n + 1))
+        coords = tuple(fld.from_int(comb(j, i)) * a**i for i in range(1, n + 1))
         pts.append(ImagePoint(j, coords))
     if len({p.coords for p in pts}) != n + 1:
         raise ArithmeticError("image points are not pairwise distinct (internal bug)")
@@ -78,9 +78,17 @@ def subset_separates(inst: EquationInstance, subset) -> bool:
         raise ValueError("subset must be nonempty")
     if idx[0] < 1 or idx[-1] > inst.n:
         raise ValueError(f"coordinate indices must lie in 1..{inst.n}")
-    pts = image_points(inst)
-    projections = {tuple(p.coords[i - 1] for i in idx) for p in pts}
-    return len(projections) == len(pts)
+    return _separates(_encoded(image_points(inst)), idx)
+
+
+def _encoded(pts: list[ImagePoint]) -> list[tuple[int, ...]]:
+    return [tuple(c.encoding for c in p.coords) for p in pts]
+
+
+def _separates(rows: list[tuple[int, ...]], idx) -> bool:
+    """Whether projecting the rows onto the 1-based coordinates idx keeps
+    them pairwise distinct."""
+    return len({tuple(r[i - 1] for i in idx) for r in rows}) == len(rows)
 
 
 def trace_separates(inst: EquationInstance) -> bool:
@@ -98,13 +106,17 @@ def minimal_separating_subsets(inst: EquationInstance) -> list[tuple[int, ...]]:
     n = inst.n
     if n > SUBSET_SWEEP_MAX_N:
         raise BudgetExceededError(2**n, 2**SUBSET_SWEEP_MAX_N, "subset sweep")
+    rows = _encoded(image_points(inst))
     minimal: list[tuple[int, ...]] = []
+    masks: list[int] = []
     for size in range(1, n + 1):
         for s in combinations(range(1, n + 1), size):
-            if any(set(m) <= set(s) for m in minimal):
+            mask = sum(1 << i for i in s)
+            if any(m & mask == m for m in masks):
                 continue
-            if subset_separates(inst, s):
+            if _separates(rows, s):
                 minimal.append(s)
+                masks.append(mask)
     return minimal
 
 

@@ -303,7 +303,3 @@ def parse_matrix(field: Field, text: str) -> Matrix:
         except ValueError as exc:
             raise ValueError(f"malformed matrix text {text!r}: {exc}") from exc
     return Matrix(field, rows)
-
-
-def format_matrix(X: Matrix) -> str:
-    return X.text()

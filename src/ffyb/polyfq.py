@@ -146,17 +146,17 @@ class UniPoly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        quot = UniPoly.zero(self.field)
-        rem = self
+        g, d = other.coeffs, other.degree
         inv_lead = other.lead().inv()
-        while not rem.is_zero() and rem.degree >= other.degree:
-            shift = rem.degree - other.degree
-            c = rem.lead() * inv_lead
-            zero = self.field.zero()
-            mono = UniPoly.from_elements(self.field, [zero] * shift + [c])
-            quot = quot + mono
-            rem = rem - mono * other
-        return quot, rem
+        rem = list(self.coeffs)
+        quot = [self.field.zero()] * max(len(rem) - d, 0)
+        for shift in range(len(quot) - 1, -1, -1):
+            c = quot[shift] = rem[shift + d] * inv_lead
+            if c:  # cancels rem[shift + d]; only the lower coefficients change
+                for j in range(d):
+                    rem[shift + j] = rem[shift + j] - c * g[j]
+        return (UniPoly.from_elements(self.field, quot),
+                UniPoly.from_elements(self.field, rem[:d]))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

@@ -105,7 +105,7 @@ def satisfies_yang_baxter(inst: EquationInstance, X: Matrix) -> bool:
 def _scan_range(p: int, s: int, n: int, a_enc: int, start: int, stop: int,
                 collect: bool) -> tuple[int, list[int]]:
     fld = make_field(p, s)
-    add, mul = fld.encoded_tables()
+    add, mul = (t.tolist() for t in fld.encoded_tables())  # lists index faster
     q = fld.q
     size = n * n
     digits = []
@@ -157,6 +157,8 @@ def _run_scan(inst: EquationInstance, collect: bool, budget: int | None,
     if space > limit:
         raise BudgetExceededError(space, limit, "matrix enumeration")
     fld = inst.field
+    if fld.q * fld.q > limit:
+        raise BudgetExceededError(fld.q * fld.q, limit, "arithmetic tables")
     args = (fld.p, fld.s, inst.n, inst.a.encoding)
     if threads == 0:
         threads = os.cpu_count() or 1

@@ -109,6 +109,19 @@ def test_ideal_verify(capsys):
     assert len(rep["variety"]) == 4
 
 
+def test_ideal_verify_scans_the_variety_once(capsys, monkeypatch):
+    import ffyb.ideal
+
+    calls = []
+    scan = ffyb.ideal.variety
+    monkeypatch.setattr(ffyb.ideal, "variety",
+                        lambda *a, **k: calls.append(a) or scan(*a, **k))
+    rep = run_json(capsys, "ideal", "--p", "3", "--n", "3", "--a", "2", "--verify")
+    assert rep["verdict"] is True
+    assert len(rep["variety"]) == 4
+    assert len(calls) == 1
+
+
 def test_verify_all_filter(capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--only", "separation",
                            "--output", "table")
@@ -147,6 +160,14 @@ def test_exit_code_budget_refusal(capsys):
                            "--method", "brute", "--budget", "1000")
     assert code == 2
     assert "refused" in err
+
+
+def test_exit_code_table_budget_refusal(capsys):
+    code, out, err = run_cli(capsys, "count", "--p", "1048573", "--n", "1",
+                             "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert "arithmetic tables" in err
 
 
 def test_exit_code_bad_flags(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from ffyb.gf import all_elements, int_to_field, is_prime, make_field
+from ffyb.gf import FieldElement, all_elements, is_prime, make_field
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -90,15 +90,15 @@ def test_frobenius_exhaustive(p, s):
 
 
 def test_int_to_field_examples():
-    assert int_to_field(make_field(2), 2).is_zero()
-    assert int_to_field(make_field(3), 3).is_zero()
-    assert int_to_field(make_field(5), 7).encoding == 2
+    assert make_field(2).from_int(2).is_zero()
+    assert make_field(3).from_int(3).is_zero()
+    assert make_field(5).from_int(7).encoding == 2
 
 
 def test_int_to_field_lands_in_prime_subfield():
     f9 = make_field(3, 2)
-    assert int_to_field(f9, 4).encoding == 1
-    assert int_to_field(f9, 5) == f9.one() + f9.one()
+    assert f9.from_int(4).encoding == 1
+    assert f9.from_int(5) == f9.one() + f9.one()
 
 
 def test_pow_and_division():
@@ -121,10 +121,40 @@ def test_is_prime():
 
 
 def test_encoded_tables_agree_with_object_arithmetic():
-    f = make_field(3, 2)
-    add, mul = f.encoded_tables()
-    elems = all_elements(f)
-    for x in elems:
-        for y in elems:
-            assert add[x.encoding][y.encoding] == (x + y).encoding
-            assert mul[x.encoding][y.encoding] == (x * y).encoding
+    for p, s in [(3, 2), (5, 3), (2, 7)]:
+        f = make_field(p, s)
+        add, mul = f.encoded_tables()
+        elems = all_elements(f)
+        for x in elems:
+            for y in elems:
+                assert add[x.encoding][y.encoding] == (x + y).encoding
+                assert mul[x.encoding][y.encoding] == (x * y).encoding
+
+
+# The moduli chosen by the candidate search; every encoding depends on them.
+PINNED_MODULI = {
+    (2, 3): (1, 0, 1, 1),
+    (3, 2): (1, 0, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (5, 3): (1, 0, 1, 1),
+    (7, 3): (1, 0, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (13, 2): (1, 3, 1),
+    (23, 2): (1, 0, 1),
+    (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("ps", sorted(PINNED_MODULI))
+def test_pinned_moduli(ps):
+    assert make_field(*ps).modulus == PINNED_MODULI[ps]
+
+
+def test_elements_are_their_encodings():
+    assert FieldElement.__slots__ == ("field", "encoding")
+    f = make_field(2, 3)
+    assert f.from_encoding(6).encoding == 6
+    assert f.one().encoding == 1 and f.zero().encoding == 0

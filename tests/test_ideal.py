@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from ffyb.errors import BudgetExceededError
-from ffyb.gf import all_elements, int_to_field, make_field
+from ffyb.gf import all_elements, make_field
 from ffyb.ideal import (GeneratorSet, MultiPoly, base_generators,
                         generating_set, variety, verify_variety)
 from ffyb.invariants import image_points
@@ -20,7 +20,7 @@ def instance(p, s, n, enc=1):
 def display_generators(field, n, a):
     """The expected n=2 and n=3 generator sets, written out term by term."""
     one = field.one()
-    i2f = lambda k: int_to_field(field, k)
+    i2f = field.from_int
     mono = MultiPoly.monomial
     if n == 2:
         f22 = mono(field, 2, (0, 2), one) - mono(field, 2, (0, 1), a * a)
@@ -47,7 +47,7 @@ def test_multipoly_evaluation_examples():
     inst = EquationInstance(f5, 2, a)
     f22, f21, f11 = base_generators(inst).generators
     a2 = a * a
-    two_a = int_to_field(f5, 2) * a
+    two_a = f5.from_int(2) * a
     assert f22.evaluate([f5.zero(), a2]).is_zero()
     assert f22.evaluate([a, a2]).is_zero()
     assert f11.evaluate([two_a, a2]).is_zero()
@@ -111,7 +111,7 @@ def test_variety_n2():
             a = f.from_encoding(enc)
             inst = EquationInstance(f, 2, a)
             pts = variety(base_generators(inst), f)
-            two_a = int_to_field(f, 2) * a
+            two_a = f.from_int(2) * a
             assert set(pts) == {(f.zero(), f.zero()), (a, f.zero()), (two_a, a * a)}
 
 

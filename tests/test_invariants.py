@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from ffyb.errors import BudgetExceededError
@@ -178,3 +180,27 @@ def test_invariants_agree_with_direct_evaluation_on_solutions():
     for x in brute_force_solutions(inst):
         label = classify(inst, x)
         assert char_coeffs(x) == pts[label_rank(inst, label)]
+
+
+def _bitmask_minimal_subsets(f, n, enc):
+    """Inclusion-minimal separating subsets by a bitmask sweep over image
+    points computed directly from C(j, i) * a^i mod the field."""
+    a = f.from_encoding(enc)
+    rows = [[(f.from_int(comb(j, i)) * a**i).encoding for i in range(1, n + 1)]
+            for j in range(n + 1)]
+    separating = [mask for mask in range(1, 1 << n)
+                  if len({tuple(r[i] for i in range(n) if mask >> i & 1)
+                          for r in rows}) == n + 1]
+    minimal = [m for m in separating
+               if not any(o != m and o & m == o for o in separating)]
+    subsets = [tuple(i + 1 for i in range(n) if m >> i & 1) for m in minimal]
+    return sorted(subsets, key=lambda s_: (len(s_), s_))
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_minimal_subsets_match_bitmask_brute_force(p, s):
+    f = make_field(p, s)
+    for n in range(1, 9):
+        for enc in range(1, f.q):
+            got = minimal_separating_subsets(EquationInstance(f, n, f.from_encoding(enc)))
+            assert got == _bitmask_minimal_subsets(f, n, enc), (n, enc)

@@ -5,7 +5,7 @@ import pytest
 
 from support import random_invertible, random_matrix
 from ffyb.errors import SingularMatrixError
-from ffyb.gf import all_elements, int_to_field, make_field
+from ffyb.gf import all_elements, make_field
 from ffyb.matfq import (Matrix, char_coeffs, companion, conjugate, direct_sum,
                         gl_order, matrix_from_index, matrix_index,
                         parse_matrix)
@@ -85,7 +85,7 @@ def test_char_coeffs_of_scalar_matrix_are_binomials(p, s, n):
     for enc in range(f.q):
         a = f.from_encoding(enc)
         got = char_coeffs(Matrix.scalar(f, n, a))
-        want = tuple(int_to_field(f, comb(n, i)) * a**i for i in range(1, n + 1))
+        want = tuple(f.from_int(comb(n, i)) * a**i for i in range(1, n + 1))
         assert got == want
 
 

@@ -191,3 +191,13 @@ def test_instance_validation():
         EquationInstance(f, 0, f.one())
     with pytest.raises(ValueError):
         EquationInstance(f, 2, make_field(5).one())
+
+
+def test_table_budget_refused_before_any_allocation():
+    f = make_field(1048573)  # the largest prime below the field cap
+    inst = EquationInstance(f, 1, f.one())
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_count(inst)
+    assert info.value.what == "arithmetic tables"
+    assert info.value.required == f.q * f.q
+    assert f._tables is None
