@@ -108,7 +108,7 @@ def cmd_count(args) -> tuple[dict, int]:
         closed = sol_mod.closed_form_count(inst)
         report["closed_form"] = str(closed.total)
     if args.method in ("brute", "both"):
-        brute = sol_mod.brute_force_count(inst, budget=args.budget, threads=args.threads)
+        brute = sol_mod.brute_force_count(inst, budget=args.budget)
         report["brute_force"] = str(brute)
     report["method"] = {"closed": "closed_form", "brute": "brute_force",
                         "both": "both"}[args.method]
@@ -129,13 +129,11 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     inst, extras = _build_instance(args)
     report = _base_report("enumerate", inst, extras)
     if args.list:
-        sols = sol_mod.brute_force_solutions(inst, budget=args.budget,
-                                             threads=args.threads)
+        sols = sol_mod.brute_force_solutions(inst, budget=args.budget)
         report["total"] = str(len(sols))
         report["solutions"] = [x.text() for x in sols]
     else:
-        total = sol_mod.brute_force_count(inst, budget=args.budget,
-                                          threads=args.threads)
+        total = sol_mod.brute_force_count(inst, budget=args.budget)
         report["total"] = str(total)
     return report, 0
 
@@ -221,7 +219,7 @@ def _default_brute_pairs(limit: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _check_counts(threads: int, budget: int) -> tuple[bool, str]:
+def _check_counts(budget: int) -> tuple[bool, str]:
     tried = []
     for n, p, s in _default_brute_pairs(min(budget, 10**6)):
         fld = make_field(p, s)
@@ -230,7 +228,7 @@ def _check_counts(threads: int, budget: int) -> tuple[bool, str]:
         for enc in range(1, fld.q):
             inst = EquationInstance(fld, n, fld.from_encoding(enc))
             closed = sol_mod.closed_form_count(inst).total
-            got = sol_mod.brute_force_count(inst, budget=budget, threads=threads)
+            got = sol_mod.brute_force_count(inst, budget=budget)
             if got != closed:
                 return False, f"mismatch at n={n} q={fld.q} a={enc}: {got} != {closed}"
             counts.add(got)
@@ -339,7 +337,7 @@ def _check_variety(budget: int) -> tuple[bool, str]:
 
 
 CHECKS = {
-    "count-oracle": lambda args: _check_counts(args.threads, args.budget
+    "count-oracle": lambda args: _check_counts(args.budget
                                                or sol_mod.DEFAULT_SCAN_BUDGET),
     "orbit-census": lambda args: _check_orbit_census(args.budget or orb_mod.GL_SCAN_BUDGET),
     "stabilizers": lambda args: _check_stabilizers(args.budget or orb_mod.GL_SCAN_BUDGET),
@@ -383,8 +381,6 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_instance: bool = True)
                             help="seed for --a rand-nonzero")
     parser.add_argument("--budget", type=int, default=_budget_default(),
                         help="max enumeration size (default FFYB_BUDGET or built-in)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for scans (0 = auto)")
     parser.add_argument("--output", choices=("json", "table"), default="json")
 
 

@@ -10,8 +10,8 @@ field so characteristic-p collapses happen naturally.
 
 The variety is computed by an exhaustive scan of all q^n points - the
 independent oracle for the claim that it equals the n+1 image points.  The
-scan runs on integer encodings with numpy table lookups, chunked by point
-index so ranges stay independently computable.
+scan runs on the chunked scanner of scan.py, one generator at a time, and
+moves the surviving points only when a generator removes some.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from math import comb
 
 import numpy as np
 
+from . import scan
 from .errors import BudgetExceededError
 from .gf import Field, FieldElement
 from .invariants import image_points
 from .solutions import EquationInstance
 
 DEFAULT_VARIETY_BUDGET = 10**7
-_CHUNK = 1 << 16
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -218,30 +218,32 @@ def variety(gens: GeneratorSet, field: Field, *,
     space = q**n
     if space > budget:
         raise BudgetExceededError(space, budget, "variety scan")
-    add_t, mul_t = field.encoded_tables()
-    compiled = [[(c.encoding, exps) for exps, c in g.sorted_terms()]
-                for g in gens.generators]
+    tabs = scan.Tables(field, budget)
+    add, mul = tabs.add, tabs.mul
+    # each term as (coefficient, variable per factor); the zero polynomial
+    # vanishes everywhere and is left out
+    compiled = [[(c.encoding, [t for t, e in enumerate(exps) for _ in range(e)])
+                 for exps, c in g.sorted_terms()] for g in gens.generators if g.terms]
     hits: list[int] = []
-    for lo in range(0, space, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, space), dtype=np.int64)
-        coords = [(idx // q**t) % q for t in range(n)]
-        alive = idx
+    for idx, coords in scan.chunks(q, n, 0, space):
         for terms in compiled:
-            vals = np.zeros(len(alive), dtype=np.int64)
-            for enc, exps in terms:
-                term = np.full(len(alive), enc, dtype=np.int64)
-                for t, e in enumerate(exps):
-                    for _ in range(e):
-                        term = mul_t[term, coords[t]]
-                vals = add_t[vals, term]
-            keep = vals == 0
-            alive = alive[keep]
-            coords = [c[keep] for c in coords]
-            if len(alive) == 0:
+            vals = None
+            for enc, factors in terms:
+                if not factors:
+                    term = np.full(len(idx), enc, dtype=np.int64)
+                else:
+                    term = coords[factors[0]]
+                    if enc != 1:
+                        term = mul[enc * q + term]
+                    for t in factors[1:]:
+                        term = mul[term * q + coords[t]]
+                vals = term if vals is None else add[vals * q + term]
+            idx, coords = scan.keep(vals == 0, idx, coords)
+            if not len(idx):
                 break
-        hits.extend(int(i) for i in alive)
+        hits.extend(idx.tolist())
     out = []
-    for i in sorted(hits):
+    for i in hits:
         point = []
         for _ in range(n):
             i, r = divmod(i, q)

@@ -5,18 +5,22 @@ Q(a)), Q(a) = [[0,1],[0,a]], with b in {0, a}; the extremes are the zero
 matrix and a*I.  Orbits are labeled Zero, ScalarA or Mixed{k,b}, carry the
 rank of their representative as a fingerprint, and their sizes follow from
 the orbit-stabilizer formula with stabilizer order |GL(n-k,q)|*|GL(k,q)|.
-Brute-force oracles (orbit closure under all of GL, and direct centralizer
-counts) cross-check the formulas at small sizes.
+Brute-force oracles cross-check the formulas at small sizes: GL(n, q) by
+batched elimination over every matrix index, orbits as the index sets of
+batched conjugates P X P^-1, and centralizers by a batched P X == X P test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import scan
 from .errors import BudgetExceededError
 from .gf import Field, FieldElement, exact_div
-from .matfq import Matrix, direct_sum, gl_order, matrix_from_index, matrix_index
-from .solutions import (CountReport, EquationInstance, brute_force_solutions,
+from .matfq import Matrix, direct_sum, gl_order, matrix_from_index
+from .solutions import (CountReport, EquationInstance, brute_force_indices,
                         is_solution)
 
 GL_SCAN_BUDGET = 10**6
@@ -177,19 +181,28 @@ def orbit_sum_count(inst: EquationInstance) -> CountReport:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles.
+# Brute-force oracles, on the chunked scanner of scan.py.  None of them calls
+# gl_order or the closed form they are checked against.
 
-def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:
-    """All invertible n x n matrices, by scanning every matrix index."""
+def _gl(field: Field, n: int, budget: int):
+    """(tables, indices, entries, inverses) of every invertible n x n matrix,
+    found by batched elimination over all q^(n^2) indices, ascending."""
     space = field.q ** (n * n)
     if space > budget:
         raise BudgetExceededError(space, budget, "GL enumeration")
-    out = []
-    for idx in range(space):
-        m = matrix_from_index(field, n, idx)
-        if not m.det().is_zero():
-            out.append(m)
-    return out
+    tabs = scan.Tables(field, budget)
+    parts = []
+    for idx, mats in scan.chunks(field.q, n * n, 0, space):
+        pos, _, inv = tabs.invert(n, mats)
+        parts.append((idx[pos], mats[:, pos], inv))
+    idx, mats, inv = zip(*parts)
+    return (tabs, np.concatenate(idx), np.concatenate(mats, axis=1),
+            np.concatenate(inv, axis=1))
+
+
+def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:
+    """All invertible n x n matrices, by scanning every matrix index."""
+    return [matrix_from_index(field, n, i) for i in _gl(field, n, budget)[1].tolist()]
 
 
 def brute_force_conjugacy_classes(inst: EquationInstance, *,
@@ -197,20 +210,20 @@ def brute_force_conjugacy_classes(inst: EquationInstance, *,
     """Partition of the solution set into conjugation orbits.
 
     Each unvisited solution is closed under conjugation by every element of
-    GL(n, q).  Classes are returned in ascending order of their smallest
-    member index, members sorted by index."""
+    GL(n, q), as the sorted unique indices of the batched P X P^-1.  Classes
+    are returned in ascending order of their smallest member index, members
+    sorted by index."""
     inst.require_nonzero_a()
-    sols = brute_force_solutions(inst, budget=budget)
-    group = enumerate_gl(inst.field, inst.n, budget=budget)
-    pairs = [(p, p.inverse()) for p in group]
-    seen: set[Matrix] = set()
+    fld, n = inst.field, inst.n
+    left = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
+    tabs, _, group, group_inv = _gl(fld, n, budget)
     classes = []
-    for x in sols:
-        if x in seen:
-            continue
-        orbit = {p * x * pinv for p, pinv in pairs}
-        seen |= orbit
-        classes.append(sorted(orbit, key=matrix_index))
+    while len(left):
+        x = scan.digits(fld.q, n * n, int(left[0]), int(left[0]) + 1)
+        conj = tabs.matmul(n, tabs.matmul(n, group, x), group_inv)
+        orbit = np.unique(scan.encode(fld.q, conj))
+        left = left[~np.isin(left, orbit)]
+        classes.append([matrix_from_index(fld, n, i) for i in orbit.tolist()])
     return classes
 
 
@@ -219,5 +232,8 @@ def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,
     """Count the P in GL(n, q) commuting with X."""
     if X.field != inst.field or not (X.n_rows == X.n_cols == inst.n):
         raise ValueError(f"expected a {inst.n}x{inst.n} matrix over the instance field")
-    return sum(1 for p in enumerate_gl(inst.field, inst.n, budget=budget)
-               if p * X == X * p)
+    n = inst.n
+    tabs, _, group, _ = _gl(inst.field, n, budget)
+    x = np.array([[e.encoding] for row in X.entries for e in row], dtype=np.int64)
+    return int(np.count_nonzero((tabs.matmul(n, group, x)
+                                 == tabs.matmul(n, x, group)).all(axis=0)))

@@ -1,0 +1,133 @@
+"""The chunked index-range scan shared by every brute-force oracle.
+
+An index in [0, q^width) stands for a vector of `width` base-q digits, least
+significant first: a matrix read row-major (width n^2) or a point of F_q^n
+(width n).  A scan decodes its range in CHUNK-row pieces into an int64 digit
+array of shape (width, rows), so row t holds digit t of every index in the
+piece, and does all field arithmetic by lookups in the field's add/mul
+tables.  The tables are used through flat views indexed a*q + b, which numpy
+gathers faster than a 2-D fancy index.
+
+Scans drop the rows that already fail a test before the next one runs, so
+most work is done on the first test only.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import BudgetExceededError
+from .gf import Field
+
+CHUNK = 1 << 16
+# q^2 entries per table: 2^24 int64 entries are 128 MB for each of the two.
+TABLE_ENTRY_LIMIT = 2**24
+
+
+def digits(q: int, width: int, lo: int, hi: int) -> np.ndarray:
+    """The (width, hi - lo) base-q digit array of the indices lo..hi-1.
+
+    Digit t of consecutive indices steps through 0..q-1 in runs of q^t, so
+    each row is a np.repeat of run values, with no division."""
+    out = np.empty((width, hi - lo), dtype=np.int64)
+    w = 1  # q^t
+    for t in range(width):
+        first, last = lo // w, (hi - 1) // w
+        runs = np.full(last - first + 1, w, dtype=np.int64)
+        runs[0] -= lo - first * w
+        runs[-1] -= (last + 1) * w - hi
+        out[t] = np.repeat(np.arange(first, last + 1) % q, runs)
+        w *= q
+    return out
+
+
+def encode(q: int, digits: np.ndarray) -> np.ndarray:
+    """The index of each column of a digit array."""
+    idx = np.zeros(digits.shape[1], dtype=np.int64)
+    for row in digits[::-1]:
+        idx = idx * q + row
+    return idx
+
+
+def chunks(q: int, width: int, lo: int, hi: int):
+    """(idx, digits) for [lo, hi), in ascending pieces of at most CHUNK rows."""
+    for start in range(lo, hi, CHUNK):
+        stop = min(start + CHUNK, hi)
+        yield np.arange(start, stop, dtype=np.int64), digits(q, width, start, stop)
+
+
+def keep(mask: np.ndarray, idx: np.ndarray, digits: np.ndarray):
+    """The rows of (idx, digits) that mask selects; no copy when it selects all."""
+    if mask.all():
+        return idx, digits
+    return idx[mask], digits[:, mask]
+
+
+class Tables:
+    """A field's add and mul tables as flat arrays indexed a*q + b.
+
+    The q^2-entry refusal comes before the tables are built, so an oversized
+    field costs nothing."""
+
+    def __init__(self, field: Field, budget: int | None = None):
+        q = field.q
+        limit = TABLE_ENTRY_LIMIT if budget is None else min(budget, TABLE_ENTRY_LIMIT)
+        if q * q > limit:
+            raise BudgetExceededError(q * q, limit, "arithmetic tables")
+        self.field = field
+        self.q = q
+        self.add, self.mul = (t.ravel() for t in field.encoded_tables())
+
+    def dot(self, row, col) -> np.ndarray:
+        """sum_k row[k] * col[k] over paired digit rows."""
+        q, add, mul = self.q, self.add, self.mul
+        acc = None
+        for r, c in zip(row, col):
+            prod = mul[r * q + c]
+            acc = prod if acc is None else add[acc * q + prod]
+        return acc
+
+    def matmul(self, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Batched n x n products of digit arrays; a column of shape
+        (n*n, 1) stands for one matrix against the whole batch."""
+        return np.stack([self.dot(a[i * n:(i + 1) * n], b[j::n])
+                         for i in range(n) for j in range(n)])
+
+    def invert(self, n: int, mats: np.ndarray):
+        """Batched Gauss-Jordan elimination of n x n digit arrays.
+
+        Returns (pos, det, inv): the columns of mats that are invertible,
+        their determinants and their inverses as a digit array.  A matrix
+        leaves the batch at the first column without a pivot."""
+        q, add, mul = self.q, self.add, self.mul
+        fld = self.field
+        neg = mul[(fld.p - 1) * q:fld.p * q]
+        inv_of = np.array([0] + [fld.from_encoding(k).inv().encoding
+                                 for k in range(1, q)], dtype=np.int64)
+        m = mats.shape[1]
+        aug = np.zeros((n, 2 * n, m), dtype=np.int64)  # [A | I], row by row
+        aug[:, :n] = mats.reshape(n, n, m)
+        aug[np.arange(n), n + np.arange(n)] = 1
+        pos = np.arange(m)
+        det = np.ones(m, dtype=np.int64)
+        for c in range(n):
+            nonzero = aug[c:, c] != 0
+            found = nonzero.any(axis=0)
+            if not found.all():
+                aug, pos, det, nonzero = (aug[:, :, found], pos[found], det[found],
+                                          nonzero[:, found])
+            r = c + nonzero.argmax(axis=0)
+            swap = r != c
+            if swap.any():
+                cols = np.flatnonzero(swap)
+                pivot_rows = aug[r[cols], :, cols]
+                aug[r[cols], :, cols] = aug[c, :, cols]
+                aug[c, :, cols] = pivot_rows
+                det[cols] = neg[det[cols]]
+            pivot = aug[c, c]
+            det = mul[det * q + pivot]
+            aug[c] = mul[inv_of[pivot] * q + aug[c]]
+            factor = neg[aug[:, c]]
+            factor[c] = 0
+            aug = add[aug * q + mul[factor[:, None] * q + aug[c]]]
+        return pos, det, aug[:, n:].reshape(n * n, -1)

@@ -3,17 +3,16 @@
 For a != 0 this equation carves out the same set as the parameter-independent
 Yang-Baxter equation A X A = X A X.  The module exposes the membership
 predicate, an exhaustive enumeration oracle over the canonical matrix index
-(partitionable into disjoint ranges, optionally scanned by worker processes),
+(partitionable into disjoint ranges, run on the chunked scanner of scan.py),
 and the exact closed-form count.  The degenerate cases a = 0 and n = 1 are
 routed explicitly instead of being folded into the general formula.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
+from . import scan
 from .errors import BudgetExceededError
 from .gf import Field, FieldElement, exact_div, make_field
 from .matfq import Matrix, gl_order, matrix_from_index
@@ -97,98 +96,63 @@ def satisfies_yang_baxter(inst: EquationInstance, X: Matrix) -> bool:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration oracle.
 #
-# The scan walks matrix indices with an odometer over base-q digits and does
-# all arithmetic on integer encodings via the field's add/mul tables, so a
-# range (start, stop) is a pure function of (p, s, n, a_enc) and can be
-# handed to worker processes.
+# The scan runs over matrix indices on the shared chunked scanner: each entry
+# of X*X and a*X is compared in turn and the matrices that fail it leave the
+# chunk.  A range (start, stop) is a pure function of (p, s, n, a_enc), so
+# disjoint ranges merge by concatenation.
 
 def _scan_range(p: int, s: int, n: int, a_enc: int, start: int, stop: int,
-                collect: bool) -> tuple[int, list[int]]:
-    fld = make_field(p, s)
-    add, mul = (t.tolist() for t in fld.encoded_tables())  # lists index faster
-    q = fld.q
-    size = n * n
-    digits = []
-    idx = start
-    for _ in range(size):
-        idx, r = divmod(idx, q)
-        digits.append(r)
+                collect: bool, budget: int | None = None) -> tuple[int, list[int]]:
+    tabs = scan.Tables(make_field(p, s), budget)
+    q = tabs.q
+    mul_a = tabs.mul[a_enc * q:(a_enc + 1) * q]
     count = 0
     hits: list[int] = []
-    mul_a = mul[a_enc]
-    for idx in range(start, stop):
-        ok = True
-        for i in range(n):
-            row = i * n
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = add[acc][mul[digits[row + k]][digits[k * n + j]]]
-                if acc != mul_a[digits[row + j]]:
-                    ok = False
-                    break
-            if not ok:
+    for idx, x in scan.chunks(q, n * n, start, stop):
+        for t in range(n * n):
+            i, j = divmod(t, n)
+            lhs = tabs.dot(x[i * n:(i + 1) * n], x[j::n])
+            idx, x = scan.keep(lhs == mul_a[x[t]], idx, x)
+            if not len(idx):
                 break
-        if ok:
-            count += 1
-            if collect:
-                hits.append(idx)
-        t = 0
-        while t < size:
-            digits[t] += 1
-            if digits[t] == q:
-                digits[t] = 0
-                t += 1
-            else:
-                break
+        count += len(idx)
+        if collect:
+            hits.extend(idx.tolist())
     return count, hits
 
 
-def _partition(space: int, parts: int) -> list[tuple[int, int]]:
-    step = -(-space // parts)
-    return [(lo, min(lo + step, space)) for lo in range(0, space, step)]
-
-
-def _run_scan(inst: EquationInstance, collect: bool, budget: int | None,
-              threads: int) -> tuple[int, list[int]]:
+def _run_scan(inst: EquationInstance, collect: bool,
+              budget: int | None) -> tuple[int, list[int]]:
     inst.require_nonzero_a()
     space = inst.search_space()
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
     if space > limit:
         raise BudgetExceededError(space, limit, "matrix enumeration")
     fld = inst.field
-    if fld.q * fld.q > limit:
-        raise BudgetExceededError(fld.q * fld.q, limit, "arithmetic tables")
-    args = (fld.p, fld.s, inst.n, inst.a.encoding)
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or space < 4096:
-        return _scan_range(*args, 0, space, collect)
-    total, hits = 0, []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_scan_range, *args, lo, hi, collect)
-                   for lo, hi in _partition(space, threads * 4)]
-        for fut in futures:  # submission order keeps results deterministic
-            c, h = fut.result()
-            total += c
-            hits.extend(h)
-    return total, hits
+    return _scan_range(fld.p, fld.s, inst.n, inst.a.encoding, 0, space, collect, limit)
 
 
-def brute_force_count(inst: EquationInstance, *, budget: int | None = None,
-                      threads: int = 1) -> int:
+def brute_force_count(inst: EquationInstance, *, budget: int | None = None) -> int:
     """Count the solutions by scanning all q^(n^2) matrices."""
-    return _run_scan(inst, False, budget, threads)[0]
+    return _run_scan(inst, False, budget)[0]
 
 
-def brute_force_solutions(inst: EquationInstance, *, budget: int | None = None,
-                          threads: int = 1) -> list[Matrix]:
-    """All solutions, in ascending canonical-index order.
+def brute_force_indices(inst: EquationInstance, *,
+                        budget: int | None = None) -> list[int]:
+    """Canonical indices of all solutions, ascending.
 
     Refuses when the search space exceeds the budget or the list cap."""
     limit = min(LIST_LIMIT, DEFAULT_SCAN_BUDGET if budget is None else budget)
-    _, hits = _run_scan(inst, True, limit, threads)
-    return [matrix_from_index(inst.field, inst.n, i) for i in hits]
+    return _run_scan(inst, True, limit)[1]
+
+
+def brute_force_solutions(inst: EquationInstance, *,
+                          budget: int | None = None) -> list[Matrix]:
+    """All solutions, in ascending canonical-index order.
+
+    Refuses when the search space exceeds the budget or the list cap."""
+    return [matrix_from_index(inst.field, inst.n, i)
+            for i in brute_force_indices(inst, budget=budget)]
 
 
 # ---------------------------------------------------------------------------

@@ -182,14 +182,6 @@ def test_json_reports_are_deterministic(capsys):
     assert out1 == out2
 
 
-def test_threads_flag_gives_same_count(capsys):
-    rep1 = run_json(capsys, "count", "--p", "2", "--n", "3", "--a", "1",
-                    "--method", "brute", "--threads", "2")
-    rep2 = run_json(capsys, "count", "--p", "2", "--n", "3", "--a", "1",
-                    "--method", "brute", "--threads", "1")
-    assert rep1["total"] == rep2["total"] == "58"
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ffyb", "count", "--p", "2", "--n", "2", "--a", "1"],

@@ -185,3 +185,20 @@ def test_block_solution_elementary_divisors():
         assert ed0.count(xa) == k and ed0.count(x) == 5 - k
         eda = list(elementary_divisors(block_solution(inst, k, a)))
         assert eda.count(xa) == 5 - k and eda.count(x) == k
+
+
+def test_oracles_never_call_the_formulas_they_check(monkeypatch):
+    from ffyb import matfq, orbits, solutions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called a closed form")
+
+    for module, name in [(matfq, "gl_order"), (solutions, "gl_order"),
+                         (orbits, "gl_order"), (solutions, "closed_form_count")]:
+        monkeypatch.setattr(module, name, refuse)
+    inst = instance(3, 1, 2)
+    X = representative(inst, mixed_label(2, 1, "0"))
+    assert solutions.brute_force_count(inst) == 14
+    assert len(enumerate_gl(inst.field, 2)) == 48
+    assert [len(c) for c in brute_force_conjugacy_classes(inst)] == [1, 12, 1]
+    assert brute_force_centralizer_order(inst, X) == 4

@@ -1,0 +1,75 @@
+"""Property tests of the chunked scanner against the object-level reference."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ffyb import scan
+from ffyb.errors import SingularMatrixError
+from ffyb.gf import make_field
+from ffyb.ideal import generating_set, variety
+from ffyb.matfq import Matrix, matrix_from_index
+from ffyb.solutions import EquationInstance, _scan_range, is_solution
+
+SCAN_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)]  # GF(2), GF(4), GF(5), GF(8), GF(9)
+
+
+@st.composite
+def matrix_batches(draw):
+    f = make_field(*draw(st.sampled_from(SCAN_FIELDS)))
+    n = draw(st.integers(1, 4))
+    entries = st.integers(0, f.q - 1)
+    cols = draw(st.lists(st.lists(entries, min_size=n * n, max_size=n * n),
+                         min_size=1, max_size=12))
+    return f, n, cols
+
+
+@settings(deadline=None)
+@given(matrix_batches())
+def test_batched_det_and_inverse_match_matrix(batch):
+    f, n, cols = batch
+    tabs = scan.Tables(f)
+    pos, det, inv = tabs.invert(n, np.array(cols, dtype=np.int64).T)
+    found = dict(zip(pos.tolist(), zip(det.tolist(), inv.T.tolist())))
+    for k, col in enumerate(cols):
+        X = Matrix(f, [[f.from_encoding(col[i * n + j]) for j in range(n)]
+                       for i in range(n)])
+        want = X.det().encoding
+        if want == 0:
+            assert k not in found
+            try:
+                X.inverse()
+            except SingularMatrixError:
+                continue
+            raise AssertionError("Matrix.inverse accepted a singular matrix")
+        got_det, got_inv = found[k]
+        assert got_det == want
+        assert got_inv == [e.encoding for row in X.inverse().entries for e in row]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(SCAN_FIELDS), st.integers(1, 4), st.data())
+def test_chunked_solution_scan_matches_is_solution(ps, n, data):
+    f = make_field(*ps)
+    a = data.draw(st.integers(1, f.q - 1))
+    space = f.q ** (n * n)
+    lo = data.draw(st.integers(0, space - 1))
+    hi = data.draw(st.integers(lo, min(space, lo + 150)))
+    chunk = data.draw(st.integers(1, 64))
+    inst = EquationInstance(f, n, f.from_encoding(a))
+    with mock.patch.object(scan, "CHUNK", chunk):
+        count, hits = _scan_range(f.p, f.s, n, a, lo, hi, True)
+    want = [i for i in range(lo, hi) if is_solution(inst, matrix_from_index(f, n, i))]
+    assert hits == want and count == len(want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(SCAN_FIELDS), st.integers(2, 4), st.data())
+def test_variety_hits_do_not_depend_on_chunk_boundaries(ps, n, data):
+    f = make_field(*ps)
+    inst = EquationInstance(f, n, f.from_encoding(data.draw(st.integers(1, f.q - 1))))
+    gens = generating_set(inst)
+    whole = variety(gens, f)
+    with mock.patch.object(scan, "CHUNK", data.draw(st.integers(1, f.q**n))):
+        assert variety(gens, f) == whole

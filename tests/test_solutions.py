@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from support import random_invertible
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import all_elements, make_field
 from ffyb.matfq import Matrix, matrix_from_index, parse_matrix
+from ffyb.scan import TABLE_ENTRY_LIMIT
 from ffyb.solutions import (EquationInstance, brute_force_count,
                             brute_force_solutions, closed_form_count,
                             is_solution, satisfies_yang_baxter,
@@ -114,11 +116,6 @@ def test_oracle_agreement_across_all_nonzero_a():
             assert brute_force_count(inst) == closed_form_count(inst).total
 
 
-def test_parallel_scan_agrees_with_serial():
-    inst = instance(2, 1, 3)
-    assert brute_force_count(inst, threads=2) == 58
-
-
 def test_scan_partition_merge_contract():
     # disjoint index ranges must sum to the full scan, whatever the cuts
     from ffyb.solutions import _scan_range
@@ -200,4 +197,23 @@ def test_table_budget_refused_before_any_allocation():
         brute_force_count(inst)
     assert info.value.what == "arithmetic tables"
     assert info.value.required == f.q * f.q
+    assert f._tables is None
+
+
+def test_table_limit_caps_a_large_default_budget():
+    # q^2 = 99,460,729 fits the default 10^8 scan budget, but two int64
+    # tables of that size would need about 1.6 GB
+    f = make_field(9973)
+    inst = EquationInstance(f, 1, f.one())
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            brute_force_count(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.what == "arithmetic tables"
+    assert info.value.required == f.q * f.q
+    assert info.value.budget == TABLE_ENTRY_LIMIT
+    assert peak < 1 << 20
     assert f._tables is None
