@@ -41,6 +41,7 @@ def _corpus() -> list[list[str]]:
             ["smith", *base, "--n", "2", "--matrix", f"{a},{b};{b},{a}"],
             ["invariants", *base, "--n", "6", "--minimal-subsets"],
             ["ideal", *base, "--n", "3" if small else "2", "--verify"],
+            ["ideal", *base, "--n", "7"],
         ]
     out += [
         ["count", "--p", "3", "--n", "2", "--a", "0"],
