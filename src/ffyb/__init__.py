@@ -1,7 +1,8 @@
 """Exact solution counting, orbit classification, separating invariants and
 the orbit-image ideal for the quadratic matrix equation X^2 = aX over GF(q)."""
 
-from .errors import BudgetExceededError, SingularMatrixError
+from .errors import (BudgetExceededError, InternalInvariantError,
+                     SingularMatrixError)
 from .gf import Field, FieldElement, all_elements, make_field
 from .matfq import (Matrix, char_coeffs, companion, conjugate, direct_sum,
                     gl_order, matrix_from_index, matrix_index, parse_matrix)
@@ -21,7 +22,7 @@ from .orbits import (OrbitLabel, OrbitRecord, all_labels, block_solution,
 from .invariants import (ImagePoint, SeparationReport, image_points,
                          minimal_separating_subsets, orbit_invariants,
                          separation_report, subset_separates, trace_separates)
-from .ideal import (GeneratorSet, MultiPoly, VarietyCheck, base_generators,
-                    generating_set, variety, verify_variety)
+from .ideal import (GeneratorSet, MultiPoly, VarietyCheck, generating_set,
+                    variety, verify_variety)
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ Commands: count, enumerate, classify, orbits, smith, invariants, ideal,
 verify-all.  Reports are JSON by default (big integers as decimal strings,
 stable key order, top-level "schema": 1) or plain text with --output table.
 Exit codes: 0 success, 1 input error or failed verification, 2 budget
-refusal.  The FFYB_BUDGET environment variable overrides the default
-enumeration budget.
+refusal, 3 failed internal check.  The FFYB_BUDGET environment variable
+overrides the default enumeration budget.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import invariants as inv_mod
 from . import orbits as orb_mod
 from . import polyfq
 from . import solutions as sol_mod
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalInvariantError
 from .gf import make_field
 from .matfq import parse_matrix
 from .solutions import EquationInstance
@@ -449,6 +449,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,5 +11,9 @@ class BudgetExceededError(Exception):
         super().__init__(f"{what} needs {required} steps, budget is {budget}")
 
 
+class InternalInvariantError(ArithmeticError):
+    """A result failed a check that holds for every valid input: a bug."""
+
+
 class SingularMatrixError(ValueError):
     """Inversion (or conjugation) was attempted with a singular matrix."""

@@ -24,6 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InternalInvariantError
+
 # Enumeration-based oracles make larger fields pointless; the cap also keeps
 # the modulus search and the O(q) log tables small.
 MAX_ORDER = 2**20
@@ -33,7 +35,7 @@ def exact_div(num: int, den: int) -> int:
     """Integer division that must be exact; a remainder is an internal bug."""
     quot, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"inexact division: {num} / {den}")
+        raise InternalInvariantError(f"inexact division: {num} / {den}")
     return quot
 
 

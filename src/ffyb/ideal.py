@@ -1,12 +1,17 @@
 """Quadratic generators whose variety is exactly the orbit image points.
 
-The generating set for n variables is built recursively: the base case has
-the three quadrics x2^2 - a^2 x2, x2 x1 - 2a x2, x1^2 - a x1 - 2 x2; going
-from n-1 to n variables every old generator f gains the correction
--(f(w_n)/a^n) x_n, with w_n = (C(n,1)a, ..., C(n,n-1)a^(n-1)), and the n new
-generators x_n x_i - C(n,i) a^i x_n (i = 1..n) are added.  That yields
-C(n+1, 2) polynomials of total degree at most 2, all carried out inside the
-field so characteristic-p collapses happen naturally.
+For 1 <= i <= k <= n the generator g_{k,i} is
+
+    x_i x_k - sum_{m=k}^{min(n, i+k)} C(m,k) C(k,m-i) a^(i+k-m) x_m,
+
+C(n+1, 2) polynomials of total degree 2, computed inside the field so that
+characteristic-p collapses happen naturally.  Each g_{k,i} is x_i x_k plus a
+linear form on x_k..x_n, and that form is unique: g_{k,i} must vanish at
+every image point (coordinates C(j,t) a^t, j = 0..n).  The points j < k zero
+every term; the points j = k..n give a triangular system in the form's
+coefficients with diagonal a^j.  The integer identity
+C(j,i) C(j,k) = sum_m C(j,m) C(m,k) C(k,m-i) solves the system over Z, so
+the formula solves it in every characteristic.
 
 The variety is computed by an exhaustive scan of all q^n points - the
 independent oracle for the claim that it equals the n+1 image points.  The
@@ -22,7 +27,7 @@ from math import comb
 import numpy as np
 
 from . import scan
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalInvariantError
 from .gf import Field, FieldElement
 from .invariants import image_points
 from .solutions import EquationInstance
@@ -57,33 +62,14 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, field: Field, n_vars: int) -> "MultiPoly":
-        return cls(field, n_vars, {})
-
-    @classmethod
     def monomial(cls, field: Field, n_vars: int, exps, coeff: FieldElement) -> "MultiPoly":
         return cls(field, n_vars, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, field: Field, n_vars: int, i: int) -> "MultiPoly":
-        """The variable x_i (1-based)."""
-        exps = [0] * n_vars
-        exps[i - 1] = 1
-        return cls(field, n_vars, {tuple(exps): field.one()})
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def lift(self, n_vars: int) -> "MultiPoly":
-        """Reinterpret in a larger variable ring (new variables unused)."""
-        if n_vars < self.n_vars:
-            raise ValueError("cannot lift to fewer variables")
-        pad = (0,) * (n_vars - self.n_vars)
-        return MultiPoly(self.field, n_vars,
-                         {exps + pad: c for exps, c in self.terms.items()})
 
     def evaluate(self, point) -> FieldElement:
         pt = list(point)
@@ -118,15 +104,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return MultiPoly(self.field, self.n_vars,
-                             {e: c * other for e, c in self.terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -159,48 +136,32 @@ class GeneratorSet:
     generators: tuple[MultiPoly, ...]
 
 
-def base_generators(inst: EquationInstance) -> GeneratorSet:
-    """The three quadrics of the two-variable base case."""
-    inst.require_nonzero_a()
-    fld, a = inst.field, inst.a
-    two = fld.from_int(2)
-    x1 = MultiPoly.variable(fld, 2, 1)
-    x2 = MultiPoly.variable(fld, 2, 2)
-    mono = MultiPoly.monomial
-    f22 = mono(fld, 2, (0, 2), fld.one()) - x2 * (a * a)
-    f21 = mono(fld, 2, (1, 1), fld.one()) - x2 * (two * a)
-    f11 = mono(fld, 2, (2, 0), fld.one()) - x1 * a - x2 * two
-    return GeneratorSet(2, a, (f22, f21, f11))
-
-
 def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet:
-    """The quadratic generating set in n variables (n >= 2), built
-    recursively from the base case."""
+    """The quadratic generating set in n >= 2 variables: the g_{k,i} of the
+    module docstring, ordered (2,2), (2,1), (1,1), then for k = 3..n the
+    pairs (k,k), (k,k-1), ..., (k,1)."""
     inst.require_nonzero_a()
     n = inst.n if n is None else n
     if n < 2:
         raise ValueError("generating set requires n >= 2")
-    if n == 2:
-        return base_generators(inst)
-    prev = generating_set(inst, n - 1)
     fld, a = inst.field, inst.a
-    w = tuple(fld.from_int(comb(n, i)) * a**i for i in range(1, n))
-    a_pow_n_inv = (a**n).inv()
-    xn = MultiPoly.variable(fld, n, n)
+
+    def exps(*variables):  # the exponent vector of the product of these x_v
+        return tuple(variables.count(v) for v in range(1, n + 1))
+
+    pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
+                                        for i in range(k, 0, -1)]
     gens = []
-    for f in prev.generators:
-        correction = f.evaluate(w) * a_pow_n_inv
-        gens.append(f.lift(n) - xn * correction)
-    for i in range(n, 0, -1):
-        exps = [0] * n
-        exps[i - 1] += 1
-        exps[n - 1] += 1
-        coeff = fld.from_int(comb(n, i)) * a**i
-        gens.append(MultiPoly.monomial(fld, n, exps, fld.one()) - xn * coeff)
+    for k, i in pairs:
+        terms = {exps(i, k): fld.one()}
+        for m in range(k, min(n, i + k) + 1):
+            coeff = fld.from_int(comb(m, k) * comb(k, m - i)) * a**(i + k - m)
+            terms[exps(m)] = -coeff
+        gens.append(MultiPoly(fld, n, terms))
     if len(gens) != comb(n + 1, 2):
-        raise ArithmeticError("generator count is off (internal bug)")
+        raise InternalInvariantError("generator count is off")
     if any(g.total_degree() > 2 for g in gens):
-        raise ArithmeticError("generator of degree > 2 (internal bug)")
+        raise InternalInvariantError("generator of degree > 2")
     return GeneratorSet(n, a, tuple(gens))
 
 
@@ -224,7 +185,7 @@ def variety(gens: GeneratorSet, field: Field, *,
     # vanishes everywhere and is left out
     compiled = [[(c.encoding, [t for t, e in enumerate(exps) for _ in range(e)])
                  for exps, c in g.sorted_terms()] for g in gens.generators if g.terms]
-    hits: list[int] = []
+    out = []
     for idx, coords in scan.chunks(q, n, 0, space):
         for terms in compiled:
             vals = None
@@ -241,14 +202,7 @@ def variety(gens: GeneratorSet, field: Field, *,
             idx, coords = scan.keep(vals == 0, idx, coords)
             if not len(idx):
                 break
-        hits.extend(idx.tolist())
-    out = []
-    for i in hits:
-        point = []
-        for _ in range(n):
-            i, r = divmod(i, q)
-            point.append(field.from_encoding(r))
-        out.append(tuple(point))
+        out.extend(tuple(map(field.from_encoding, col)) for col in coords.T.tolist())
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalInvariantError
 from .gf import FieldElement
 from .matfq import char_coeffs
 from .orbits import OrbitLabel, representative
@@ -66,7 +66,7 @@ def image_points(inst: EquationInstance) -> list[ImagePoint]:
         coords = tuple(fld.from_int(comb(j, i)) * a**i for i in range(1, n + 1))
         pts.append(ImagePoint(j, coords))
     if len({p.coords for p in pts}) != n + 1:
-        raise ArithmeticError("image points are not pairwise distinct (internal bug)")
+        raise InternalInvariantError("image points are not pairwise distinct")
     return pts
 
 

@@ -14,7 +14,7 @@ least significant first; the enumeration scanners run over these indices.
 
 from __future__ import annotations
 
-from .errors import SingularMatrixError
+from .errors import InternalInvariantError, SingularMatrixError
 from .gf import Field, FieldElement
 from .polyfq import UniPoly, char_matrix
 
@@ -220,7 +220,7 @@ def char_coeffs(X: Matrix) -> tuple[FieldElement, ...]:
     cp = char_matrix(X).det()
     n = X.n_rows
     if cp.degree != n or not cp.is_monic():
-        raise ArithmeticError("characteristic polynomial is not monic of degree n")
+        raise InternalInvariantError("characteristic polynomial is not monic of degree n")
     sign = X.field.one()
     out = []
     for i in range(1, n + 1):

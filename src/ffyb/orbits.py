@@ -185,24 +185,27 @@ def orbit_sum_count(inst: EquationInstance) -> CountReport:
 # gl_order or the closed form they are checked against.
 
 def _gl(field: Field, n: int, budget: int):
-    """(tables, indices, entries, inverses) of every invertible n x n matrix,
-    found by batched elimination over all q^(n^2) indices, ascending."""
+    """(tables, chunks) for GL(n, q): chunks yields, for each scan chunk of
+    the q^(n^2) matrix indices in ascending order, the (indices, entries,
+    inverses) of its invertible matrices, found by batched elimination.  The
+    budget is checked before anything is built."""
     space = field.q ** (n * n)
     if space > budget:
         raise BudgetExceededError(space, budget, "GL enumeration")
     tabs = scan.Tables(field, budget)
-    parts = []
-    for idx, mats in scan.chunks(field.q, n * n, 0, space):
-        pos, _, inv = tabs.invert(n, mats)
-        parts.append((idx[pos], mats[:, pos], inv))
-    idx, mats, inv = zip(*parts)
-    return (tabs, np.concatenate(idx), np.concatenate(mats, axis=1),
-            np.concatenate(inv, axis=1))
+
+    def chunks():
+        for idx, mats in scan.chunks(field.q, n * n, 0, space):
+            pos, _, inv = tabs.invert(n, mats)
+            yield idx[pos], mats[:, pos], inv
+
+    return tabs, chunks()
 
 
 def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:
     """All invertible n x n matrices, by scanning every matrix index."""
-    return [matrix_from_index(field, n, i) for i in _gl(field, n, budget)[1].tolist()]
+    idx = np.concatenate([idx for idx, _, _ in _gl(field, n, budget)[1]])
+    return [matrix_from_index(field, n, i) for i in idx.tolist()]
 
 
 def brute_force_conjugacy_classes(inst: EquationInstance, *,
@@ -216,7 +219,9 @@ def brute_force_conjugacy_classes(inst: EquationInstance, *,
     inst.require_nonzero_a()
     fld, n = inst.field, inst.n
     left = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
-    tabs, _, group, group_inv = _gl(fld, n, budget)
+    tabs, parts = _gl(fld, n, budget)
+    _, mats, inv = zip(*parts)
+    group, group_inv = np.concatenate(mats, axis=1), np.concatenate(inv, axis=1)
     classes = []
     while len(left):
         x = scan.digits(fld.q, n * n, int(left[0]), int(left[0]) + 1)
@@ -229,11 +234,12 @@ def brute_force_conjugacy_classes(inst: EquationInstance, *,
 
 def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,
                                   budget: int = GL_SCAN_BUDGET) -> int:
-    """Count the P in GL(n, q) commuting with X."""
+    """Count the P in GL(n, q) commuting with X, one scan chunk at a time."""
     if X.field != inst.field or not (X.n_rows == X.n_cols == inst.n):
         raise ValueError(f"expected a {inst.n}x{inst.n} matrix over the instance field")
     n = inst.n
-    tabs, _, group, _ = _gl(inst.field, n, budget)
+    tabs, parts = _gl(inst.field, n, budget)
     x = np.array([[e.encoding] for row in X.entries for e in row], dtype=np.int64)
-    return int(np.count_nonzero((tabs.matmul(n, group, x)
-                                 == tabs.matmul(n, x, group)).all(axis=0)))
+    return sum(int(np.count_nonzero((tabs.matmul(n, mats, x)
+                                     == tabs.matmul(n, x, mats)).all(axis=0)))
+               for _, mats, _ in parts)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
+from .errors import InternalInvariantError
 from .gf import Field, FieldElement, all_elements, coeff_tuples
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -208,7 +209,7 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
 def _exact_poly_div(num: UniPoly, den: UniPoly) -> UniPoly:
     quot, rem = divmod(num, den)
     if not rem.is_zero():
-        raise ArithmeticError("inexact polynomial division (internal bug)")
+        raise InternalInvariantError("inexact polynomial division")
     return quot
 
 

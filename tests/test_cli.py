@@ -170,6 +170,16 @@ def test_exit_code_table_budget_refusal(capsys):
     assert "arithmetic tables" in err
 
 
+def test_exit_code_internal_invariant_failure(monkeypatch, capsys):
+    # with every binomial read as 0 all n+1 image points collapse onto the
+    # origin, which image_points must report as a bug, not as bad input
+    monkeypatch.setattr("ffyb.invariants.comb", lambda j, i: 0)
+    code, out, err = run_cli(capsys, "invariants", "--p", "5", "--n", "3", "--a", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+
+
 def test_exit_code_bad_flags(capsys):
     assert main(["count", "--nonsense"]) == 1
     assert main(["--help"]) == 0

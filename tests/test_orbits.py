@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -170,6 +171,21 @@ def test_centralizer_counts():
     inst32 = instance(2, 1, 3)
     x = block_solution(inst32, 1, inst32.field.zero())
     assert brute_force_centralizer_order(inst32, x) == 6
+
+
+def test_centralizer_count_holds_one_chunk_at_a_time():
+    # GF(31), n = 2 scans 923,521 matrices, near the GL budget; holding the
+    # whole group and its inverses at once takes about 140 MB
+    inst = instance(31, 1, 2)
+    x = block_solution(inst, 1, inst.field.zero())
+    tracemalloc.start()
+    try:
+        got = brute_force_centralizer_order(inst, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 900  # (q-1)^2
+    assert peak < 48 * 10**6
 
 
 def test_block_solution_elementary_divisors():
