@@ -51,6 +51,11 @@ def _corpus() -> list[list[str]]:
         ["count", "--p", "5", "--n", "4", "--method", "brute", "--budget", "1000"],
         ["ideal", "--p", "3", "--n", "9", "--verify", "--budget", "1000"],
     ]
+    # varieties at q^n between 6*10^4 and 8*10^4, where most of F_q^n is
+    # ruled out by the generators on the first few variables
+    out += [["ideal", "--p", str(p), "--s", str(s), "--a", str(a), "--n", str(n),
+             "--verify"]
+            for p, s, a, n in [(2, 1, 1, 16), (3, 1, 2, 10), (2, 2, 3, 8), (5, 1, 4, 7)]]
     return out
 
 
