@@ -13,10 +13,14 @@ coefficients with diagonal a^j.  The integer identity
 C(j,i) C(j,k) = sum_m C(j,m) C(m,k) C(k,m-i) solves the system over Z, so
 the formula solves it in every characteristic.
 
-The variety is computed by an exhaustive scan of all q^n points - the
-independent oracle for the claim that it equals the n+1 image points.  The
-scan runs on the chunked scanner of scan.py, one generator at a time, and
-moves the surviving points only when a generator removes some.
+The variety is the independent oracle for the claim that it equals the n+1
+image points, and it decides every one of the q^n points by evaluating the
+generators.  It does so by extending prefixes (scan.pruned): each generator
+sits in the layer of the last variable it reads, and is tested on the
+prefixes x_1..x_t of that length.  A prefix on which a generator is nonzero
+is dropped unextended, and that is exact: the generator reads only prefix
+variables, so it is nonzero at every completion of the prefix.  The budget
+still counts all q^n points, and is checked before any table is built.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ class MultiPoly:
         clean = {}
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != n_vars or any(e < 0 for e in exps):
+            if len(exps) != n_vars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps} for {n_vars} variables")
             if not c.is_zero():
                 clean[exps] = c
@@ -145,18 +149,20 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
     if n < 2:
         raise ValueError("generating set requires n >= 2")
     fld, a = inst.field, inst.a
-
-    def exps(*variables):  # the exponent vector of the product of these x_v
-        return tuple(variables.count(v) for v in range(1, n + 1))
+    powers = [fld.one()]  # a^0..a^n
+    for _ in range(n):
+        powers.append(powers[-1] * a)
+    # units[m] is the exponent vector of x_m
+    units = [tuple(int(v == m) for v in range(1, n + 1)) for m in range(n + 1)]
 
     pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
                                         for i in range(k, 0, -1)]
     gens = []
     for k, i in pairs:
-        terms = {exps(i, k): fld.one()}
+        terms = {tuple(u + v for u, v in zip(units[i], units[k])): fld.one()}
         for m in range(k, min(n, i + k) + 1):
-            coeff = fld.from_int(comb(m, k) * comb(k, m - i)) * a**(i + k - m)
-            terms[exps(m)] = -coeff
+            coeff = fld.from_int(comb(m, k) * comb(k, m - i)) * powers[i + k - m]
+            terms[units[m]] = -coeff
         gens.append(MultiPoly(fld, n, terms))
     if len(gens) != comb(n + 1, 2):
         raise InternalInvariantError("generator count is off")
@@ -166,10 +172,10 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive variety scan.
+# Prefix-pruned variety scan.
 #
-# Point encoding: index = sum of enc(x_i) * q^(i-1); the scan checks every
-# generator on every surviving point, in chunks of the index range.
+# Point encoding: index = sum of enc(x_i) * q^(i-1), so the points whose
+# first t coordinates are fixed share the prefix index below q^t.
 
 def variety(gens: GeneratorSet, field: Field, *,
             budget: int = DEFAULT_VARIETY_BUDGET) -> list[tuple[FieldElement, ...]]:
@@ -181,29 +187,46 @@ def variety(gens: GeneratorSet, field: Field, *,
         raise BudgetExceededError(space, budget, "variety scan")
     tabs = scan.Tables(field, budget)
     add, mul = tabs.add, tabs.mul
-    # each term as (coefficient, variable per factor); the zero polynomial
-    # vanishes everywhere and is left out
-    compiled = [[(c.encoding, [t for t, e in enumerate(exps) for _ in range(e)])
-                 for exps, c in g.sorted_terms()] for g in gens.generators if g.terms]
-    out = []
-    for idx, coords in scan.chunks(q, n, 0, space):
-        for terms in compiled:
+    # each term as (coefficient, variable per factor), each generator in the
+    # layer of the last variable it reads (0 for a constant); the zero
+    # polynomial vanishes everywhere and is left out
+    layers = [[] for _ in range(n + 1)]
+    reads = {}  # exponent vector -> variable per factor, ascending
+    for g in gens.generators:
+        terms = []
+        for exps, c in g.terms.items():
+            if exps not in reads:
+                reads[exps] = [t for t, e in enumerate(exps) for _ in range(e)]
+            terms.append((c.encoding, reads[exps]))
+        if terms:
+            layers[max((fs[-1] + 1 for _, fs in terms if fs), default=0)].append(terms)
+
+    def prune(t: int, idx: np.ndarray) -> np.ndarray:
+        coords = {}  # digit f of every index in idx, decoded on first use
+        for terms in layers[t]:
             vals = None
             for enc, factors in terms:
-                if not factors:
+                term = None
+                for f in factors:
+                    if f not in coords:
+                        coords[f] = idx // q**f % q
+                    term = coords[f] if term is None else mul[term * q + coords[f]]
+                if term is None:
                     term = np.full(len(idx), enc, dtype=np.int64)
-                else:
-                    term = coords[factors[0]]
-                    if enc != 1:
-                        term = mul[enc * q + term]
-                    for t in factors[1:]:
-                        term = mul[term * q + coords[t]]
+                elif enc != 1:
+                    term = mul[enc * q + term]
                 vals = term if vals is None else add[vals * q + term]
-            idx, coords = scan.keep(vals == 0, idx, coords)
-            if not len(idx):
-                break
-        out.extend(tuple(map(field.from_encoding, col)) for col in coords.T.tolist())
-    return out
+            zero = vals == 0
+            if not zero.all():
+                idx = idx[zero]
+                if not len(idx):
+                    break
+                coords = {f: c[zero] for f, c in coords.items()}
+        return idx
+
+    idx = scan.pruned(q, n, prune)
+    coords = idx[:, None] // q ** np.arange(n, dtype=np.int64) % q
+    return [tuple(map(field.from_encoding, row)) for row in coords.tolist()]
 
 
 @dataclass(frozen=True)

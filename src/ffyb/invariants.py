@@ -61,9 +61,12 @@ def image_points(inst: EquationInstance) -> list[ImagePoint]:
     inst.require_nonzero_a()
     n, a = inst.n, inst.a
     fld = inst.field
+    powers = [a]  # a^1..a^n
+    for _ in range(n - 1):
+        powers.append(powers[-1] * a)
     pts = []
     for j in range(n + 1):
-        coords = tuple(fld.from_int(comb(j, i)) * a**i for i in range(1, n + 1))
+        coords = tuple(fld.from_int(comb(j, i)) * ai for i, ai in enumerate(powers, 1))
         pts.append(ImagePoint(j, coords))
     if len({p.coords for p in pts}) != n + 1:
         raise InternalInvariantError("image points are not pairwise distinct")

@@ -185,10 +185,11 @@ def orbit_sum_count(inst: EquationInstance) -> CountReport:
 # gl_order or the closed form they are checked against.
 
 def _gl(field: Field, n: int, budget: int):
-    """(tables, chunks) for GL(n, q): chunks yields, for each scan chunk of
-    the q^(n^2) matrix indices in ascending order, the (indices, entries,
-    inverses) of its invertible matrices, found by batched elimination.  The
-    budget is checked before anything is built."""
+    """(tables, chunks) for GL(n, q): each call of chunks() is one pass that
+    yields, for each scan chunk of the q^(n^2) matrix indices in ascending
+    order, the (indices, entries, inverses) of its invertible matrices, found
+    by batched elimination.  The budget is checked before anything is
+    built."""
     space = field.q ** (n * n)
     if space > budget:
         raise BudgetExceededError(space, budget, "GL enumeration")
@@ -199,12 +200,12 @@ def _gl(field: Field, n: int, budget: int):
             pos, _, inv = tabs.invert(n, mats)
             yield idx[pos], mats[:, pos], inv
 
-    return tabs, chunks()
+    return tabs, chunks
 
 
 def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:
     """All invertible n x n matrices, by scanning every matrix index."""
-    idx = np.concatenate([idx for idx, _, _ in _gl(field, n, budget)[1]])
+    idx = np.concatenate([idx for idx, _, _ in _gl(field, n, budget)[1]()])
     return [matrix_from_index(field, n, i) for i in idx.tolist()]
 
 
@@ -213,20 +214,20 @@ def brute_force_conjugacy_classes(inst: EquationInstance, *,
     """Partition of the solution set into conjugation orbits.
 
     Each unvisited solution is closed under conjugation by every element of
-    GL(n, q), as the sorted unique indices of the batched P X P^-1.  Classes
-    are returned in ascending order of their smallest member index, members
-    sorted by index."""
+    GL(n, q): one pass over the GL chunks per class, the union of each
+    chunk's batched P X P^-1 as sorted unique indices.  Classes are returned
+    in ascending order of their smallest member index, members sorted by
+    index."""
     inst.require_nonzero_a()
     fld, n = inst.field, inst.n
     left = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
     tabs, parts = _gl(fld, n, budget)
-    _, mats, inv = zip(*parts)
-    group, group_inv = np.concatenate(mats, axis=1), np.concatenate(inv, axis=1)
     classes = []
     while len(left):
         x = scan.digits(fld.q, n * n, int(left[0]), int(left[0]) + 1)
-        conj = tabs.matmul(n, tabs.matmul(n, group, x), group_inv)
-        orbit = np.unique(scan.encode(fld.q, conj))
+        orbit = np.unique(np.concatenate([
+            np.unique(scan.encode(fld.q, tabs.matmul(n, tabs.matmul(n, mats, x), inv)))
+            for _, mats, inv in parts()]))
         left = left[~np.isin(left, orbit)]
         classes.append([matrix_from_index(fld, n, i) for i in orbit.tolist()])
     return classes
@@ -242,4 +243,4 @@ def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,
     x = np.array([[e.encoding] for row in X.entries for e in row], dtype=np.int64)
     return sum(int(np.count_nonzero((tabs.matmul(n, mats, x)
                                      == tabs.matmul(n, x, mats)).all(axis=0)))
-               for _, mats, _ in parts)
+               for _, mats, _ in parts())

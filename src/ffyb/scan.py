@@ -9,7 +9,9 @@ tables.  The tables are used through flat views indexed a*q + b, which numpy
 gathers faster than a 2-D fancy index.
 
 Scans drop the rows that already fail a test before the next one runs, so
-most work is done on the first test only.
+most work is done on the first test only.  When a test reads only the first
+t digits, `pruned` goes further: it builds indices digit by digit and never
+extends a prefix that already fails, so most indices are never formed.
 """
 
 from __future__ import annotations
@@ -54,6 +56,31 @@ def chunks(q: int, width: int, lo: int, hi: int):
     for start in range(lo, hi, CHUNK):
         stop = min(start + CHUNK, hi)
         yield np.arange(start, stop, dtype=np.int64), digits(q, width, start, stop)
+
+
+def pruned(q: int, width: int, prune) -> np.ndarray:
+    """The indices in [0, q^width) that survive prune, in ascending order.
+
+    The first t digits of an index are a prefix, itself an index below q^t.
+    prune(t, idx) returns the t-digit prefixes in idx that may still extend
+    to a survivor; a prefix it drops is never extended.  Extending a prefix
+    by digit t adds d * q^t for d = 0..q-1.  The scan runs depth first on
+    slices of at most CHUNK // q prefixes, so each depth holds about CHUNK
+    indices at a time, however little prune drops."""
+    step = max(1, CHUNK // q)
+    out = [np.zeros(0, dtype=np.int64)]
+
+    def descend(t: int, idx: np.ndarray):
+        idx = prune(t, idx)
+        if t == width:
+            out.append(idx)
+            return
+        shift = np.arange(0, q * q**t, q**t, dtype=np.int64)[:, None]
+        for lo in range(0, len(idx), step):
+            descend(t + 1, (idx[lo:lo + step] + shift).ravel())
+
+    descend(0, np.zeros(1, dtype=np.int64))
+    return np.sort(np.concatenate(out))
 
 
 def keep(mask: np.ndarray, idx: np.ndarray, digits: np.ndarray):

@@ -5,7 +5,7 @@ import pytest
 
 from support import random_invertible
 from ffyb.gf import make_field
-from ffyb.matfq import Matrix, gl_order
+from ffyb.matfq import Matrix, gl_order, matrix_index
 from ffyb.orbits import (SCALAR_A, ZERO, all_labels, block_solution,
                          brute_force_centralizer_order,
                          brute_force_conjugacy_classes, classify,
@@ -185,6 +185,23 @@ def test_centralizer_count_holds_one_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert got == 900  # (q-1)^2
+    assert peak < 48 * 10**6
+
+
+def test_conjugacy_census_holds_one_chunk_at_a_time():
+    # GF(23), n = 2 scans 279,841 matrices; conjugating by the whole group and
+    # its inverses at once takes about 70 MB
+    inst = instance(23, 1, 2, enc=3)
+    tracemalloc.start()
+    try:
+        classes = brute_force_conjugacy_classes(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(c) for c in classes] == [1, 23 * 24, 1]
+    idx = [[matrix_index(m) for m in c] for c in classes]
+    assert all(c == sorted(c) for c in idx)
+    assert [c[0] for c in idx] == sorted(c[0] for c in idx)
     assert peak < 48 * 10**6
 
 

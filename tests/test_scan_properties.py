@@ -1,5 +1,7 @@
 """Property tests of the chunked scanner against the object-level reference."""
 
+import tracemalloc
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -7,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from ffyb import scan
 from ffyb.errors import SingularMatrixError
-from ffyb.gf import make_field
-from ffyb.ideal import generating_set, variety
+from ffyb.gf import all_elements, make_field
+from ffyb.ideal import GeneratorSet, MultiPoly, generating_set, variety
 from ffyb.matfq import Matrix, matrix_from_index
 from ffyb.solutions import EquationInstance, _scan_range, is_solution
 
 SCAN_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)]  # GF(2), GF(4), GF(5), GF(8), GF(9)
+VARIETY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]  # GF(2), GF(3), GF(4), GF(5)
 
 
 @st.composite
@@ -73,3 +76,50 @@ def test_variety_hits_do_not_depend_on_chunk_boundaries(ps, n, data):
     whole = variety(gens, f)
     with mock.patch.object(scan, "CHUNK", data.draw(st.integers(1, f.q**n))):
         assert variety(gens, f) == whole
+
+
+@st.composite
+def sparse_generator_sets(draw):
+    """GeneratorSets of up to four sparse polynomials of degree <= 2, each on
+    all n variables or, in some sets, on the last one only."""
+    f = make_field(*draw(st.sampled_from(VARIETY_FIELDS)))
+    n = draw(st.integers(1, 4))
+    last_only = draw(st.booleans())
+    var = st.just(n - 1) if last_only else st.integers(0, n - 1)
+    monomial = st.lists(var, max_size=2).map(
+        lambda vs: tuple(vs.count(v) for v in range(n)))
+    polys = st.dictionaries(monomial, st.integers(0, f.q - 1), max_size=3).map(
+        lambda terms: MultiPoly(f, n, {e: f.from_encoding(c) for e, c in terms.items()}))
+    gens = tuple(draw(st.lists(polys, max_size=4)))
+    return f, GeneratorSet(n, f.one(), gens)
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_generator_sets(), st.integers(1, 700))
+def test_pruned_variety_matches_evaluation_at_every_point(case, chunk):
+    f, gens = case
+    elems = all_elements(f)
+    # product() varies the last coordinate fastest: reversed, that is
+    # ascending point-encoding order
+    want = [pt[::-1] for pt in product(elems, repeat=gens.n)
+            if all(g.evaluate(pt[::-1]).is_zero() for g in gens.generators)]
+    with mock.patch.object(scan, "CHUNK", chunk):
+        assert variety(gens, f) == want
+
+
+def test_variety_without_pruning_holds_one_chunk_per_depth():
+    # every generator x_i + x_20 reads the last variable, so no prefix is
+    # dropped before depth 20
+    f = make_field(2)
+    n, one = 20, f.one()
+    unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    gens = GeneratorSet(n, one, tuple(
+        MultiPoly(f, n, {unit[i]: one, unit[n - 1]: one}) for i in range(n - 1)))
+    tracemalloc.start()
+    try:
+        got = variety(gens, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [(f.zero(),) * n, (one,) * n]
+    assert peak < 8 * 10**6
