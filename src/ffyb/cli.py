@@ -209,9 +209,9 @@ def cmd_ideal(args) -> tuple[dict, int]:
 # verify-all: the cross-verification sweep, one line per check.
 
 def _default_brute_pairs(limit: int) -> list[tuple[int, int, int]]:
-    """(n, p, s) with q <= 5, n <= 4 and search space within limit."""
+    """(n, p, s) with q <= 5, n <= 5 and search space within limit."""
     out = []
-    for n in range(2, 5):
+    for n in range(2, 6):
         for p, s in [(2, 1), (3, 1), (2, 2), (5, 1)]:
             q = p**s
             if q**(n * n) <= limit:
@@ -221,7 +221,7 @@ def _default_brute_pairs(limit: int) -> list[tuple[int, int, int]]:
 
 def _check_counts(budget: int) -> tuple[bool, str]:
     tried = []
-    for n, p, s in _default_brute_pairs(min(budget, 10**6)):
+    for n, p, s in _default_brute_pairs(min(budget, sol_mod.DEFAULT_SCAN_BUDGET)):
         fld = make_field(p, s)
         closed = None
         counts = set()

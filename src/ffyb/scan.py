@@ -1,17 +1,16 @@
-"""The chunked index-range scan shared by every brute-force oracle.
+"""The chunked index scans shared by every brute-force oracle.
 
 An index in [0, q^width) stands for a vector of `width` base-q digits, least
-significant first: a matrix read row-major (width n^2) or a point of F_q^n
-(width n).  A scan decodes its range in CHUNK-row pieces into an int64 digit
-array of shape (width, rows), so row t holds digit t of every index in the
-piece, and does all field arithmetic by lookups in the field's add/mul
-tables.  The tables are used through flat views indexed a*q + b, which numpy
-gathers faster than a 2-D fancy index.
+significant first: a matrix (width n^2) or a point of F_q^n (width n).  All
+field arithmetic is done by lookups in the field's add/mul tables, used
+through flat views indexed a*q + b, which numpy gathers faster than a 2-D
+fancy index.
 
-Scans drop the rows that already fail a test before the next one runs, so
-most work is done on the first test only.  When a test reads only the first
-t digits, `pruned` goes further: it builds indices digit by digit and never
-extends a prefix that already fails, so most indices are never formed.
+`chunks` decodes a whole index range in CHUNK-row pieces into an int64 digit
+array of shape (width, rows), so row t holds digit t of every index in the
+piece; GL enumeration runs on it.  `pruned` builds indices digit by digit
+and never extends a prefix that already fails a test on its first t digits,
+so most indices are never formed; the solution and variety scans run on it.
 """
 
 from __future__ import annotations
@@ -81,13 +80,6 @@ def pruned(q: int, width: int, prune) -> np.ndarray:
 
     descend(0, np.zeros(1, dtype=np.int64))
     return np.sort(np.concatenate(out))
-
-
-def keep(mask: np.ndarray, idx: np.ndarray, digits: np.ndarray):
-    """The rows of (idx, digits) that mask selects; no copy when it selects all."""
-    if mask.all():
-        return idx, digits
-    return idx[mask], digits[:, mask]
 
 
 class Tables:

@@ -2,9 +2,11 @@
 
 For a != 0 this equation carves out the same set as the parameter-independent
 Yang-Baxter equation A X A = X A X.  The module exposes the membership
-predicate, an exhaustive enumeration oracle over the canonical matrix index
-(partitionable into disjoint ranges, run on the chunked scanner of scan.py),
-and the exact closed-form count.  The degenerate cases a = 0 and n = 1 are
+predicate, an exhaustive enumeration oracle over the canonical matrix index,
+and the exact closed-form count.  The oracle fixes the entries of X in hook
+order on the prefix-pruned scan of scan.py and tests each entry equation as
+soon as the row and column it reads are fixed, so a prefix that already fails
+is never extended; its budget still counts all q^(n^2) matrices.  The degenerate cases a = 0 and n = 1 are
 routed explicitly instead of being folded into the general formula.
 """
 
@@ -12,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from . import scan
 from .errors import BudgetExceededError
-from .gf import Field, FieldElement, exact_div, make_field
+from .gf import Field, FieldElement, exact_div
 from .matfq import Matrix, gl_order, matrix_from_index
 
 DEFAULT_SCAN_BUDGET = 10**8
@@ -94,63 +98,104 @@ def satisfies_yang_baxter(inst: EquationInstance, X: Matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration oracle.
+# Exhaustive enumeration oracle, in hook order.
 #
-# The scan runs over matrix indices on the shared chunked scanner: each entry
-# of X*X and a*X is compared in turn and the matrices that fail it leave the
-# chunk.  A range (start, stop) is a pure function of (p, s, n, a_enc), so
-# disjoint ranges merge by concatenation.
+# Entry (i, j) of X*X - a*X reads only row i and column j of X.  The scan
+# fixes the entries hook by hook, hook t being (t, t), then the rest of row t,
+# then the rest of column t.  Once the row part of hook t is fixed, so are
+# row t and columns 0..t-1, and the entries (t, j) with j < t are tested;
+# once the column part is fixed, the entries (i, t) with i <= t are.  A prefix
+# that fails one of them fails it in every completion, so scan.pruned never
+# extends it, and each of the q^(n^2) matrices is decided by the same n^2
+# entry equations as X*X == a*X.
 
-def _scan_range(p: int, s: int, n: int, a_enc: int, start: int, stop: int,
-                collect: bool, budget: int | None = None) -> tuple[int, list[int]]:
-    tabs = scan.Tables(make_field(p, s), budget)
-    q = tabs.q
-    mul_a = tabs.mul[a_enc * q:(a_enc + 1) * q]
-    count = 0
-    hits: list[int] = []
-    for idx, x in scan.chunks(q, n * n, start, stop):
-        for t in range(n * n):
-            i, j = divmod(t, n)
-            lhs = tabs.dot(x[i * n:(i + 1) * n], x[j::n])
-            idx, x = scan.keep(lhs == mul_a[x[t]], idx, x)
-            if not len(idx):
-                break
-        count += len(idx)
-        if collect:
-            hits.extend(idx.tolist())
-    return count, hits
+def _hook_order(n: int) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, int]]]]:
+    """The entries of X in scan order, and the entries tested at each depth."""
+    order: list[tuple[int, int]] = []
+    tests: dict[int, list[tuple[int, int]]] = {}
+    for t in range(n):
+        order += [(t, t)] + [(t, j) for j in range(t + 1, n)]
+        tests.setdefault(len(order), []).extend((t, j) for j in range(t))
+        order += [(i, t) for i in range(t + 1, n)]
+        tests.setdefault(len(order), []).extend((i, t) for i in range(t + 1))
+    return order, tests
 
 
-def _run_scan(inst: EquationInstance, collect: bool,
-              budget: int | None) -> tuple[int, list[int]]:
+def _hook_scan(inst: EquationInstance,
+               budget: int | None) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The entry order and the solutions as ascending indices in that order.
+
+    The budget still counts all q^(n^2) matrices, checked before any table is
+    built."""
     inst.require_nonzero_a()
     space = inst.search_space()
     limit = DEFAULT_SCAN_BUDGET if budget is None else budget
     if space > limit:
         raise BudgetExceededError(space, limit, "matrix enumeration")
-    fld = inst.field
-    return _scan_range(fld.p, fld.s, inst.n, inst.a.encoding, 0, space, collect, limit)
+    n = inst.n
+    tabs = scan.Tables(inst.field, limit)
+    q = tabs.q
+    a_enc = inst.a.encoding
+    mul_a = tabs.mul[a_enc * q:(a_enc + 1) * q]
+    order, tests = _hook_order(n)
+    at = {e: f for f, e in enumerate(order)}  # digit position of each entry
+    # each equation as the digits of its row, its column and its entry, and
+    # the digits that the equations after it at the same depth read
+    eqs = {}
+    for depth, entries in tests.items():
+        reads = [([at[i, k] for k in range(n)], [at[k, j] for k in range(n)], at[i, j])
+                 for i, j in entries]
+        eqs[depth] = [(row, col, f, {g for r, c, _ in reads[e + 1:] for g in r + c})
+                      for e, (row, col, f) in enumerate(reads)]
+
+    def prune(depth: int, idx: np.ndarray) -> np.ndarray:
+        x = {}  # digit f of every index in idx, decoded on first use
+
+        def digit(f: int) -> np.ndarray:
+            if f not in x:
+                x[f] = idx // q**f % q
+            return x[f]
+
+        for row, col, f, later in eqs.get(depth, ()):
+            lhs = tabs.dot([digit(g) for g in row], [digit(g) for g in col])
+            ok = lhs == mul_a[digit(f)]
+            if not ok.all():
+                idx = idx[ok]
+                if not len(idx):
+                    break
+                x = {g: d[ok] for g, d in x.items() if g in later}
+        return idx
+
+    return order, scan.pruned(q, n * n, prune)
 
 
 def brute_force_count(inst: EquationInstance, *, budget: int | None = None) -> int:
-    """Count the solutions by scanning all q^(n^2) matrices."""
-    return _run_scan(inst, False, budget)[0]
+    """Count the solutions by deciding every one of the q^(n^2) matrices."""
+    return len(_hook_scan(inst, budget)[1])
 
 
 def brute_force_indices(inst: EquationInstance, *,
                         budget: int | None = None) -> list[int]:
     """Canonical indices of all solutions, ascending.
 
-    Refuses when the search space exceeds the budget or the list cap."""
-    limit = min(LIST_LIMIT, DEFAULT_SCAN_BUDGET if budget is None else budget)
-    return _run_scan(inst, True, limit)[1]
+    Refuses when the search space exceeds the budget, or when there are more
+    than LIST_LIMIT solutions."""
+    order, idx = _hook_scan(inst, budget)
+    if len(idx) > LIST_LIMIT:
+        raise BudgetExceededError(len(idx), LIST_LIMIT, "solution list")
+    q, n = inst.q, inst.n
+    out = np.zeros(len(idx), dtype=np.int64)
+    for f, (i, j) in enumerate(order):
+        out += idx // q**f % q * q**(i * n + j)
+    return np.sort(out).tolist()
 
 
 def brute_force_solutions(inst: EquationInstance, *,
                           budget: int | None = None) -> list[Matrix]:
     """All solutions, in ascending canonical-index order.
 
-    Refuses when the search space exceeds the budget or the list cap."""
+    Refuses when the search space exceeds the budget, or when there are more
+    than LIST_LIMIT solutions."""
     return [matrix_from_index(inst.field, inst.n, i)
             for i in brute_force_indices(inst, budget=budget)]
 

@@ -92,6 +92,23 @@ def test_enumerate_with_list(capsys):
     assert "0,0;0,0" in rep["solutions"]
 
 
+def test_enumerate_list_is_capped_by_solutions_not_search_space(capsys):
+    # 3^16 matrices are searched, but only the 12692 solutions are listed
+    closed = run_json(capsys, "count", "--p", "3", "--n", "4", "--a", "1")["total"]
+    rep = run_json(capsys, "enumerate", "--p", "3", "--n", "4", "--a", "1", "--list")
+    assert rep["total"] == closed == "12692"
+    assert len(set(rep["solutions"])) == 12692
+
+
+def test_enumerate_list_refused_above_list_limit(monkeypatch, capsys):
+    monkeypatch.setattr("ffyb.solutions.LIST_LIMIT", 10)
+    code, out, err = run_cli(capsys, "enumerate", "--p", "3", "--n", "2", "--a", "1",
+                             "--list")
+    assert code == 2
+    assert out == ""
+    assert "solution list" in err
+
+
 def test_invariants_command(capsys):
     rep = run_json(capsys, "invariants", "--p", "2", "--n", "3", "--a", "1",
                    "--minimal-subsets")
@@ -129,6 +146,14 @@ def test_verify_all_filter(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 1
     assert lines[0].startswith("PASS  separation")
+
+
+def test_verify_all_count_oracle_reaches_the_default_scan_budget(capsys):
+    rep = run_json(capsys, "verify-all", "--only", "count-oracle")
+    [check] = rep["checks"]
+    assert check["ok"] is True
+    assert "(n=4,q=3):12692" in check["detail"]
+    assert "(n=5,q=2):20834" in check["detail"]
 
 
 def test_verify_all_json_mode_keeps_stdout_parseable(capsys):

@@ -1,5 +1,6 @@
 """Property tests of the chunked scanner against the object-level reference."""
 
+import functools
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -12,7 +13,7 @@ from ffyb.errors import SingularMatrixError
 from ffyb.gf import all_elements, make_field
 from ffyb.ideal import GeneratorSet, MultiPoly, generating_set, variety
 from ffyb.matfq import Matrix, matrix_from_index
-from ffyb.solutions import EquationInstance, _scan_range, is_solution
+from ffyb.solutions import EquationInstance, brute_force_indices, is_solution
 
 SCAN_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)]  # GF(2), GF(4), GF(5), GF(8), GF(9)
 VARIETY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]  # GF(2), GF(3), GF(4), GF(5)
@@ -51,20 +52,53 @@ def test_batched_det_and_inverse_match_matrix(batch):
         assert got_inv == [e.encoding for row in X.inverse().entries for e in row]
 
 
-@settings(deadline=None)
-@given(st.sampled_from(SCAN_FIELDS), st.integers(1, 4), st.data())
-def test_chunked_solution_scan_matches_is_solution(ps, n, data):
+@functools.cache
+def _is_solution_indices(ps, n, a, lo, hi):
+    f = make_field(*ps)
+    inst = EquationInstance(f, n, f.from_encoding(a))
+    return [i for i in range(lo, hi) if is_solution(inst, matrix_from_index(f, n, i))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([((2, 1), 1), ((3, 1), 1), ((2, 2), 1), ((5, 1), 1),
+                        ((2, 1), 2), ((3, 1), 2), ((2, 2), 2), ((5, 1), 2),
+                        ((2, 1), 3)]),
+       st.integers(1, 64))
+def test_hook_scan_decides_every_matrix(case, chunk):
+    ps, n = case
+    f = make_field(*ps)
+    for a in range(1, f.q):
+        inst = EquationInstance(f, n, f.from_encoding(a))
+        with mock.patch.object(scan, "CHUNK", chunk):
+            got = brute_force_indices(inst)
+        assert got == _is_solution_indices(ps, n, a, 0, f.q ** (n * n))
+
+
+@functools.cache
+def _default_chunk_indices(ps, n, a):
+    f = make_field(*ps)
+    return brute_force_indices(EquationInstance(f, n, f.from_encoding(a)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from([((2, 3), 2), ((3, 2), 2), ((3, 1), 3), ((5, 1), 3), ((2, 1), 4),
+                        ((3, 1), 4)]),
+       st.data())
+def test_hook_scan_window_matches_is_solution(case, data):
+    # where deciding every matrix by is_solution is too slow, a window of the
+    # full list is; CHUNK below 64 is covered by the test above
+    ps, n = case
     f = make_field(*ps)
     a = data.draw(st.integers(1, f.q - 1))
     space = f.q ** (n * n)
     lo = data.draw(st.integers(0, space - 1))
     hi = data.draw(st.integers(lo, min(space, lo + 150)))
-    chunk = data.draw(st.integers(1, 64))
-    inst = EquationInstance(f, n, f.from_encoding(a))
-    with mock.patch.object(scan, "CHUNK", chunk):
-        count, hits = _scan_range(f.p, f.s, n, a, lo, hi, True)
-    want = [i for i in range(lo, hi) if is_solution(inst, matrix_from_index(f, n, i))]
-    assert hits == want and count == len(want)
+    if space > 10**6:  # GF(3), n = 4 runs at the default CHUNK only
+        got = _default_chunk_indices(ps, n, a)
+    else:
+        with mock.patch.object(scan, "CHUNK", data.draw(st.integers(64, 4096))):
+            got = brute_force_indices(EquationInstance(f, n, f.from_encoding(a)))
+    assert [i for i in got if lo <= i < hi] == _is_solution_indices(ps, n, a, lo, hi)
 
 
 @settings(deadline=None, max_examples=40)

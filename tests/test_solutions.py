@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -116,17 +117,21 @@ def test_oracle_agreement_across_all_nonzero_a():
             assert brute_force_count(inst) == closed_form_count(inst).total
 
 
-def test_scan_partition_merge_contract():
-    # disjoint index ranges must sum to the full scan, whatever the cuts
-    from ffyb.solutions import _scan_range
-
-    total, hits = _scan_range(3, 1, 2, 1, 0, 81, True)
-    assert total == 14
-    for step in (1, 7, 17, 80):
-        parts = [_scan_range(3, 1, 2, 1, lo, min(lo + step, 81), True)
-                 for lo in range(0, 81, step)]
-        assert sum(c for c, _ in parts) == total
-        assert [i for _, h in parts for i in h] == hits
+def test_hook_scan_with_little_pruning_holds_one_chunk_per_depth():
+    # at n = 2 the first entry equation reads three entries, so all q^3
+    # prefixes are formed before any is dropped
+    inst = instance(97, 1, 2)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = brute_force_count(inst)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == closed_form_count(inst).total == 9508
+    assert peak < 8 * 10**6
+    assert elapsed < 2
 
 
 def test_budget_refusal():
