@@ -5,7 +5,9 @@ verify-all.  Reports are JSON by default (big integers as decimal strings,
 stable key order, top-level "schema": 1) or plain text with --output table.
 Exit codes: 0 success, 1 input error or failed verification, 2 budget
 refusal, 3 failed internal check.  The FFYB_BUDGET environment variable
-overrides the default enumeration budget.
+overrides the default enumeration budget; --budget overrides both.  Either
+must be a positive integer.  The parser is built once per process, on the
+first call of main, and FFYB_BUDGET is read on every call.
 """
 
 from __future__ import annotations
@@ -27,11 +29,21 @@ from .matfq import parse_matrix
 from .solutions import EquationInstance
 
 SCHEMA_VERSION = 1
+_parser = None  # built by the first main call, then reused
 
 
-def _budget_default() -> int | None:
-    env = os.environ.get("FFYB_BUDGET")
-    return int(env) if env else None
+def _resolve_budget(flag: int | None) -> int | None:
+    """--budget, else FFYB_BUDGET, else None for each command's built-in
+    budget.  Anything but a positive integer is an input error."""
+    if flag is not None:
+        source, text = "--budget", str(flag)
+    else:
+        source, text = "FFYB_BUDGET", os.environ.get("FFYB_BUDGET", "")
+        if not text:
+            return None
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _build_instance(args) -> tuple[EquationInstance, dict]:
@@ -196,8 +208,8 @@ def cmd_ideal(args) -> tuple[dict, int]:
     report["generators"] = [g.to_pairs() for g in gens.generators]
     code = 0
     if args.verify:
-        budget = args.budget if args.budget else ideal_mod.DEFAULT_VARIETY_BUDGET
-        check = ideal_mod.verify_variety(inst, budget=budget)
+        check = ideal_mod.verify_variety(
+            inst, budget=args.budget or ideal_mod.DEFAULT_VARIETY_BUDGET)
         report["variety"] = [[c.encoding for c in pt] for pt in check.points]
         report["verdict"] = check.equal
         if not check.equal:
@@ -379,7 +391,7 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_instance: bool = True)
                             help="integer encoding of a, or 'rand-nonzero'")
         parser.add_argument("--seed", type=int, default=0,
                             help="seed for --a rand-nonzero")
-    parser.add_argument("--budget", type=int, default=_budget_default(),
+    parser.add_argument("--budget", type=int,
                         help="max enumeration size (default FFYB_BUDGET or built-in)")
     parser.add_argument("--output", choices=("json", "table"), default="json")
 
@@ -439,12 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags; remap to input error
         return 0 if exc.code in (0, None) else 1
     try:
+        args.budget = _resolve_budget(args.budget)
         report, code = args.handler(args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)

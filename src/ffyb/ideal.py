@@ -15,12 +15,17 @@ the formula solves it in every characteristic.
 
 The variety is the independent oracle for the claim that it equals the n+1
 image points, and it decides every one of the q^n points by evaluating the
-generators.  It does so by extending prefixes (scan.pruned): each generator
-sits in the layer of the last variable it reads, and is tested on the
-prefixes x_1..x_t of that length.  A prefix on which a generator is nonzero
-is dropped unextended, and that is exact: the generator reads only prefix
-variables, so it is nonzero at every completion of the prefix.  The budget
-still counts all q^n points, and is checked before any table is built.
+generators.  It does so by extending prefixes (scan.pruned) with the
+variables fixed from x_n down, so a prefix of length t fixes x_n..x_{n-t+1}.
+Each generator sits in the layer where the lowest-index variable it reads is
+fixed, and is tested on the prefixes of that length; since g_{k,i} reads
+only x_i..x_n, g_{n,n} = x_n^2 - a^n x_n already rules out all but two
+values of x_n.  A prefix on which a generator is nonzero is dropped
+unextended, and that is exact: the generator reads only prefix variables,
+so it is nonzero at every completion of the prefix.  The survivors are
+mapped back to the point encoding and sorted.  The budget still counts all
+q^n points, and is checked before any table is built; more than
+scan.INDEX_LIMIT points are refused whatever the budget.
 """
 
 from __future__ import annotations
@@ -149,20 +154,28 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
     if n < 2:
         raise ValueError("generating set requires n >= 2")
     fld, a = inst.field, inst.a
-    powers = [fld.one()]  # a^0..a^n
+    mul = fld._mul
+    neg_powers = [fld.p - 1]  # encodings of -a^0..-a^n
     for _ in range(n):
-        powers.append(powers[-1] * a)
+        neg_powers.append(mul(neg_powers[-1], a.encoding))
+    zeros = (0,) * n
     # units[m] is the exponent vector of x_m
-    units = [tuple(int(v == m) for v in range(1, n + 1)) for m in range(n + 1)]
+    units = [zeros] + [zeros[:m - 1] + (1,) + zeros[m:] for m in range(1, n + 1)]
+    one = fld.one()
 
     pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
                                         for i in range(k, 0, -1)]
     gens = []
     for k, i in pairs:
-        terms = {tuple(u + v for u, v in zip(units[i], units[k])): fld.one()}
+        if i == k:
+            lead = zeros[:k - 1] + (2,) + zeros[k:]
+        else:
+            lead = zeros[:i - 1] + (1,) + zeros[i:k - 1] + (1,) + zeros[k:]
+        terms = {lead: one}
         for m in range(k, min(n, i + k) + 1):
-            coeff = fld.from_int(comb(m, k) * comb(k, m - i)) * powers[i + k - m]
-            terms[units[m]] = -coeff
+            c = comb(m, k) * comb(k, m - i) % fld.p
+            if c:
+                terms[units[m]] = FieldElement(fld, mul(c, neg_powers[i + k - m]))
         gens.append(MultiPoly(fld, n, terms))
     if len(gens) != comb(n + 1, 2):
         raise InternalInvariantError("generator count is off")
@@ -174,8 +187,9 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
 # ---------------------------------------------------------------------------
 # Prefix-pruned variety scan.
 #
-# Point encoding: index = sum of enc(x_i) * q^(i-1), so the points whose
-# first t coordinates are fixed share the prefix index below q^t.
+# Point encoding: index = sum of enc(x_i) * q^(i-1).  The scan fixes the
+# variables from x_n down, so its digit t is x_{n-t} and the points whose
+# last t coordinates are fixed share the prefix index below q^t.
 
 def variety(gens: GeneratorSet, field: Field, *,
             budget: int = DEFAULT_VARIETY_BUDGET) -> list[tuple[FieldElement, ...]]:
@@ -183,23 +197,24 @@ def variety(gens: GeneratorSet, field: Field, *,
     n = gens.n
     q = field.q
     space = q**n
-    if space > budget:
-        raise BudgetExceededError(space, budget, "variety scan")
+    limit = min(budget, scan.INDEX_LIMIT)
+    if space > limit:
+        raise BudgetExceededError(space, limit, "variety scan")
     tabs = scan.Tables(field, budget)
     add, mul = tabs.add, tabs.mul
-    # each term as (coefficient, variable per factor), each generator in the
-    # layer of the last variable it reads (0 for a constant); the zero
-    # polynomial vanishes everywhere and is left out
+    # each term as (coefficient, scan digit per factor), each generator in the
+    # layer where the lowest-index variable it reads is fixed (0 for a
+    # constant); the zero polynomial vanishes everywhere and is left out
     layers = [[] for _ in range(n + 1)]
-    reads = {}  # exponent vector -> variable per factor, ascending
+    reads = {}  # exponent vector -> scan digit per factor, descending
     for g in gens.generators:
         terms = []
         for exps, c in g.terms.items():
             if exps not in reads:
-                reads[exps] = [t for t, e in enumerate(exps) for _ in range(e)]
+                reads[exps] = [n - 1 - v for v, e in enumerate(exps) for _ in range(e)]
             terms.append((c.encoding, reads[exps]))
         if terms:
-            layers[max((fs[-1] + 1 for _, fs in terms if fs), default=0)].append(terms)
+            layers[max((fs[0] + 1 for _, fs in terms if fs), default=0)].append(terms)
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
         coords = {}  # digit f of every index in idx, decoded on first use
@@ -225,7 +240,10 @@ def variety(gens: GeneratorSet, field: Field, *,
         return idx
 
     idx = scan.pruned(q, n, prune)
-    coords = idx[:, None] // q ** np.arange(n, dtype=np.int64) % q
+    # reverse the scan digits into point encodings
+    weights = q ** np.arange(n, dtype=np.int64)
+    pts = np.sort(idx[:, None] // weights % q @ weights[::-1])
+    coords = pts[:, None] // weights % q
     return [tuple(map(field.from_encoding, row)) for row in coords.tolist()]
 
 

@@ -59,14 +59,15 @@ def image_points(inst: EquationInstance) -> list[ImagePoint]:
     Raises if any two coincide: with a != 0 they are always pairwise
     distinct, so a duplicate signals an implementation bug."""
     inst.require_nonzero_a()
-    n, a = inst.n, inst.a
-    fld = inst.field
-    powers = [a]  # a^1..a^n
+    n, fld = inst.n, inst.field
+    mul = fld._mul
+    powers = [inst.a.encoding]  # encodings of a^1..a^n
     for _ in range(n - 1):
-        powers.append(powers[-1] * a)
+        powers.append(mul(powers[-1], powers[0]))
     pts = []
     for j in range(n + 1):
-        coords = tuple(fld.from_int(comb(j, i)) * ai for i, ai in enumerate(powers, 1))
+        coords = tuple(FieldElement(fld, mul(comb(j, i) % fld.p, ai))
+                       for i, ai in enumerate(powers, 1))
         pts.append(ImagePoint(j, coords))
     if len({p.coords for p in pts}) != n + 1:
         raise InternalInvariantError("image points are not pairwise distinct")

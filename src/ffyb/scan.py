@@ -21,6 +21,8 @@ from .errors import BudgetExceededError
 from .gf import Field
 
 CHUNK = 1 << 16
+# indices are int64: a wider index space would wrap around
+INDEX_LIMIT = 2**63 - 1
 # q^2 entries per table: 2^24 int64 entries are 128 MB for each of the two.
 TABLE_ENTRY_LIMIT = 2**24
 

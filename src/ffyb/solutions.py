@@ -129,7 +129,7 @@ def _hook_scan(inst: EquationInstance,
     built."""
     inst.require_nonzero_a()
     space = inst.search_space()
-    limit = DEFAULT_SCAN_BUDGET if budget is None else budget
+    limit = min(DEFAULT_SCAN_BUDGET if budget is None else budget, scan.INDEX_LIMIT)
     if space > limit:
         raise BudgetExceededError(space, limit, "matrix enumeration")
     n = inst.n

@@ -230,3 +230,47 @@ def test_budget_env_override(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "count", "--p", "2", "--n", "3", "--a", "1",
                            "--method", "brute")
     assert code == 2
+
+
+def test_budget_env_set_after_a_first_call_is_honoured(monkeypatch, capsys):
+    monkeypatch.delenv("FFYB_BUDGET", raising=False)
+    argv = ("count", "--p", "2", "--n", "3", "--a", "1", "--method", "brute")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("FFYB_BUDGET", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "budget is 100" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_bad_budget_env_is_an_input_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("FFYB_BUDGET", value)
+    code, out, err = run_cli(capsys, "count", "--p", "2", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: FFYB_BUDGET must be a positive integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--p", "2", "--n", "2", "--method", "brute"),
+    ("ideal", "--p", "3", "--n", "2", "--verify"),
+    ("verify-all", "--only", "variety"),
+])
+def test_budget_flag_zero_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--budget", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --budget must be a positive integer")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    import ffyb.cli
+
+    built = []
+    build = ffyb.cli.build_parser
+    monkeypatch.setattr(ffyb.cli, "_parser", None)
+    monkeypatch.setattr(ffyb.cli, "build_parser", lambda: built.append(1) or build())
+    assert run_json(capsys, "count", "--p", "2", "--n", "2")["total"] == "8"
+    assert run_json(capsys, "count", "--p", "3", "--n", "2")["total"] == "14"
+    assert len(built) == 1

@@ -52,10 +52,13 @@ def _corpus() -> list[list[str]]:
         ["ideal", "--p", "3", "--n", "9", "--verify", "--budget", "1000"],
     ]
     # varieties at q^n between 6*10^4 and 8*10^4, where most of F_q^n is
-    # ruled out by the generators on the first few variables
+    # ruled out by the generators on the first few variables the scan fixes
     out += [["ideal", "--p", str(p), "--s", str(s), "--a", str(a), "--n", str(n),
              "--verify"]
             for p, s, a, n in [(2, 1, 1, 16), (3, 1, 2, 10), (2, 2, 3, 8), (5, 1, 4, 7)]]
+    # varieties over large prime fields, at q^n near 6.6*10^4 and 10^6
+    out += [["ideal", "--p", "257", "--n", "2", "--verify"],
+            ["ideal", "--p", "101", "--n", "3", "--verify"]]
     return out
 
 

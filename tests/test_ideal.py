@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from ffyb import scan
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import all_elements, make_field
 from ffyb.ideal import (GeneratorSet, MultiPoly, generating_set, variety,
@@ -174,10 +175,35 @@ def test_verify_variety_n5_q3():
         assert check.equal and check.variety_size == 6
 
 
+def test_variety_scan_fixes_the_last_variable_first(monkeypatch):
+    # at n = 2 every generator reads x_2, and g_{2,2} = x_2^2 - a^2 x_2 leaves
+    # two values of it, so only 1 + q + 2q prefixes are formed, not q^2
+    formed = []
+    pruned = scan.pruned
+
+    def counting(q, width, prune):
+        return pruned(q, width, lambda t, idx: formed.append(len(idx)) or prune(t, idx))
+
+    monkeypatch.setattr(scan, "pruned", counting)
+    inst = instance(23, 2, 2, enc=444)
+    check = verify_variety(inst)
+    assert check.equal and check.variety_size == 3
+    assert sum(formed) <= 3 * inst.q + 1
+
+
 def test_variety_budget_refusal():
     inst = instance(5, 1, 6)
     with pytest.raises(BudgetExceededError):
         variety(generating_set(inst), inst.field, budget=1000)
+
+
+def test_variety_beyond_int64_indices_is_refused_whatever_the_budget():
+    # 101^10 point indices would wrap around in int64; fixing x_10 first
+    # makes such a scan fast enough that the wrap would give a wrong verdict
+    with pytest.raises(BudgetExceededError) as info:
+        verify_variety(instance(101, 1, 10, enc=100), budget=10**30)
+    assert info.value.required == 101**10
+    assert verify_variety(instance(101, 1, 9, enc=100), budget=10**30).equal
 
 
 def test_generating_set_requires_nonzero_a_and_n_at_least_two():

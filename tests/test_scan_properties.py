@@ -115,11 +115,10 @@ def test_variety_hits_do_not_depend_on_chunk_boundaries(ps, n, data):
 @st.composite
 def sparse_generator_sets(draw):
     """GeneratorSets of up to four sparse polynomials of degree <= 2, each on
-    all n variables or, in some sets, on the last one only."""
+    all n variables or, in some sets, on the first or the last one only."""
     f = make_field(*draw(st.sampled_from(VARIETY_FIELDS)))
     n = draw(st.integers(1, 4))
-    last_only = draw(st.booleans())
-    var = st.just(n - 1) if last_only else st.integers(0, n - 1)
+    var = draw(st.sampled_from([st.integers(0, n - 1), st.just(0), st.just(n - 1)]))
     monomial = st.lists(var, max_size=2).map(
         lambda vs: tuple(vs.count(v) for v in range(n)))
     polys = st.dictionaries(monomial, st.integers(0, f.q - 1), max_size=3).map(
@@ -149,6 +148,24 @@ def test_variety_without_pruning_holds_one_chunk_per_depth():
     unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
     gens = GeneratorSet(n, one, tuple(
         MultiPoly(f, n, {unit[i]: one, unit[n - 1]: one}) for i in range(n - 1)))
+    tracemalloc.start()
+    try:
+        got = variety(gens, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [(f.zero(),) * n, (one,) * n]
+    assert peak < 8 * 10**6
+
+
+def test_variety_without_pruning_from_the_last_variable_holds_one_chunk_per_depth():
+    # every generator x_1 + x_i reads the first variable, and the scan fixes
+    # x_1 last, so no prefix is dropped before depth 20
+    f = make_field(2)
+    n, one = 20, f.one()
+    unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    gens = GeneratorSet(n, one, tuple(
+        MultiPoly(f, n, {unit[0]: one, unit[i]: one}) for i in range(1, n)))
     tracemalloc.start()
     try:
         got = variety(gens, f)

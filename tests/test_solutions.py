@@ -141,6 +141,13 @@ def test_budget_refusal():
     assert info.value.required == 512
 
 
+def test_index_space_beyond_int64_is_refused_whatever_the_budget():
+    # 128^9 = 2^63 matrix indices would wrap around in int64
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_count(instance(2, 7, 3), budget=10**30)
+    assert info.value.required == 2**63
+
+
 def test_solutions_closed_under_conjugation():
     rng = random.Random(9)
     inst = instance(3, 1, 2, enc=2)
