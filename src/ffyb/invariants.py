@@ -6,6 +6,11 @@ vector, plus for j = 1..n the point whose i-th coordinate is C(j,i)*a^i.
 This module builds those image points, evaluates the invariants on orbit
 representatives, and decides which coordinate subsets still separate all
 orbits (including the 2^n sweep for inclusion-minimal separating subsets).
+
+All of these decisions read one set of bitmasks: for each pair of image
+points, the coordinates where the two differ.  A subset separates iff it
+meets every such mask, so the sweep is a numpy pass over all 2^n subsets
+per mask and never projects a point.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .errors import BudgetExceededError, InternalInvariantError
 from .gf import FieldElement
@@ -74,6 +81,15 @@ def image_points(inst: EquationInstance) -> list[ImagePoint]:
     return pts
 
 
+def _difference_masks(inst: EquationInstance) -> set[int]:
+    """For each pair of image points, the bitmask of the coordinates where
+    they differ, bit i-1 standing for coordinate i.  A coordinate subset
+    separates the orbits iff its bitmask meets every one of these masks."""
+    rows = [[c.encoding for c in p.coords] for p in image_points(inst)]
+    return {sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x != y)
+            for r, s in combinations(rows, 2)}
+
+
 def subset_separates(inst: EquationInstance, subset) -> bool:
     """True iff projecting the image points onto the 1-based coordinate
     subset stays injective, i.e. those invariants still separate all orbits."""
@@ -82,17 +98,8 @@ def subset_separates(inst: EquationInstance, subset) -> bool:
         raise ValueError("subset must be nonempty")
     if idx[0] < 1 or idx[-1] > inst.n:
         raise ValueError(f"coordinate indices must lie in 1..{inst.n}")
-    return _separates(_encoded(image_points(inst)), idx)
-
-
-def _encoded(pts: list[ImagePoint]) -> list[tuple[int, ...]]:
-    return [tuple(c.encoding for c in p.coords) for p in pts]
-
-
-def _separates(rows: list[tuple[int, ...]], idx) -> bool:
-    """Whether projecting the rows onto the 1-based coordinates idx keeps
-    them pairwise distinct."""
-    return len({tuple(r[i - 1] for i in idx) for r in rows}) == len(rows)
+    mask = sum(1 << (i - 1) for i in idx)
+    return all(mask & d for d in _difference_masks(inst))
 
 
 def trace_separates(inst: EquationInstance) -> bool:
@@ -106,22 +113,28 @@ def trace_separates(inst: EquationInstance) -> bool:
 def minimal_separating_subsets(inst: EquationInstance) -> list[tuple[int, ...]]:
     """All inclusion-minimal separating coordinate subsets, by 2^n sweep.
 
-    Ordered by size then lexicographically.  Refused for n > 20."""
+    Every subset of 1..n is a bitmask; one numpy pass per difference mask
+    marks those that meet it, so the separating subsets are marked in
+    O(2^n * n^2) array operations.  A subset is minimal when it separates
+    and dropping any one coordinate does not, since a superset of a
+    separating subset separates too.  Ordered by size then
+    lexicographically.  Refused for n > 20, before any work."""
     n = inst.n
     if n > SUBSET_SWEEP_MAX_N:
         raise BudgetExceededError(2**n, 2**SUBSET_SWEEP_MAX_N, "subset sweep")
-    rows = _encoded(image_points(inst))
-    minimal: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for size in range(1, n + 1):
-        for s in combinations(range(1, n + 1), size):
-            mask = sum(1 << i for i in s)
-            if any(m & mask == m for m in masks):
-                continue
-            if _separates(rows, s):
-                minimal.append(s)
-                masks.append(mask)
-    return minimal
+    masks = np.arange(1 << n, dtype=np.int32)
+    separates = np.ones(1 << n, dtype=bool)
+    diffs = _difference_masks(inst)
+    for d in diffs:
+        # a subset that meets a mask e inside d meets d too
+        if not any(e != d and e & d == e for e in diffs):
+            separates &= (masks & d) != 0
+    minimal = separates.copy()
+    for i in range(n):
+        minimal &= ~(((masks & (1 << i)) != 0) & separates[masks ^ (1 << i)])
+    subsets = [tuple(i + 1 for i in range(n) if m >> i & 1)
+               for m in np.flatnonzero(minimal).tolist()]
+    return sorted(subsets, key=lambda s: (len(s), s))
 
 
 def separation_report(inst: EquationInstance, *,

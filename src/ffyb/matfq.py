@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError, SingularMatrixError
 from .gf import Field, FieldElement
-from .polyfq import UniPoly, char_matrix
+from .polyfq import UniPoly
 
 
 class Matrix:
@@ -102,11 +102,19 @@ class Matrix:
             raise ValueError("matrices over different fields")
         if self.n_cols != other.n_rows:
             raise ValueError("dimension mismatch in product")
-        cols = list(zip(*other.entries))
+        add, mul = self.field._add, self.field._mul
+        cols = [[e.encoding for e in col] for col in zip(*other.entries)]
         out = []
-        for row in self.entries:
-            out.append([_dot(row, col, self.field) for col in cols])
-        return Matrix(self.field, out)
+        for row in self._encodings():
+            out_row = []
+            for col in cols:
+                acc = 0
+                for a, b in zip(row, col):
+                    if a and b:
+                        acc = add(acc, mul(a, b))
+                out_row.append(acc)
+            out.append(out_row)
+        return _from_encodings(self.field, out)
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -129,59 +137,28 @@ class Matrix:
 
     # -- elimination-based operations ----------------------------------------
 
-    def _echelon(self):
-        """Row reduction with first-nonzero pivoting.
-
-        Returns (rows, rank, det) where det is accumulated only when square."""
-        rows = [list(r) for r in self.entries]
-        n, m = self.n_rows, self.n_cols
-        det = self.field.one()
-        rank = 0
-        for col in range(m):
-            if rank == n:
-                break
-            pivot = next((i for i in range(rank, n) if not rows[i][col].is_zero()), None)
-            if pivot is None:
-                det = self.field.zero()
-                continue
-            if pivot != rank:
-                rows[rank], rows[pivot] = rows[pivot], rows[rank]
-                det = -det
-            det = det * rows[rank][col]
-            inv = rows[rank][col].inv()
-            rows[rank] = [e * inv for e in rows[rank]]
-            for i in range(n):
-                if i != rank and not rows[i][col].is_zero():
-                    f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-            rank += 1
-        if rank < min(n, m):
-            det = self.field.zero()
-        return rows, rank, det
+    def _encodings(self) -> list[list[int]]:
+        return [[e.encoding for e in row] for row in self.entries]
 
     def det(self) -> FieldElement:
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
-        return self._echelon()[2]
+        return FieldElement(self.field, _echelon(self.field, self._encodings())[2])
 
     def rank(self) -> int:
-        return self._echelon()[1]
+        return _echelon(self.field, self._encodings())[1]
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
             raise ValueError("inverse requires a square matrix")
         n = self.n_rows
-        z, o = self.field.zero(), self.field.one()
-        aug = Matrix(self.field,
-                     [list(self.entries[i]) + [o if i == j else z for j in range(n)]
-                      for i in range(n)])
-        rows, _, _ = aug._echelon()
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows, _, _ = _echelon(self.field,
+                              [row + u for row, u in zip(self._encodings(), unit)])
         # the left block reduces to the identity exactly when self is invertible
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] != (o if i == j else z):
-                    raise SingularMatrixError("matrix is singular")
-        return Matrix(self.field, [r[n:] for r in rows])
+        if [r[:n] for r in rows] != unit:
+            raise SingularMatrixError("matrix is singular")
+        return _from_encodings(self.field, [r[n:] for r in rows])
 
     # -- identity -----------------------------------------------------------
 
@@ -201,11 +178,39 @@ class Matrix:
         return f"Matrix({self.text()} over {self.field!r})"
 
 
-def _dot(row, col, field: Field) -> FieldElement:
-    acc = field.zero()
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
+def _from_encodings(field: Field, rows) -> Matrix:
+    return Matrix(field, [[FieldElement(field, e) for e in row] for row in rows])
+
+
+def _echelon(field: Field, rows: list[list[int]]):
+    """Row reduction with first-nonzero pivoting, in place on encoded rows.
+
+    Returns (rows, rank, det), det an encoding accumulated only when square."""
+    add, mul, minus_one = field._add, field._mul, field.p - 1
+    n, m = len(rows), len(rows[0]) if rows else 0
+    det = 1
+    rank = 0
+    for col in range(m):
+        if rank == n:
+            break
+        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
+        if pivot is None:
+            det = 0
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = mul(det, minus_one)
+        det = mul(det, rows[rank][col])
+        inv = field._inv(rows[rank][col])
+        top = rows[rank] = [mul(e, inv) for e in rows[rank]]
+        for i in range(n):
+            if i != rank and rows[i][col]:
+                f = mul(rows[i][col], minus_one)
+                rows[i] = [add(a, mul(f, b)) if b else a for a, b in zip(rows[i], top)]
+        rank += 1
+    if rank < min(n, m):
+        det = 0
+    return rows, rank, det
 
 
 def char_coeffs(X: Matrix) -> tuple[FieldElement, ...]:
@@ -213,19 +218,60 @@ def char_coeffs(X: Matrix) -> tuple[FieldElement, ...]:
 
     With det(x*I - X) = x^n + sum_i (-1)^i e_i x^(n-i), e_i is the i-th
     elementary symmetric function of the eigenvalues; e1 is the trace and
-    en the determinant.  Computed by fraction-free elimination over the
-    polynomial ring, which is valid in any characteristic."""
+    en the determinant.  Computed on encodings by the Hessenberg method
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    Algorithm 2.2.9): a similarity reduces X to an upper Hessenberg H, and
+    det(x*I - H) follows from its leading minors by a recurrence.  That is
+    O(n^3) field operations and valid in any characteristic."""
     if not X.is_square:
         raise ValueError("characteristic coefficients require a square matrix")
-    cp = char_matrix(X).det()
+    fld = X.field
+    add, mul, minus_one = fld._add, fld._mul, fld.p - 1
     n = X.n_rows
-    if cp.degree != n or not cp.is_monic():
+    h = X._encodings()
+    # Clear column m-1 below row m: bring its first nonzero entry at or below
+    # row m to row m (a row swap and the same column swap), then for each row
+    # i > m subtract u * row m from row i and add u * column i to column m.
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for r in h:
+                r[piv], r[m] = r[m], r[piv]
+        t = fld._inv(h[m][m - 1])
+        for i in range(m + 1, n):
+            u = mul(h[i][m - 1], t)
+            if u:
+                f = mul(u, minus_one)
+                h[i] = [add(a, mul(f, b)) if b else a for a, b in zip(h[i], h[m])]
+                for r in h:
+                    if r[i]:
+                        r[m] = add(r[m], mul(u, r[i]))
+    # cp[k] = det(x*I - H_k), H_k the leading k x k block of H:
+    #   cp[k+1] = x cp[k] - sum_{i<=k} h_ik * h_(i+1)i * ... * h_k(k-1) * cp[i]
+    # where the product of subdiagonal entries is empty for i = k.
+    cp = [[1]]
+    for k in range(n):
+        nxt = [0] + cp[k]
+        sub = minus_one  # minus the product of subdiagonal entries
+        for i in range(k, -1, -1):
+            c = mul(h[i][k], sub)
+            if c:
+                for d, v in enumerate(cp[i]):
+                    nxt[d] = add(nxt[d], mul(c, v))
+            sub = mul(sub, h[i][i - 1]) if i else 0
+            if not sub:
+                break
+        cp.append(nxt)
+    poly = cp[n]
+    if len(poly) != n + 1 or poly[-1] != 1:
         raise InternalInvariantError("characteristic polynomial is not monic of degree n")
-    sign = X.field.one()
-    out = []
+    out, sign = [], 1
     for i in range(1, n + 1):
-        sign = -sign
-        out.append(sign * cp.coeff(n - i))
+        sign = mul(sign, minus_one)
+        out.append(FieldElement(fld, mul(sign, poly[n - i])))
     return tuple(out)
 
 

@@ -4,6 +4,10 @@ Provides exact polynomial arithmetic, Smith normal form of square polynomial
 matrices over GF(q)[x], invariant factors and elementary divisors of a field
 matrix (via x*I - X), the rational canonical form, and the degree-3 companion
 block exclusion check used by the solution classification.
+
+A UniPoly stores the integer encodings of its coefficients, not
+FieldElements, and computes on them with the field's encoding operations;
+FieldElements appear only where the public API hands out coefficients.
 """
 
 from __future__ import annotations
@@ -12,35 +16,42 @@ import itertools
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError
-from .gf import Field, FieldElement, all_elements, coeff_tuples
+from .gf import Field, FieldElement, coeff_tuples
 
 if TYPE_CHECKING:  # pragma: no cover
     from .matfq import Matrix
 
 
 class UniPoly:
-    """A univariate polynomial over a Field; little-endian coefficients,
-    no trailing zeros.  The zero polynomial has an empty coefficient tuple
-    and degree -1 (standing in for minus infinity)."""
+    """A univariate polynomial over a Field.
 
-    __slots__ = ("field", "coeffs")
+    It holds the integer encodings of its coefficients (see gf), little
+    endian, in the tuple ``enc`` with no trailing zeros; all arithmetic runs
+    on those integers through the field's encoding operations.  ``coeffs``,
+    ``coeff`` and ``lead`` give FieldElements.  The zero polynomial has an
+    empty tuple and degree -1 (standing in for minus infinity)."""
 
-    def __init__(self, field: Field, coeffs: tuple[FieldElement, ...]):
+    __slots__ = ("field", "enc")
+
+    def __init__(self, field: Field, enc: tuple[int, ...]):
         self.field = field
-        self.coeffs = coeffs
+        self.enc = enc
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trimmed(cls, field: Field, enc: list[int]) -> "UniPoly":
+        while enc and not enc[-1]:
+            enc.pop()
+        return cls(field, tuple(enc))
+
+    @classmethod
     def from_elements(cls, field: Field, seq) -> "UniPoly":
-        cs = list(seq)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return cls(field, tuple(cs))
+        return cls._trimmed(field, [c.encoding for c in seq])
 
     @classmethod
     def from_encodings(cls, field: Field, encs) -> "UniPoly":
-        return cls.from_elements(field, [field.from_encoding(e) for e in encs])
+        return cls._trimmed(field, [field.from_encoding(e).encoding for e in encs])
 
     @classmethod
     def zero(cls, field: Field) -> "UniPoly":
@@ -48,11 +59,11 @@ class UniPoly:
 
     @classmethod
     def one(cls, field: Field) -> "UniPoly":
-        return cls(field, (field.one(),))
+        return cls(field, (1,))
 
     @classmethod
     def x(cls, field: Field) -> "UniPoly":
-        return cls(field, (field.zero(), field.one()))
+        return cls(field, (0, 1))
 
     @classmethod
     def constant(cls, c: FieldElement) -> "UniPoly":
@@ -61,68 +72,83 @@ class UniPoly:
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, e) for e in self.enc)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.enc) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.enc
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.enc) and self.enc[-1] == 1
 
     def lead(self) -> FieldElement:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.field, self.enc[-1])
 
     def coeff(self, k: int) -> FieldElement:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero()
+        return FieldElement(self.field, self.enc[k] if 0 <= k < len(self.enc) else 0)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
+        if self.is_zero() or self.enc[-1] == 1:
             return self
-        return self * self.lead().inv()
+        return self._scaled(self.field._inv(self.enc[-1]))
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other) -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("polynomials over different fields")
+
+    def _scaled(self, k: int) -> "UniPoly":
+        """self times the element with encoding k."""
+        if not k:
+            return UniPoly(self.field, ())
+        mul = self.field._mul
+        return UniPoly(self.field, tuple(mul(c, k) for c in self.enc))
+
+    def _plus(self, other: "UniPoly", k: int) -> "UniPoly":
+        """self + k * other, k an encoding."""
+        self._check(other)
+        add, mul = self.field._add, self.field._mul
+        return UniPoly._trimmed(self.field, [add(a, mul(k, b)) if b else a
+                                             for a, b in itertools.zip_longest(
+                                                 self.enc, other.enc, fillvalue=0)])
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        self._check(other)
-        zero = self.field.zero()
-        return UniPoly.from_elements(self.field,
-                                     [a + b for a, b in itertools.zip_longest(
-                                         self.coeffs, other.coeffs, fillvalue=zero)])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, self.field.p - 1)
 
     def __neg__(self):
-        return UniPoly(self.field, tuple(-c for c in self.coeffs))
+        return self._scaled(self.field.p - 1)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            if other.is_zero():
-                return UniPoly.zero(self.field)
-            return UniPoly.from_elements(self.field, [c * other for c in self.coeffs])
+            self._check(other)
+            return self._scaled(other.encoding)
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.field)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return UniPoly.from_elements(self.field, out)
+            return UniPoly(self.field, ())
+        add, mul = self.field._add, self.field._mul
+        out = [0] * (len(self.enc) + len(other.enc) - 1)
+        for i, a in enumerate(self.enc):
+            if a:
+                for j, b in enumerate(other.enc, i):
+                    if b:
+                        out[j] = add(out[j], mul(a, b))
+        return UniPoly._trimmed(self.field, out)
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -147,17 +173,20 @@ class UniPoly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        g, d = other.coeffs, other.degree
-        inv_lead = other.lead().inv()
-        rem = list(self.coeffs)
-        quot = [self.field.zero()] * max(len(rem) - d, 0)
+        fld = self.field
+        add, mul = fld._add, fld._mul
+        d = other.degree
+        inv_lead = fld._inv(other.enc[-1])
+        neg_g = [mul(c, fld.p - 1) for c in other.enc[:d]]
+        rem = list(self.enc)
+        quot = [0] * max(len(rem) - d, 0)
         for shift in range(len(quot) - 1, -1, -1):
-            c = quot[shift] = rem[shift + d] * inv_lead
+            c = quot[shift] = mul(rem[shift + d], inv_lead)
             if c:  # cancels rem[shift + d]; only the lower coefficients change
-                for j in range(d):
-                    rem[shift + j] = rem[shift + j] - c * g[j]
-        return (UniPoly.from_elements(self.field, quot),
-                UniPoly.from_elements(self.field, rem[:d]))
+                for j, b in enumerate(neg_g):
+                    if b:
+                        rem[shift + j] = add(rem[shift + j], mul(c, b))
+        return UniPoly._trimmed(fld, quot), UniPoly._trimmed(fld, rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -165,27 +194,34 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __call__(self, point: FieldElement) -> FieldElement:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
+    def _at(self, x: int) -> int:
+        """The value at the element with encoding x, as an encoding."""
+        add, mul = self.field._add, self.field._mul
+        acc = 0
+        for c in reversed(self.enc):
+            acc = add(mul(acc, x), c)
         return acc
+
+    def __call__(self, point: FieldElement) -> FieldElement:
+        self._check(point)
+        return FieldElement(self.field, self._at(point.encoding))
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.enc == other.enc and (self.field is other.field
+                                          or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.modulus))
+        return hash((self.enc, self.field.p, self.field.modulus))
 
     def text(self) -> str:
         """Canonical text form: comma-separated little-endian encodings."""
         if self.is_zero():
             return "0"
-        return ",".join(str(c.encoding) for c in self.coeffs)
+        return ",".join(map(str, self.enc))
 
     def __repr__(self):
         return f"UniPoly({self.text()} over {self.field!r})"
@@ -221,10 +257,8 @@ def monic_polys(field: Field, degree: int):
     """Monic degree-d polynomials in canonical order: coefficient tuples over
     element encodings, constant term compared first (the same ordering the
     field modulus search uses)."""
-    one = field.one()
     for tail in coeff_tuples(field.q, degree):
-        coeffs = tuple(field.from_encoding(e) for e in tail) + (one,)
-        yield UniPoly(field, coeffs)
+        yield UniPoly(field, (*tail, 1))
 
 
 def is_irreducible_poly(f: UniPoly) -> bool:
@@ -247,25 +281,28 @@ def monic_irreducibles(field: Field, degree: int):
 def factor_monic(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Factor a nonzero polynomial into monic irreducibles with multiplicity.
 
-    Linear factors come from a root scan over the field; the rest from trial
-    division by monic irreducibles of ascending degree.  Factors are returned
-    in the enumeration order (degree first, then coefficient tuple)."""
+    Linear factors come from a root scan over the field, in encoding order of
+    the root; the rest from trial division by the monic polynomials of
+    ascending degree, each degree in coefficient-tuple order."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     f = f.monic()
+    fld = f.field
     found: list[tuple[UniPoly, int]] = []
-    one = f.field.one()
-    for c in all_elements(f.field):
-        lin = UniPoly.from_elements(f.field, [-c, one])
+    for c in range(fld.q):
+        lin = UniPoly(fld, (fld._mul(c, fld.p - 1), 1))
         e = 0
-        while not f.is_zero() and f.degree >= 1 and f(c).is_zero():
+        while f.degree >= 1 and not f._at(c):
             f = _exact_poly_div(f, lin)
             e += 1
         if e:
             found.append((lin, e))
     d = 2
     while 2 * d <= f.degree:
-        for g in monic_irreducibles(f.field, d):
+        # Every factor of degree < d is divided out already, so a monic
+        # degree-d divisor of f has no proper factor: it is irreducible, and
+        # no irreducibility test is needed.
+        for g in monic_polys(fld, d):
             e = 0
             while f.degree >= g.degree and (f % g).is_zero():
                 f = _exact_poly_div(f, g)
@@ -448,7 +485,7 @@ def invariant_factors(X: "Matrix") -> tuple[UniPoly, ...]:
 
 
 def _poly_sort_key(g: UniPoly):
-    return (g.degree, tuple(c.encoding for c in g.coeffs))
+    return (g.degree, g.enc)
 
 
 def elementary_divisors(X: "Matrix") -> tuple[UniPoly, ...]:

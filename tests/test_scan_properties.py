@@ -141,8 +141,9 @@ def test_pruned_variety_matches_evaluation_at_every_point(case, chunk):
 
 
 def test_variety_without_pruning_holds_one_chunk_per_depth():
-    # every generator x_i + x_20 reads the last variable, so no prefix is
-    # dropped before depth 20
+    # The scan fixes x_20 first, so each generator x_i + x_20 is tested as
+    # soon as x_i is fixed, at depth 21 - i: from depth 2 on only the
+    # prefixes with x_i = x_20 survive, and the scan forms 79 prefixes.
     f = make_field(2)
     n, one = 20, f.one()
     unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
