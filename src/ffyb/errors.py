@@ -2,13 +2,19 @@
 
 
 class BudgetExceededError(Exception):
-    """An exhaustive scan was refused because it exceeds the allowed budget."""
+    """A computation was refused because it exceeds the allowed budget: scan
+    steps, table entries, or the decimal digits that str() converts."""
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(self, required: int, budget: int, what: str = "enumeration",
+                 unit: str = "steps"):
         self.required = required
         self.budget = budget
         self.what = what
-        super().__init__(f"{what} needs {required} steps, budget is {budget}")
+        try:
+            need = str(required)
+        except ValueError:  # more digits than str() converts
+            need = f"at least 2^{required.bit_length() - 1}"
+        super().__init__(f"{what} needs {need} {unit}, budget is {budget}")
 
 
 class InternalInvariantError(ArithmeticError):

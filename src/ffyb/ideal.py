@@ -241,10 +241,9 @@ def variety(gens: GeneratorSet, field: Field, *,
 
     idx = scan.pruned(q, n, prune)
     # reverse the scan digits into point encodings
-    weights = q ** np.arange(n, dtype=np.int64)
-    pts = np.sort(idx[:, None] // weights % q @ weights[::-1])
-    coords = pts[:, None] // weights % q
-    return [tuple(map(field.from_encoding, row)) for row in coords.tolist()]
+    pts = np.sort(scan.encode(q, scan.decode(q, n, idx)[::-1]))
+    return [tuple(map(field.from_encoding, row))
+            for row in scan.decode(q, n, pts).T.tolist()]
 
 
 @dataclass(frozen=True)

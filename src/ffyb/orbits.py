@@ -5,14 +5,17 @@ Q(a)), Q(a) = [[0,1],[0,a]], with b in {0, a}; the extremes are the zero
 matrix and a*I.  Orbits are labeled Zero, ScalarA or Mixed{k,b}, carry the
 rank of their representative as a fingerprint, and their sizes follow from
 the orbit-stabilizer formula with stabilizer order |GL(n-k,q)|*|GL(k,q)|.
-Brute-force oracles cross-check the formulas at small sizes: GL(n, q) by
-batched elimination over every matrix index, orbits as the index sets of
-batched conjugates P X P^-1, and centralizers by a batched P X == X P test.
+Brute-force oracles cross-check the formulas at small sizes: GL(n, q) and
+the centralizers by one pruned scan of every matrix index, with batched
+P X == X P tests and elimination at full depth, and the orbits as closures
+under conjugation by generators of GL(n, q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .errors import BudgetExceededError
 from .gf import Field, FieldElement, exact_div
 from .matfq import Matrix, direct_sum, gl_order, matrix_from_index
 from .solutions import (CountReport, EquationInstance, brute_force_indices,
-                        is_solution)
+                        is_solution, require_printable)
 
 GL_SCAN_BUDGET = 10**6
 
@@ -90,10 +93,7 @@ def block_solution(inst: EquationInstance, k: int, b: FieldElement) -> Matrix:
         blocks.append(Matrix.scalar(fld, inst.n - 2 * k, b))
     qa = Matrix(fld, [[z, o], [z, inst.a]])
     blocks.extend([qa] * k)
-    out = blocks[0]
-    for blk in blocks[1:]:
-        out = direct_sum(out, blk)
-    return out
+    return reduce(direct_sum, blocks)
 
 
 def representative(inst: EquationInstance, label: OrbitLabel) -> Matrix:
@@ -119,12 +119,17 @@ def stabilizer_order(inst: EquationInstance, label: OrbitLabel) -> int:
     inst.require_nonzero_a()
     n, q = inst.n, inst.q
     if label.kind in ("zero", "scalar_a"):
+        require_printable(q, n * n, 1, "the stabilizer order")
         return gl_order(n, q)
-    return gl_order(n - label.k, q) * gl_order(label.k, q)
+    k = label.k
+    require_printable(q, (n - k) ** 2 + k * k, 1, "the stabilizer order")
+    return gl_order(n - k, q) * gl_order(k, q)
 
 
 def orbit_size(inst: EquationInstance, label: OrbitLabel) -> int:
-    return exact_div(gl_order(inst.n, inst.q), stabilizer_order(inst, label))
+    n = inst.n
+    require_printable(inst.q, n * n // 2, 12 * (n + 1), "the orbit size")
+    return exact_div(gl_order(n, inst.q), stabilizer_order(inst, label))
 
 
 def all_labels(n: int) -> list[OrbitLabel]:
@@ -139,6 +144,7 @@ def all_labels(n: int) -> list[OrbitLabel]:
 def list_orbits(inst: EquationInstance) -> list[OrbitRecord]:
     """All n+1 orbits, one per rank 0..n, in ascending rank order."""
     inst.require_nonzero_a()
+    require_printable(inst.q, inst.n * inst.n, 1, "the stabilizer order")
     out = []
     for label in all_labels(inst.n):
         out.append(OrbitRecord(
@@ -181,54 +187,79 @@ def orbit_sum_count(inst: EquationInstance) -> CountReport:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles, on the chunked scanner of scan.py.  None of them calls
-# gl_order or the closed form they are checked against.
+# Brute-force oracles, on the scanner of scan.py.  None of them calls gl_order
+# or the closed form they are checked against.
 
-def _gl(field: Field, n: int, budget: int):
-    """(tables, chunks) for GL(n, q): each call of chunks() is one pass that
-    yields, for each scan chunk of the q^(n^2) matrix indices in ascending
-    order, the (indices, entries, inverses) of its invertible matrices, found
-    by batched elimination.  The budget is checked before anything is
-    built."""
+def _gl_scan(field: Field, n: int, budget: int, x=None) -> np.ndarray:
+    """Ascending indices of the invertible n x n matrices, or of those that
+    commute with the matrix x, given as an (n*n, 1) digit array.
+
+    One pruned scan of all q^(n^2) matrix indices that tests only at full
+    depth, by batched products and elimination.  The budget is checked
+    before anything is built."""
     space = field.q ** (n * n)
     if space > budget:
         raise BudgetExceededError(space, budget, "GL enumeration")
     tabs = scan.Tables(field, budget)
 
-    def chunks():
-        for idx, mats in scan.chunks(field.q, n * n, 0, space):
-            pos, _, inv = tabs.invert(n, mats)
-            yield idx[pos], mats[:, pos], inv
+    def prune(t: int, idx: np.ndarray) -> np.ndarray:
+        if t < n * n:
+            return idx
+        mats = scan.decode(tabs.q, n * n, idx)
+        if x is not None:
+            ok = (tabs.matmul(n, mats, x) == tabs.matmul(n, x, mats)).all(axis=0)
+            idx, mats = idx[ok], mats[:, ok]
+        return idx[tabs.invert(n, mats)[0]]
 
-    return tabs, chunks
+    return scan.pruned(field.q, n * n, prune)
 
 
 def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:
     """All invertible n x n matrices, by scanning every matrix index."""
-    idx = np.concatenate([idx for idx, _, _ in _gl(field, n, budget)[1]()])
+    idx = _gl_scan(field, n, budget)
     return [matrix_from_index(field, n, i) for i in idx.tolist()]
+
+
+def _generators(fld: Field, n: int) -> np.ndarray:
+    """Indices of the transvections I + x^t E_ij (i != j, t < s; p^t encodes
+    x^t) and the dilations diag(d, 1, ..., 1), d = 2..q-1."""
+    eye = sum(fld.q ** (i * n + i) for i in range(n))
+    return np.array([eye + fld.p**t * fld.q ** (i * n + j)
+                     for i, j in permutations(range(n), 2) for t in range(fld.s)]
+                    + [eye + d - 1 for d in range(2, fld.q)], dtype=np.int64)
 
 
 def brute_force_conjugacy_classes(inst: EquationInstance, *,
                                   budget: int = GL_SCAN_BUDGET) -> list[list[Matrix]]:
     """Partition of the solution set into conjugation orbits.
 
-    Each unvisited solution is closed under conjugation by every element of
-    GL(n, q): one pass over the GL chunks per class, the union of each
-    chunk's batched P X P^-1 as sorted unique indices.  Classes are returned
-    in ascending order of their smallest member index, members sorted by
-    index."""
+    The transvections and dilations of _generators generate GL(n, q)
+    (Taylor, The Geometry of the Classical Groups, 1992), so the orbit of a
+    solution is its breadth-first closure under conjugation by them: each
+    level conjugates the frontier by every generator, in batches of at most
+    scan.CHUNK products.  Too small a generator set could only shrink an
+    orbit, which the size check against orbit_size would catch.  Classes
+    ascend by smallest member index, members sorted by index."""
     inst.require_nonzero_a()
     fld, n = inst.field, inst.n
     left = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
-    tabs, parts = _gl(fld, n, budget)
+    tabs = scan.Tables(fld, budget)
+    gens = scan.decode(fld.q, n * n, _generators(fld, n))
+    _, _, gens_inv = tabs.invert(n, gens)
     classes = []
     while len(left):
-        x = scan.digits(fld.q, n * n, int(left[0]), int(left[0]) + 1)
-        orbit = np.unique(np.concatenate([
-            np.unique(scan.encode(fld.q, tabs.matmul(n, tabs.matmul(n, mats, x), inv)))
-            for _, mats, inv in parts()]))
-        left = left[~np.isin(left, orbit)]
+        orbit = frontier = left[:1]
+        while len(frontier):
+            k = len(frontier)
+            images = [np.zeros(0, dtype=np.int64)]
+            for lo in range(0, gens.shape[1] * k, scan.CHUNK):
+                col = np.arange(lo, min(lo + scan.CHUNK, gens.shape[1] * k))
+                g, x = col // k, scan.decode(fld.q, n * n, frontier[col % k])
+                images.append(scan.encode(fld.q, tabs.matmul(
+                    n, tabs.matmul(n, gens[:, g], x), gens_inv[:, g])))
+            frontier = np.setdiff1d(np.concatenate(images), orbit)
+            orbit = np.union1d(orbit, frontier)
+        left = np.setdiff1d(left, orbit, assume_unique=True)
         classes.append([matrix_from_index(fld, n, i) for i in orbit.tolist()])
     return classes
 
@@ -238,9 +269,5 @@ def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,
     """Count the P in GL(n, q) commuting with X, one scan chunk at a time."""
     if X.field != inst.field or not (X.n_rows == X.n_cols == inst.n):
         raise ValueError(f"expected a {inst.n}x{inst.n} matrix over the instance field")
-    n = inst.n
-    tabs, parts = _gl(inst.field, n, budget)
     x = np.array([[e.encoding] for row in X.entries for e in row], dtype=np.int64)
-    return sum(int(np.count_nonzero((tabs.matmul(n, mats, x)
-                                     == tabs.matmul(n, x, mats)).all(axis=0)))
-               for _, mats, _ in parts())
+    return len(_gl_scan(inst.field, inst.n, budget, x))

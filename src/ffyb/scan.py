@@ -1,4 +1,4 @@
-"""The chunked index scans shared by every brute-force oracle.
+"""The prefix-pruned index scan shared by every brute-force oracle.
 
 An index in [0, q^width) stands for a vector of `width` base-q digits, least
 significant first: a matrix (width n^2) or a point of F_q^n (width n).  All
@@ -6,11 +6,11 @@ field arithmetic is done by lookups in the field's add/mul tables, used
 through flat views indexed a*q + b, which numpy gathers faster than a 2-D
 fancy index.
 
-`chunks` decodes a whole index range in CHUNK-row pieces into an int64 digit
-array of shape (width, rows), so row t holds digit t of every index in the
-piece; GL enumeration runs on it.  `pruned` builds indices digit by digit
-and never extends a prefix that already fails a test on its first t digits,
-so most indices are never formed; the solution and variety scans run on it.
+`pruned` builds indices digit by digit and never extends a prefix that
+already fails a test on its first t digits, so most indices are never formed.
+The solution, variety, GL and centralizer scans all run on it.  `decode`
+gives the (width, rows) digit array of an index array, row t holding digit
+t, and `encode` maps it back.
 """
 
 from __future__ import annotations
@@ -27,21 +27,9 @@ INDEX_LIMIT = 2**63 - 1
 TABLE_ENTRY_LIMIT = 2**24
 
 
-def digits(q: int, width: int, lo: int, hi: int) -> np.ndarray:
-    """The (width, hi - lo) base-q digit array of the indices lo..hi-1.
-
-    Digit t of consecutive indices steps through 0..q-1 in runs of q^t, so
-    each row is a np.repeat of run values, with no division."""
-    out = np.empty((width, hi - lo), dtype=np.int64)
-    w = 1  # q^t
-    for t in range(width):
-        first, last = lo // w, (hi - 1) // w
-        runs = np.full(last - first + 1, w, dtype=np.int64)
-        runs[0] -= lo - first * w
-        runs[-1] -= (last + 1) * w - hi
-        out[t] = np.repeat(np.arange(first, last + 1) % q, runs)
-        w *= q
-    return out
+def decode(q: int, width: int, idx: np.ndarray) -> np.ndarray:
+    """The (width, len(idx)) base-q digit array of the indices idx."""
+    return idx // q ** np.arange(width, dtype=np.int64)[:, None] % q
 
 
 def encode(q: int, digits: np.ndarray) -> np.ndarray:
@@ -50,13 +38,6 @@ def encode(q: int, digits: np.ndarray) -> np.ndarray:
     for row in digits[::-1]:
         idx = idx * q + row
     return idx
-
-
-def chunks(q: int, width: int, lo: int, hi: int):
-    """(idx, digits) for [lo, hi), in ascending pieces of at most CHUNK rows."""
-    for start in range(lo, hi, CHUNK):
-        stop = min(start + CHUNK, hi)
-        yield np.arange(start, stop, dtype=np.int64), digits(q, width, start, stop)
 
 
 def pruned(q: int, width: int, prune) -> np.ndarray:

@@ -12,6 +12,8 @@ routed explicitly instead of being folded into the general formula.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -184,10 +186,8 @@ def brute_force_indices(inst: EquationInstance, *,
     if len(idx) > LIST_LIMIT:
         raise BudgetExceededError(len(idx), LIST_LIMIT, "solution list")
     q, n = inst.q, inst.n
-    out = np.zeros(len(idx), dtype=np.int64)
-    for f, (i, j) in enumerate(order):
-        out += idx // q**f % q * q**(i * n + j)
-    return np.sort(out).tolist()
+    row_major = np.argsort([i * n + j for i, j in order])  # scan digit of each entry
+    return np.sort(scan.encode(q, scan.decode(q, n * n, idx)[row_major])).tolist()
 
 
 def brute_force_solutions(inst: EquationInstance, *,
@@ -202,6 +202,20 @@ def brute_force_solutions(inst: EquationInstance, *,
 
 # ---------------------------------------------------------------------------
 
+def require_printable(q: int, exponent: int, factor: int, what: str) -> None:
+    """Refuse, before computing it, a result below factor * q^exponent that
+    may have more decimal digits than str() converts
+    (sys.get_int_max_str_digits(), 0 for no limit).
+
+    The bounds in use: |GL(m, q)| < q^(m^2), and every orbit size and the
+    count are below 12(n+1) q^floor(n^2/2), since an orbit size is
+    q^(2k(n-k)) times a ratio of products prod_i (1 - q^-i) > 0.2887."""
+    limit = sys.get_int_max_str_digits()
+    log10 = exponent * math.log10(q) + math.log10(factor)
+    if limit and log10 >= limit:
+        raise BudgetExceededError(int(log10) + 1, limit, what, "decimal digits")
+
+
 def closed_form_count(inst: EquationInstance) -> CountReport:
     """The exact solution count, without enumeration.
 
@@ -210,6 +224,7 @@ def closed_form_count(inst: EquationInstance) -> CountReport:
     n = 1 has exactly the two solutions 0 and a.  Requires a != 0."""
     inst.require_nonzero_a()
     n, q = inst.n, inst.q
+    require_printable(q, n * n // 2, 12 * (n + 1), "the solution count")
     if n == 1:
         total = 2
     else:
@@ -234,4 +249,5 @@ def yang_baxter_count(inst: EquationInstance) -> int:
     closed_form_count."""
     if not inst.a.is_zero():
         raise ValueError("a != 0: use closed_form_count (or the brute-force scan)")
+    require_printable(inst.q, inst.n * inst.n, 1, "the solution count")
     return inst.search_space()

@@ -1,8 +1,9 @@
 """Property tests of the canonical-form layer against its references.
 
 char_coeffs (Hessenberg recurrence) is checked against the Bareiss
-determinant of x*I - X, factor_monic against is_irreducible_poly, and the
-invariants against random conjugation."""
+determinant of x*I - X, factor_monic against is_irreducible_poly, the
+invariants against random conjugation, and the Smith form of a general
+polynomial matrix against random unimodular row and column operations."""
 
 import random
 
@@ -14,8 +15,9 @@ from ffyb import polyfq
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, char_coeffs, direct_sum, parse_matrix
 from ffyb.orbits import all_labels, classify, representative
-from ffyb.polyfq import (UniPoly, char_matrix, factor_monic, invariant_factors,
-                         is_irreducible_poly, monic_polys)
+from ffyb.polyfq import (PolyMatrix, UniPoly, char_matrix, factor_monic,
+                         invariant_factors, is_irreducible_poly, monic_polys,
+                         smith_normal_form)
 from ffyb.solutions import EquationInstance
 
 # GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), GF(101), GF(23^2)
@@ -89,6 +91,49 @@ def test_invariant_factors_form_a_chain_whose_product_is_the_determinant(X):
     for h in hs:
         prod = prod * h
     assert prod == char_matrix(X).det()
+
+
+@st.composite
+def unimodular_pairs(draw):
+    """A random square polynomial matrix, with entries of degree <= 2 and not
+    of the form x*I - X, and its image under 1..5 random unimodular row or
+    column operations: a swap, a scaling by a nonzero constant, or adding a
+    polynomial multiple of degree <= 1 of one line to another."""
+    f = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)])))
+    n = draw(st.integers(1, 4))
+
+    def polys(deg):
+        return st.lists(st.integers(0, f.q - 1), max_size=deg + 1).map(
+            lambda encs: UniPoly.from_encodings(f, encs))
+
+    rows = draw(st.lists(st.lists(polys(2), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if all(rows[i][i].degree == 1 and rows[i][i].is_monic() for i in range(n)):
+        rows[0][0] = rows[0][0] * UniPoly.x(f)  # x*I - X has a monic linear diagonal
+    M = [list(r) for r in rows]
+    for _ in range(draw(st.integers(1, 5))):
+        kind, by_cols = draw(st.sampled_from(["swap", "scale", "add"])), draw(st.booleans())
+        if by_cols:
+            M = [list(c) for c in zip(*M)]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "swap":
+            M[i], M[j] = M[j], M[i]
+        elif kind == "scale":
+            c = UniPoly.from_encodings(f, [draw(st.integers(1, f.q - 1))])
+            M[i] = [c * e for e in M[i]]
+        elif i != j:
+            g = draw(polys(1))
+            M[i] = [e + g * d for e, d in zip(M[i], M[j])]
+        if by_cols:
+            M = [list(c) for c in zip(*M)]
+    return PolyMatrix(f, rows), PolyMatrix(f, M)
+
+
+@settings(deadline=None, max_examples=100)
+@given(unimodular_pairs())
+def test_smith_form_is_invariant_under_unimodular_operations(pair):
+    M, N = pair
+    assert smith_normal_form(N) == smith_normal_form(M)
 
 
 def value_at(g, c):

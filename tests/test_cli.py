@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -193,6 +194,33 @@ def test_exit_code_table_budget_refusal(capsys):
     assert code == 2
     assert out == ""
     assert "arithmetic tables" in err
+
+
+@pytest.mark.parametrize("argv", [("count",), ("orbits",), ("count", "--a", "0")])
+def test_results_too_long_to_print_are_refused_before_the_work(capsys, argv):
+    # str() of an int with more than sys.get_int_max_str_digits() digits
+    # fails; the digit bound is checked before any GL order is computed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--p", "2", "--n", "2000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "decimal digits" in err
+
+
+def test_search_spaces_too_long_to_print_are_still_refused(capsys):
+    code, out, err = run_cli(capsys, "count", "--p", "2", "--n", "200",
+                             "--method", "brute")
+    assert code == 2
+    assert out == ""
+    assert "matrix enumeration needs at least 2^40000 steps" in err
+
+
+def test_long_counts_below_the_digit_limit_still_print(capsys):
+    rep = run_json(capsys, "count", "--p", "2", "--n", "100")
+    assert len(rep["total"]) == 1506
+    assert rep["total"].startswith("73747715368427338797")
+    assert rep["total"].endswith("10275025418772807682")
 
 
 def test_exit_code_internal_invariant_failure(monkeypatch, capsys):

@@ -1,9 +1,13 @@
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import random_invertible
+from ffyb import scan
+from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, gl_order, matrix_index
 from ffyb.orbits import (SCALAR_A, ZERO, all_labels, block_solution,
@@ -13,7 +17,8 @@ from ffyb.orbits import (SCALAR_A, ZERO, all_labels, block_solution,
                          orbit_size, orbit_sum_count, representative,
                          stabilizer_order)
 from ffyb.polyfq import UniPoly, elementary_divisors
-from ffyb.solutions import EquationInstance, closed_form_count, is_solution
+from ffyb.solutions import (EquationInstance, brute_force_solutions,
+                            closed_form_count, is_solution)
 
 
 def instance(p, s, n, enc=1):
@@ -130,6 +135,28 @@ def test_orbit_sizes_sum_to_total_count(n, p, s):
     assert len(by_orbits.per_orbit) == n + 1
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]), st.integers(1, 30),
+       st.data())
+def test_orbit_sizes_sum_to_total_count_up_to_n30(ps, n, data):
+    f = make_field(*ps)
+    inst = EquationInstance(f, n, f.from_encoding(data.draw(st.integers(1, f.q - 1))))
+    assert closed_form_count(inst).total == orbit_sum_count(inst).total
+
+
+def test_orbit_numbers_too_long_to_print_are_refused():
+    inst = instance(2, 1, 2000)
+    for call in (orbit_size, stabilizer_order):
+        for label in (ZERO, mixed_label(2000, 1000, "0")):
+            with pytest.raises(BudgetExceededError):
+                call(inst, label)
+    with pytest.raises(BudgetExceededError):
+        list_orbits(inst)
+    inst = instance(2, 1, 100)
+    assert orbit_size(inst, ZERO) == 1
+    assert stabilizer_order(inst, ZERO) == gl_order(100, 2)
+
+
 def test_gl_enumeration_sizes():
     assert len(enumerate_gl(make_field(2), 2)) == 6
     assert len(enumerate_gl(make_field(3), 2)) == 48
@@ -160,6 +187,28 @@ def test_census_matches_formula_sizes_n2_q3():
     got = {classify(inst, c[0]).text(): len(c) for c in classes}
     want = {r.label.text(): r.orbit_size for r in list_orbits(inst)}
     assert got == want
+
+
+def full_gl_census(inst):
+    """The orbits as sets of P X P^-1 over every P in GL(n, q), with Matrix
+    arithmetic; classes ascend by smallest member index, members sorted."""
+    group = [(P, P.inverse()) for P in enumerate_gl(inst.field, inst.n)]
+    orbits = {tuple(sorted({matrix_index(P * X * Pinv) for P, Pinv in group}))
+              for X in brute_force_solutions(inst)}
+    return sorted(orbits)
+
+
+@pytest.mark.parametrize("chunk", [scan.CHUNK, 5])
+@pytest.mark.parametrize("p,s,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)])
+def test_closure_census_equals_full_gl_census(p, s, n, chunk):
+    # chunk 5 splits each level's generator-by-frontier batch into pieces
+    f = make_field(p, s)
+    for enc in range(1, f.q):
+        inst = EquationInstance(f, n, f.from_encoding(enc))
+        with mock.patch.object(scan, "CHUNK", chunk):
+            got = brute_force_conjugacy_classes(inst)
+        assert [[matrix_index(m) for m in c] for c in got] \
+            == [list(c) for c in full_gl_census(inst)]
 
 
 def test_centralizer_counts():
@@ -227,7 +276,9 @@ def test_oracles_never_call_the_formulas_they_check(monkeypatch):
         raise AssertionError("an oracle called a closed form")
 
     for module, name in [(matfq, "gl_order"), (solutions, "gl_order"),
-                         (orbits, "gl_order"), (solutions, "closed_form_count")]:
+                         (orbits, "gl_order"), (solutions, "closed_form_count"),
+                         (orbits, "orbit_size"), (orbits, "stabilizer_order"),
+                         (orbits, "list_orbits")]:
         monkeypatch.setattr(module, name, refuse)
     inst = instance(3, 1, 2)
     X = representative(inst, mixed_label(2, 1, "0"))
