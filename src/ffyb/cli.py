@@ -184,8 +184,8 @@ def cmd_smith(args) -> tuple[dict, int]:
     report.update({
         "matrix": X.text(),
         "invariant_factors": [h.text() for h in factors],
-        "elementary_divisors": [g.text() for g in polyfq.elementary_divisors(X)],
-        "rational_canonical_form": polyfq.rational_canonical_form(X).text(),
+        "elementary_divisors": [g.text() for g in polyfq._divisors_of_factors(factors)],
+        "rational_canonical_form": polyfq._rcf_of_factors(X.field, factors).text(),
     })
     return report, 0
 

@@ -122,9 +122,14 @@ def minimal_separating_subsets(inst: EquationInstance) -> list[tuple[int, ...]]:
     n = inst.n
     if n > SUBSET_SWEEP_MAX_N:
         raise BudgetExceededError(2**n, 2**SUBSET_SWEEP_MAX_N, "subset sweep")
+    return _minimal_subsets(_difference_masks(inst), n)
+
+
+def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
+    """The inclusion-minimal subsets of 1..n whose bitmask meets every mask
+    in diffs, ordered by size then lexicographically."""
     masks = np.arange(1 << n, dtype=np.int32)
     separates = np.ones(1 << n, dtype=bool)
-    diffs = _difference_masks(inst)
     for d in diffs:
         # a subset that meets a mask e inside d meets d too
         if not any(e != d and e & d == e for e in diffs):

@@ -31,7 +31,8 @@ class Matrix:
             if len(r) != n_cols:
                 raise ValueError("ragged rows")
             for e in r:
-                if not isinstance(e, FieldElement) or e.field != field:
+                if not isinstance(e, FieldElement) or (e.field is not field
+                                                       and e.field != field):
                     raise ValueError("entries must be elements of the given field")
         self.field = field
         self.n_rows = len(entries)
@@ -213,6 +214,37 @@ def _echelon(field: Field, rows: list[list[int]]):
     return rows, rank, det
 
 
+def _hessenberg(field: Field, h: list[list[int]]) -> list[list[int]]:
+    """Reduce the square encoded rows h in place, by a similarity, to upper
+    Hessenberg form, and return them.
+
+    For m = 1..n-2 the first nonzero entry of column m-1 at or below row m
+    is brought to row m (a row swap and the same column swap); then for each
+    row i > m, u * row m is subtracted from row i and u * column i added to
+    column m.  A column with nothing to clear leaves a zero on the
+    subdiagonal.  The first basis vector is never moved."""
+    add, mul, minus_one = field._add, field._mul, field.p - 1
+    n = len(h)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for r in h:
+                r[piv], r[m] = r[m], r[piv]
+        t = field._inv(h[m][m - 1])
+        for i in range(m + 1, n):
+            u = mul(h[i][m - 1], t)
+            if u:
+                f = mul(u, minus_one)
+                h[i] = [add(a, mul(f, b)) if b else a for a, b in zip(h[i], h[m])]
+                for r in h:
+                    if r[i]:
+                        r[m] = add(r[m], mul(u, r[i]))
+    return h
+
+
 def char_coeffs(X: Matrix) -> tuple[FieldElement, ...]:
     """Signed coefficients (e1, ..., en) of det(x*I - X).
 
@@ -228,27 +260,7 @@ def char_coeffs(X: Matrix) -> tuple[FieldElement, ...]:
     fld = X.field
     add, mul, minus_one = fld._add, fld._mul, fld.p - 1
     n = X.n_rows
-    h = X._encodings()
-    # Clear column m-1 below row m: bring its first nonzero entry at or below
-    # row m to row m (a row swap and the same column swap), then for each row
-    # i > m subtract u * row m from row i and add u * column i to column m.
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for r in h:
-                r[piv], r[m] = r[m], r[piv]
-        t = fld._inv(h[m][m - 1])
-        for i in range(m + 1, n):
-            u = mul(h[i][m - 1], t)
-            if u:
-                f = mul(u, minus_one)
-                h[i] = [add(a, mul(f, b)) if b else a for a, b in zip(h[i], h[m])]
-                for r in h:
-                    if r[i]:
-                        r[m] = add(r[m], mul(u, r[i]))
+    h = _hessenberg(fld, X._encodings())
     # cp[k] = det(x*I - H_k), H_k the leading k x k block of H:
     #   cp[k+1] = x cp[k] - sum_{i<=k} h_ik * h_(i+1)i * ... * h_k(k-1) * cp[i]
     # where the product of subdiagonal entries is empty for i = k.

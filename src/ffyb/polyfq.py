@@ -8,6 +8,12 @@ block exclusion check used by the solution classification.
 A UniPoly stores the integer encodings of its coefficients, not
 FieldElements, and computes on them with the field's encoding operations;
 FieldElements appear only where the public API hands out coefficients.
+
+The invariant factors never build the n x n matrix x*I - X: a sweep of
+x*I - H, H a Hessenberg form of X, uses each nonzero subdiagonal entry as a
+unit pivot, and leaves a k x k upper triangular remainder, k the number of
+unreduced blocks of H.  Only that remainder gets a Smith form, none when
+k = 1.  The Smith form runs on coefficient tuples, with no UniPoly per step.
 """
 
 from __future__ import annotations
@@ -20,6 +26,74 @@ from .gf import Field, FieldElement, coeff_tuples
 
 if TYPE_CHECKING:  # pragma: no cover
     from .matfq import Matrix
+
+
+# -- coefficient-tuple kernels ------------------------------------------------
+# A polynomial is the little-endian tuple of its coefficient encodings with no
+# trailing zeros (UniPoly.enc).  UniPoly's operators, the Smith form and the
+# invariant-factor sweep all compute through these functions.
+
+def _trim(enc: list[int]) -> tuple[int, ...]:
+    while enc and not enc[-1]:
+        enc.pop()
+    return tuple(enc)
+
+
+def _enc_plus(fld: Field, a, b, k: int) -> tuple[int, ...]:
+    """a + k*b, k an encoding."""
+    add, mul = fld._add, fld._mul
+    return _trim([add(x, mul(k, y)) if y else x
+                  for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _enc_mul(fld: Field, a, b) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    add, mul = fld._add, fld._mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return _trim(out)
+
+
+def _enc_divmod(fld: Field, a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quotient, remainder) of a by the nonzero b."""
+    add, mul = fld._add, fld._mul
+    d = len(b) - 1
+    inv_lead = fld._inv(b[-1])
+    if not d:  # b is a unit
+        return tuple(mul(c, inv_lead) for c in a), ()
+    neg_g = [mul(c, fld.p - 1) for c in b[:d]]
+    rem = list(a)
+    quot = [0] * max(len(rem) - d, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = mul(rem[shift + d], inv_lead)
+        if c:  # cancels rem[shift + d]; only the lower coefficients change
+            for j, y in enumerate(neg_g):
+                if y:
+                    rem[shift + j] = add(rem[shift + j], mul(c, y))
+    return _trim(quot), _trim(rem[:d])
+
+
+def _enc_monic(fld: Field, a) -> tuple[int, ...]:
+    if not a or a[-1] == 1:
+        return tuple(a)
+    mul, k = fld._mul, fld._inv(a[-1])
+    return tuple(mul(c, k) for c in a)
+
+
+def _enc_gcd(fld: Field, f, g) -> tuple[int, ...]:
+    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0.  Each remainder
+    must have lower degree than its divisor, else InternalInvariantError."""
+    while g:
+        r = _enc_divmod(fld, f, g)[1]
+        if len(r) >= len(g):
+            raise InternalInvariantError("Euclidean remainder did not lower the degree")
+        f, g = g, r
+    return _enc_monic(fld, f)
 
 
 class UniPoly:
@@ -41,9 +115,7 @@ class UniPoly:
 
     @classmethod
     def _trimmed(cls, field: Field, enc: list[int]) -> "UniPoly":
-        while enc and not enc[-1]:
-            enc.pop()
-        return cls(field, tuple(enc))
+        return cls(field, _trim(enc))
 
     @classmethod
     def from_elements(cls, field: Field, seq) -> "UniPoly":
@@ -96,7 +168,7 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero() or self.enc[-1] == 1:
             return self
-        return self._scaled(self.field._inv(self.enc[-1]))
+        return UniPoly(self.field, _enc_monic(self.field, self.enc))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -114,10 +186,7 @@ class UniPoly:
     def _plus(self, other: "UniPoly", k: int) -> "UniPoly":
         """self + k * other, k an encoding."""
         self._check(other)
-        add, mul = self.field._add, self.field._mul
-        return UniPoly._trimmed(self.field, [add(a, mul(k, b)) if b else a
-                                             for a, b in itertools.zip_longest(
-                                                 self.enc, other.enc, fillvalue=0)])
+        return UniPoly(self.field, _enc_plus(self.field, self.enc, other.enc, k))
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
@@ -139,16 +208,7 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.field, ())
-        add, mul = self.field._add, self.field._mul
-        out = [0] * (len(self.enc) + len(other.enc) - 1)
-        for i, a in enumerate(self.enc):
-            if a:
-                for j, b in enumerate(other.enc, i):
-                    if b:
-                        out[j] = add(out[j], mul(a, b))
-        return UniPoly._trimmed(self.field, out)
+        return UniPoly(self.field, _enc_mul(self.field, self.enc, other.enc))
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -173,20 +233,8 @@ class UniPoly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero polynomial")
-        fld = self.field
-        add, mul = fld._add, fld._mul
-        d = other.degree
-        inv_lead = fld._inv(other.enc[-1])
-        neg_g = [mul(c, fld.p - 1) for c in other.enc[:d]]
-        rem = list(self.enc)
-        quot = [0] * max(len(rem) - d, 0)
-        for shift in range(len(quot) - 1, -1, -1):
-            c = quot[shift] = mul(rem[shift + d], inv_lead)
-            if c:  # cancels rem[shift + d]; only the lower coefficients change
-                for j, b in enumerate(neg_g):
-                    if b:
-                        rem[shift + j] = add(rem[shift + j], mul(c, b))
-        return UniPoly._trimmed(fld, quot), UniPoly._trimmed(fld, rem[:d])
+        quot, rem = _enc_divmod(self.field, self.enc, other.enc)
+        return UniPoly(self.field, quot), UniPoly(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -237,9 +285,8 @@ def parse_unipoly(field: Field, text: str) -> UniPoly:
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    f._check(g)
+    return UniPoly(f.field, _enc_gcd(f.field, f.enc, g.enc))
 
 
 def _exact_poly_div(num: UniPoly, den: UniPoly) -> UniPoly:
@@ -409,105 +456,189 @@ class SmithForm:
         return "SmithForm(" + "; ".join(h.text() for h in self.invariant_factors) + ")"
 
 
-def smith_normal_form(M: PolyMatrix) -> SmithForm:
-    """Smith normal form over GF(q)[x] by elementary row/column operations.
+def _smith_chain(fld: Field, a: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The monic Smith chain of the square matrix a of coefficient tuples,
+    which it reduces in place.
 
     Pivot selection is the nonzero entry of minimal degree with row-major
-    tie-break; rows/columns are reduced by Euclidean division until clear.
-    A final gcd/lcm absorption pass between adjacent diagonal entries fixes
-    the divisibility chain.  Fully deterministic."""
-    n = M.size
-    fld = M.field
-    a = [list(r) for r in M.rows]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-
+    tie-break; the pivot row and column are reduced by Euclidean division
+    until clear.  A pass that leaves a remainder selects the pivot again,
+    and that pivot must have strictly lower degree, else the reduction is
+    broken and InternalInvariantError is raised: a pivot of degree d allows
+    at most d + 1 passes.  Then each diagonal entry in turn takes the gcd
+    of itself with every later one, which leaves it the lcm, so that the
+    chain divides; n(n-1)/2 gcds at most."""
+    n = len(a)
+    minus_one = fld.p - 1
     for t in range(n):
+        limit = None
         while True:
-            pivot = None
+            pivot, best = None, 0
             for i in range(t, n):
+                row = a[i]
                 for j in range(t, n):
-                    e = a[i][j]
-                    if not e.is_zero() and (pivot is None
-                                            or e.degree < a[pivot[0]][pivot[1]].degree):
-                        pivot = (i, j)
+                    e = row[j]
+                    if e and (pivot is None or len(e) < best):
+                        pivot, best = (i, j), len(e)
             if pivot is None:
                 break  # submatrix is all zero
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+            if limit is not None and best >= limit:
+                raise InternalInvariantError("Smith pass did not lower the pivot degree")
+            i0, j0 = pivot
+            a[t], a[i0] = a[i0], a[t]
+            if j0 != t:
+                for row in a:
+                    row[t], row[j0] = row[j0], row[t]
+            top = a[t]
+            piv = top[t]
             dirty = False
             for i in range(t + 1, n):
-                if not a[i][t].is_zero():
-                    q = a[i][t] // a[t][t]
+                row = a[i]
+                if row[t]:
+                    q = _enc_divmod(fld, row[t], piv)[0]
                     for j in range(t, n):
-                        a[i][j] = a[i][j] - q * a[t][j]
-                    if not a[i][t].is_zero():
-                        dirty = True  # remainder of smaller degree; reselect pivot
+                        if top[j]:
+                            row[j] = _enc_plus(fld, row[j], _enc_mul(fld, q, top[j]),
+                                               minus_one)
+                    dirty = dirty or bool(row[t])  # a remainder: reselect the pivot
             for j in range(t + 1, n):
-                if not a[t][j].is_zero():
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, n):
-                        a[i][j] = a[i][j] - q * a[i][t]
-                    if not a[t][j].is_zero():
-                        dirty = True
+                if top[j]:
+                    q = _enc_divmod(fld, top[j], piv)[0]
+                    for row in a[t:]:
+                        if row[t]:
+                            row[j] = _enc_plus(fld, row[j], _enc_mul(fld, q, row[t]),
+                                               minus_one)
+                    dirty = dirty or bool(top[j])
             if not dirty:
                 break
+            limit = best
 
     diag = [a[i][i] for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            f, g = diag[i], diag[i + 1]
-            if f.is_zero():
-                if not g.is_zero():
-                    diag[i], diag[i + 1] = g, f
-                    changed = True
-                continue
-            if (g % f).is_zero():
-                continue
-            d = poly_gcd(f, g)
-            diag[i], diag[i + 1] = d, _exact_poly_div(f, d) * g
-            changed = True
-    return SmithForm(tuple(h.monic() for h in diag))
+    for i in range(n):
+        for j in range(i + 1, n):
+            f, g = diag[i], diag[j]
+            if not g or len(f) == 1 or f and not _enc_divmod(fld, g, f)[1]:
+                continue  # f divides g
+            d = _enc_gcd(fld, f, g)
+            diag[i], diag[j] = d, (_enc_mul(fld, _enc_divmod(fld, f, d)[0], g) if f else ())
+    return [_enc_monic(fld, h) for h in diag]
+
+
+def smith_normal_form(M: PolyMatrix) -> SmithForm:
+    """Smith normal form over GF(q)[x] by elementary row/column operations,
+    on coefficient tuples (see _smith_chain).  Fully deterministic."""
+    fld = M.field
+    chain = _smith_chain(fld, [[e.enc for e in row] for row in M.rows])
+    return SmithForm(tuple(UniPoly(fld, h) for h in chain))
 
 
 def invariant_factors(X: "Matrix") -> tuple[UniPoly, ...]:
-    """Invariant factors of x*I - X (monic, units reported as 1)."""
-    return smith_normal_form(char_matrix(X)).invariant_factors
+    """Invariant factors of x*I - X (monic, units reported as 1).
+
+    X is reduced by a similarity to upper Hessenberg H (matfq's reduction,
+    shared with char_coeffs), which splits into k unreduced blocks at the
+    zeros of its subdiagonal.  x*I - H is then swept column by column: a
+    nonzero subdiagonal entry -h(j+1, j) is a unit, so row j+1 clears
+    column j from the first row of every block opened so far, and then row
+    j+1 and column j split off as a unit.  The k block rows and the last
+    column of each block are left: an upper triangular k x k matrix T whose
+    diagonal holds the blocks' characteristic polynomials.  The answer is
+    n - k ones followed by the Smith chain of T; when k = 1 that is the
+    characteristic polynomial alone, with no Smith form at all."""
+    if X.n_rows != X.n_cols:
+        raise ValueError("characteristic matrix requires a square matrix")
+    from .matfq import _hessenberg
+
+    fld, n = X.field, X.n_rows
+    mul, minus_one = fld._mul, fld.p - 1
+    h = _hessenberg(fld, X._encodings())
+
+    def char_row(i):  # row i of x*I - H
+        row = [(mul(e, minus_one),) if e else () for e in h[i]]
+        row[i] = _enc_plus(fld, (0, 1), (h[i][i],), minus_one)
+        return row
+
+    blocks = []  # the first row of each block, reduced so far
+    kept = []  # the last column of each block
+    for j in range(n):
+        if not (j and h[j][j - 1]):
+            blocks.append(char_row(j))
+        if j + 1 == n or not h[j + 1][j]:
+            kept.append(j)
+            continue
+        # adding r[j] / h(j+1, j) times row j+1 to a block row r clears r[j]
+        pivot_row, inv = char_row(j + 1), fld._inv(h[j + 1][j])
+        for r in blocks:
+            if r[j]:
+                g = tuple(mul(e, inv) for e in r[j])
+                for c in range(j + 1, n):
+                    if pivot_row[c]:
+                        r[c] = _enc_plus(fld, r[c], _enc_mul(fld, g, pivot_row[c]), 1)
+    one = UniPoly.one(fld)
+    k = len(kept)
+    if k == 1:
+        return (one,) * (n - 1) + (UniPoly(fld, _enc_monic(fld, blocks[0][-1])),)
+    t = [[r[c] for c in kept] for r in blocks]
+    return (one,) * (n - k) + tuple(UniPoly(fld, e) for e in _smith_chain(fld, t))
 
 
 def _poly_sort_key(g: UniPoly):
     return (g.degree, g.enc)
 
 
+def _divisors_of_factors(hs) -> tuple[UniPoly, ...]:
+    """The elementary divisors of an invariant-factor chain, sorted.
+
+    Only the last factor, the minimal polynomial, is factored: every other
+    factor divides it, so its multiplicities come from exact division by
+    the same primes."""
+    hs = [h for h in hs if h.degree >= 1]
+    if not hs:
+        return ()
+    fld = hs[-1].field
+    out: list[UniPoly] = []
+    for g, e in factor_monic(hs[-1]):
+        out.append(g**e)
+        for h in hs[:-1]:
+            rest, m = h.enc, 0
+            while len(rest) > g.degree:
+                quot, rem = _enc_divmod(fld, rest, g.enc)
+                if rem:
+                    break
+                rest, m = quot, m + 1
+            if m:
+                out.append(g**m)
+    return tuple(sorted(out, key=_poly_sort_key))
+
+
 def elementary_divisors(X: "Matrix") -> tuple[UniPoly, ...]:
     """The multiset of prime-power divisors of x*I - X, as a sorted tuple."""
-    out: list[UniPoly] = []
-    for h in invariant_factors(X):
-        if h.degree >= 1:
-            for g, e in factor_monic(h):
-                out.append(g**e)
-    return tuple(sorted(out, key=_poly_sort_key))
+    return _divisors_of_factors(invariant_factors(X))
+
+
+def _rcf_of_factors(field: Field, hs) -> "Matrix":
+    """The direct sum of the companion blocks of the nontrivial factors hs,
+    built as one encoded matrix."""
+    from .matfq import _from_encodings
+
+    n = sum(h.degree for h in hs)
+    rows = [[0] * n for _ in range(n)]
+    o = 0
+    for h in hs:
+        d = h.degree
+        if d < 1:
+            continue
+        for i in range(o, o + d - 1):
+            rows[i][i + 1] = 1
+        rows[o + d - 1][o:o + d] = [field._mul(c, field.p - 1) for c in h.enc[:d]]
+        o += d
+    return _from_encodings(field, rows)
 
 
 def rational_canonical_form(X: "Matrix") -> "Matrix":
     """Direct sum of companion blocks of the nontrivial invariant factors,
     in divisibility-chain (hence ascending-degree) order."""
-    from .matfq import companion, direct_sum
-
-    blocks = [companion(h) for h in invariant_factors(X) if h.degree >= 1]
-    out = blocks[0]
-    for b in blocks[1:]:
-        out = direct_sum(out, b)
-    return out
+    return _rcf_of_factors(X.field, invariant_factors(X))
 
 
 def companion_not_solution(f: UniPoly, a: FieldElement) -> bool:

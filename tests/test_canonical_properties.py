@@ -2,21 +2,26 @@
 
 char_coeffs (Hessenberg recurrence) is checked against the Bareiss
 determinant of x*I - X, factor_monic against is_irreducible_poly, the
-invariants against random conjugation, and the Smith form of a general
-polynomial matrix against random unimodular row and column operations."""
+invariants against random conjugation, the Smith form of a general
+polynomial matrix against random unimodular row and column operations, and
+the invariant factors (Hessenberg sweep), elementary divisors and rational
+canonical form against the full Smith form of x*I - X."""
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import random_invertible
 from ffyb import polyfq
+from ffyb.errors import InternalInvariantError
 from ffyb.gf import make_field
-from ffyb.matfq import Matrix, char_coeffs, direct_sum, parse_matrix
+from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum, parse_matrix
 from ffyb.orbits import all_labels, classify, representative
-from ffyb.polyfq import (PolyMatrix, UniPoly, char_matrix, factor_monic,
-                         invariant_factors, is_irreducible_poly, monic_polys,
+from ffyb.polyfq import (PolyMatrix, UniPoly, char_matrix, elementary_divisors,
+                         factor_monic, invariant_factors, is_irreducible_poly,
+                         monic_polys, poly_gcd, rational_canonical_form,
                          smith_normal_form)
 from ffyb.solutions import EquationInstance
 
@@ -91,6 +96,73 @@ def test_invariant_factors_form_a_chain_whose_product_is_the_determinant(X):
     for h in hs:
         prod = prod * h
     assert prod == char_matrix(X).det()
+
+
+# GF(2), GF(3), GF(4), GF(5), GF(9), GF(101), GF(23^2)
+FORM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (101, 1), (23, 2)]
+
+
+@st.composite
+def canonical_form_inputs(draw):
+    """n <= 9 matrices whose x*I - X has every Smith shape: dense, sparse,
+    nilpotent and scalar matrices, direct sums of companion blocks drawn
+    from two polynomials (so blocks repeat), their squares, and solution
+    representatives of X^2 = aX; all but the dense ones are conjugated by a
+    random invertible matrix about half the time."""
+    f = make_field(*draw(st.sampled_from(FORM_FIELDS)))
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(["dense", "sparse", "nilpotent", "scalar",
+                                  "companions", "squared", "solution"]))
+    entry = st.integers(0, f.q - 1)
+    if shape in ("dense", "sparse", "nilpotent"):
+        if shape == "sparse":
+            entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+        encs = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        if shape == "nilpotent":
+            encs = [[e if j > i else 0 for j, e in enumerate(row)]
+                    for i, row in enumerate(encs)]
+        X = Matrix(f, [[f.from_encoding(e) for e in row] for row in encs])
+    elif shape == "scalar":
+        X = Matrix.scalar(f, n, f.from_encoding(draw(entry)))
+    elif shape == "solution":
+        inst = EquationInstance(f, n, f.from_encoding(draw(st.integers(1, f.q - 1))))
+        X = representative(inst, draw(st.sampled_from(all_labels(n))))
+    else:
+        polys = [UniPoly.from_encodings(f, [*draw(st.lists(entry, min_size=1, max_size=2)), 1])
+                 for _ in range(2)]
+        X = None
+        while X is None or X.n_rows < n:
+            block = companion(draw(st.sampled_from(polys)))
+            X = block if X is None else direct_sum(X, block)
+        if shape == "squared":
+            X = X * X
+    if shape != "dense" and draw(st.booleans()):
+        P = random_invertible(random.Random(draw(st.integers(0, 2**32))), f, X.n_rows)
+        X = P * X * P.inverse()
+    return X
+
+
+def reference_invariant_factors(X):
+    return smith_normal_form(char_matrix(X)).invariant_factors
+
+
+@settings(deadline=None, max_examples=200)
+@given(canonical_form_inputs())
+def test_invariant_factors_equal_the_full_smith_form(X):
+    hs = reference_invariant_factors(X)
+    assert invariant_factors(X) == hs
+    blocks = [companion(h) for h in hs if h.degree >= 1]
+    want_rcf = blocks[0]
+    for b in blocks[1:]:
+        want_rcf = direct_sum(want_rcf, b)
+    assert rational_canonical_form(X) == want_rcf
+    # Factoring a minimal polynomial of degree >= 4 over GF(101) or GF(23^2)
+    # runs trial division by ~10^4 or ~3*10^5 monic quadratics.
+    if X.field.q <= 9 or hs[-1].degree <= 3:
+        want_ed = sorted((g**e for h in hs if h.degree >= 1 for g, e in factor_monic(h)),
+                         key=lambda g: (g.degree, g.enc))
+        assert elementary_divisors(X) == tuple(want_ed)
 
 
 @st.composite
@@ -233,3 +305,56 @@ def test_factor_monic_runs_no_irreducibility_test(monkeypatch):
 def test_from_encodings_rejects_out_of_range_coefficients():
     with pytest.raises(ValueError):
         UniPoly.from_encodings(make_field(5), [1, 5])
+
+
+def test_invariant_factors_do_not_build_the_characteristic_matrix(monkeypatch):
+    f = make_field(5)
+    X = parse_matrix(f, "1,0,0,0;0,1,0,0;0,0,2,1;3,0,0,2")
+    want = reference_invariant_factors(X)
+
+    def refuse(X):
+        raise AssertionError("char_matrix called")
+    monkeypatch.setattr(polyfq, "char_matrix", refuse)
+    assert invariant_factors(X) == want
+
+
+def test_invariant_factors_of_a_cyclic_matrix_run_no_smith_form(monkeypatch):
+    f = make_field(101)
+    g = UniPoly.from_encodings(f, [3, 0, 7, 1, 0, 1])
+    P = random_invertible(random.Random(10), f, 5)
+    X = P * companion(g) * P.inverse()
+
+    def refuse(*args):
+        raise AssertionError("Smith form called")
+    monkeypatch.setattr(polyfq, "smith_normal_form", refuse)
+    monkeypatch.setattr(polyfq, "_smith_chain", refuse)
+    assert invariant_factors(X) == (UniPoly.one(f),) * 4 + (g,)
+
+
+def raises_internal_error_within(seconds, fn, *args):
+    """Whether fn(*args) raised InternalInvariantError, run in a daemon
+    thread so that a call that spins fails the test instead of hanging it."""
+    raised = []
+
+    def run():
+        try:
+            fn(*args)
+        except InternalInvariantError as exc:
+            raised.append(exc)
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"{fn.__name__} is still running"
+    return bool(raised)
+
+
+def test_smith_form_and_gcd_with_a_broken_division_raise_instead_of_spinning(monkeypatch):
+    f = make_field(3)
+    M = char_matrix(parse_matrix(f, "1,2,0;0,1,1;2,0,2"))
+    g, h = UniPoly.from_encodings(f, [1, 1]), UniPoly.from_encodings(f, [2, 1])
+
+    def no_progress(fld, a, b):
+        return (), tuple(a)  # quotient 0: the dividend is its own remainder
+    monkeypatch.setattr(polyfq, "_enc_divmod", no_progress)
+    assert raises_internal_error_within(30, smith_normal_form, M)
+    assert raises_internal_error_within(30, poly_gcd, g, h)

@@ -86,6 +86,24 @@ def test_smith_command(capsys):
     assert rep["rational_canonical_form"] == "0,1;0,1"
 
 
+def test_smith_command_computes_the_invariant_factors_once(monkeypatch, capsys):
+    from ffyb import polyfq
+
+    calls = []
+    real = polyfq.invariant_factors
+
+    def counted(X):
+        calls.append(X)
+        return real(X)
+    monkeypatch.setattr(polyfq, "invariant_factors", counted)
+    rep = run_json(capsys, "smith", "--p", "3", "--n", "3", "--a", "1",
+                   "--matrix", "1,0,0;0,1,0;0,0,2")
+    assert len(calls) == 1
+    assert rep["invariant_factors"] == ["1", "2,1", "2,0,1"]
+    assert rep["elementary_divisors"] == ["1,1", "2,1", "2,1"]
+    assert rep["rational_canonical_form"] == "1,0,0;0,0,1;0,1,0"
+
+
 def test_enumerate_with_list(capsys):
     rep = run_json(capsys, "enumerate", "--p", "2", "--n", "2", "--a", "1", "--list")
     assert rep["total"] == "8"

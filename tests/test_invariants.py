@@ -1,10 +1,12 @@
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
-from ffyb.invariants import (image_points, minimal_separating_subsets,
+from ffyb.invariants import (_minimal_subsets, image_points, minimal_separating_subsets,
                              orbit_invariants, separation_report,
                              subset_separates, trace_separates)
 from ffyb.matfq import char_coeffs
@@ -204,3 +206,33 @@ def test_minimal_subsets_match_bitmask_brute_force(p, s):
         for enc in range(1, f.q):
             got = minimal_separating_subsets(EquationInstance(f, n, f.from_encoding(enc)))
             assert got == _bitmask_minimal_subsets(f, n, enc), (n, enc)
+
+
+@st.composite
+def mask_sets(draw):
+    """n <= 8 and a set of 1..6 nonzero masks over n coordinates: random
+    hitting-set instances, most with several minimal subsets."""
+    n = draw(st.integers(1, 8))
+    return n, draw(st.sets(st.integers(1, 2**n - 1), min_size=1, max_size=6))
+
+
+def brute_force_minimal_subsets(diffs, n):
+    """Every subset of 1..n in (size, tuple) order, kept when it meets every
+    mask and no proper subset does."""
+    def separates(s):
+        mask = sum(1 << (i - 1) for i in s)
+        return all(mask & d for d in diffs)
+
+    found = []
+    for size in range(n + 1):
+        for s in combinations(range(1, n + 1), size):
+            if separates(s) and not any(set(m) < set(s) for m in found):
+                found.append(s)
+    return found
+
+
+@settings(deadline=None, max_examples=200)
+@given(mask_sets())
+def test_subset_sweep_equals_brute_force_enumeration(case):
+    n, diffs = case
+    assert _minimal_subsets(diffs, n) == brute_force_minimal_subsets(diffs, n)
