@@ -180,6 +180,12 @@ def cmd_smith(args) -> tuple[dict, int]:
     if X.n_rows != X.n_cols:
         raise ValueError("smith expects a square matrix")
     factors = polyfq.invariant_factors(X)
+    # only the minimal polynomial, the last factor, is factored
+    trials = polyfq.trial_divisors(inst.q, factors[-1].degree)
+    budget = args.budget or polyfq.DEFAULT_FACTOR_BUDGET
+    if trials > budget:
+        raise BudgetExceededError(trials, budget, "factoring the minimal polynomial",
+                                  "trial divisors")
     report = _base_report("smith", inst, extras)
     report.update({
         "matrix": X.text(),
@@ -210,7 +216,7 @@ def cmd_ideal(args) -> tuple[dict, int]:
     if args.verify:
         check = ideal_mod.verify_variety(
             inst, budget=args.budget or ideal_mod.DEFAULT_VARIETY_BUDGET)
-        report["variety"] = [[c.encoding for c in pt] for pt in check.points]
+        report["variety"] = [list(pt) for pt in check.points]
         report["verdict"] = check.equal
         if not check.equal:
             code = 1

@@ -32,13 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from . import scan
 from .errors import BudgetExceededError, InternalInvariantError
 from .gf import Field, FieldElement
-from .invariants import image_points
+from .invariants import _image_encodings
 from .solutions import EquationInstance
 
 DEFAULT_VARIETY_BUDGET = 10**7
@@ -145,43 +146,83 @@ class GeneratorSet:
     generators: tuple[MultiPoly, ...]
 
 
-def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet:
-    """The quadratic generating set in n >= 2 variables: the g_{k,i} of the
-    module docstring, ordered (2,2), (2,1), (1,1), then for k = 3..n the
-    pairs (k,k), (k,k-1), ..., (k,1)."""
+class _Terms(NamedTuple):
+    """Nonzero polynomials as encoded terms, one row per term: polynomial g
+    owns rows start[g]..start[g+1]-1.  coef[j] is the coefficient encoding
+    of term j and fac[j] the 0-based variables it multiplies, one per unit
+    of degree, padded with -1 to at least one column."""
+
+    start: np.ndarray
+    coef: np.ndarray
+    fac: np.ndarray
+
+
+def _generator_terms(inst: EquationInstance, n: int) -> _Terms:
+    """The g_{k,i} of the module docstring in n >= 2 variables, ordered (2,2),
+    (2,1), (1,1), then for k = 3..n the pairs (k,k), (k,k-1), ..., (k,1).
+    Each generator's terms are x_i x_k, then x_m for m = k..min(n, i+k)
+    wherever C(m,k) C(k,m-i) is nonzero in the field."""
     inst.require_nonzero_a()
-    n = inst.n if n is None else n
     if n < 2:
         raise ValueError("generating set requires n >= 2")
-    fld, a = inst.field, inst.a
-    mul = fld._mul
-    neg_powers = [fld.p - 1]  # encodings of -a^0..-a^n
+    fld = inst.field
+    p, mul = fld.p, fld._mul
+    neg_powers = [p - 1]  # encodings of -a^0..-a^n
     for _ in range(n):
-        neg_powers.append(mul(neg_powers[-1], a.encoding))
-    zeros = (0,) * n
-    # units[m] is the exponent vector of x_m
-    units = [zeros] + [zeros[:m - 1] + (1,) + zeros[m:] for m in range(1, n + 1)]
-    one = fld.one()
-
+        neg_powers.append(mul(neg_powers[-1], inst.a.encoding))
+    binom = [[1] + [0] * n]  # C(m, k) mod p
+    for m in range(1, n + 1):
+        prev = binom[-1]
+        binom.append([1] + [(prev[k - 1] + prev[k]) % p for k in range(1, n + 1)])
     pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
                                         for i in range(k, 0, -1)]
-    gens = []
+    start, rows = [], []  # rows: (coefficient, factor, factor or -1)
     for k, i in pairs:
-        if i == k:
-            lead = zeros[:k - 1] + (2,) + zeros[k:]
-        else:
-            lead = zeros[:i - 1] + (1,) + zeros[i:k - 1] + (1,) + zeros[k:]
-        terms = {lead: one}
+        start.append(len(rows))
+        rows.append((1, i - 1, k - 1))
         for m in range(k, min(n, i + k) + 1):
-            c = comb(m, k) * comb(k, m - i) % fld.p
+            c = binom[m][k] * binom[k][m - i] % p
             if c:
-                terms[units[m]] = FieldElement(fld, mul(c, neg_powers[i + k - m]))
-        gens.append(MultiPoly(fld, n, terms))
-    if len(gens) != comb(n + 1, 2):
+                rows.append((mul(c, neg_powers[i + k - m]), m - 1, -1))
+    start.append(len(rows))
+    rows = np.array(rows)
+    terms = _Terms(np.array(start), rows[:, 0], rows[:, 1:])
+    if len(terms.start) - 1 != comb(n + 1, 2):
         raise InternalInvariantError("generator count is off")
-    if any(g.total_degree() > 2 for g in gens):
+    if (terms.fac >= 0).sum(axis=1).max() > 2:
         raise InternalInvariantError("generator of degree > 2")
-    return GeneratorSet(n, a, tuple(gens))
+    return terms
+
+
+def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet:
+    """The quadratic generating set in n >= 2 variables, as MultiPolys in the
+    order of _generator_terms."""
+    n = inst.n if n is None else n
+    fld = inst.field
+    start, coef, fac = (v.tolist() for v in _generator_terms(inst, n))
+    gens = []
+    for lo, hi in zip(start, start[1:]):
+        poly = {}
+        for c, fs in zip(coef[lo:hi], fac[lo:hi]):
+            exps = [0] * n
+            for v in fs:
+                if v >= 0:
+                    exps[v] += 1
+            poly[tuple(exps)] = FieldElement(fld, c)
+        gens.append(MultiPoly(fld, n, poly))
+    return GeneratorSet(n, inst.a, tuple(gens))
+
+
+def _encoded_terms(gens: GeneratorSet) -> _Terms:
+    """The nonzero polynomials of any generator set as encoded terms; the
+    zero polynomial vanishes everywhere and is left out."""
+    polys = [[(c.encoding, [v for v, e in enumerate(exps) for _ in range(e)])
+              for exps, c in g.terms.items()] for g in gens.generators if g.terms]
+    degree = max([1] + [len(fs) for terms in polys for _, fs in terms])
+    start = np.cumsum([0] + [len(terms) for terms in polys])
+    rows = [(c, *fs, *[-1] * (degree - len(fs))) for terms in polys for c, fs in terms]
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), degree + 1)
+    return _Terms(start, rows[:, 0], rows[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +232,8 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
 # variables from x_n down, so its digit t is x_{n-t} and the points whose
 # last t coordinates are fixed share the prefix index below q^t.
 
-def variety(gens: GeneratorSet, field: Field, *,
-            budget: int = DEFAULT_VARIETY_BUDGET) -> list[tuple[FieldElement, ...]]:
-    """All common zeros in F_q^n, in ascending point-encoding order."""
-    n = gens.n
+def _common_zeros(terms: _Terms, n: int, field: Field, budget: int) -> np.ndarray:
+    """The point indices, ascending, where every encoded polynomial vanishes."""
     q = field.q
     space = q**n
     limit = min(budget, scan.INDEX_LIMIT)
@@ -202,48 +241,90 @@ def variety(gens: GeneratorSet, field: Field, *,
         raise BudgetExceededError(space, limit, "variety scan")
     tabs = scan.Tables(field, budget)
     add, mul = tabs.add, tabs.mul
-    # each term as (coefficient, scan digit per factor), each generator in the
-    # layer where the lowest-index variable it reads is fixed (0 for a
-    # constant); the zero polynomial vanishes everywhere and is left out
-    layers = [[] for _ in range(n + 1)]
-    reads = {}  # exponent vector -> scan digit per factor, descending
-    for g in gens.generators:
-        terms = []
-        for exps, c in g.terms.items():
-            if exps not in reads:
-                reads[exps] = [n - 1 - v for v, e in enumerate(exps) for _ in range(e)]
-            terms.append((c.encoding, reads[exps]))
-        if terms:
-            layers[max((fs[0] + 1 for _, fs in terms if fs), default=0)].append(terms)
+    powers = q ** np.arange(n + 1, dtype=np.int64)[:, None]
+    # The scan digit of a factor x_{v+1} is n-1-v; the padding -1 becomes
+    # digit n, which every prefix index has as 0 and which stands for the
+    # constant 1.  A polynomial sits in the layer where the lowest-index
+    # variable it reads is fixed, 0 for a constant.
+    first = terms.start[:-1]
+    size = np.diff(terms.start)
+    digit = n - 1 - terms.fac
+    layer = np.maximum.reduceat(((digit + 1) % (n + 1)).max(axis=1), first) \
+        if len(first) else first
+    order = np.argsort(layer, kind="stable")
+    ends = np.searchsorted(layer[order], np.arange(n + 2)).tolist()
+    # the (width x polynomials x degree) grid of factor digits, polynomials
+    # by layer, and the matching grid of coefficients times q, both padded
+    # with zero coefficients to a power-of-two width
+    run = np.repeat(np.argsort(order), size)
+    col = np.arange(len(digit)) - np.repeat(first, size)
+    wide = size[order]
+    digits = np.full((_pow2(size.max(initial=1)), len(first), digit.shape[1]), n)
+    digits[col, run] = digit
+    coef = np.zeros(digits.shape[:2] + (1,), dtype=np.int64)
+    coef[col, run, 0] = terms.coef * q
+    widths = {}
+    blocks = {}
+
+    def block(g0: int, g1: int, w: int):
+        # the powers that decode the digits the block reads, ascending, so
+        # that a row of ones comes last, and per degree the (width x block)
+        # grid of rows into them
+        grid = digits[:w, g0:g1]
+        reads = np.zeros(n + 1, dtype=bool)
+        reads[grid] = True
+        read = np.flatnonzero(reads)
+        rows = [np.searchsorted(read, grid[..., d]) for d in range(grid.shape[2])]
+        return powers[read], bool(reads[n]), rows, coef[:w, g0:g1]
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
-        coords = {}  # digit f of every index in idx, decoded on first use
-        for terms in layers[t]:
-            vals = None
-            for enc, factors in terms:
-                term = None
-                for f in factors:
-                    if f not in coords:
-                        coords[f] = idx // q**f % q
-                    term = coords[f] if term is None else mul[term * q + coords[f]]
-                if term is None:
-                    term = np.full(len(idx), enc, dtype=np.int64)
-                elif enc != 1:
-                    term = mul[enc * q + term]
-                vals = term if vals is None else add[vals * q + term]
-            zero = vals == 0
-            if not zero.all():
-                idx = idx[zero]
-                if not len(idx):
-                    break
-                coords = {f: c[zero] for f, c in coords.items()}
+        g0, end = ends[t], ends[t + 1]
+        if g0 < end and t not in widths:
+            widths[t] = _pow2(wide[g0:end].max())
+        while g0 < end and len(idx):
+            g1 = min(end, g0 + max(1, scan.CHUNK // (len(idx) * widths[t])))
+            if (g0, g1) not in blocks:
+                blocks[g0, g1] = block(g0, g1, widths[t])
+            pw, ones, rows, cq = blocks[g0, g1]
+            # in place where possible: at full depth idx holds a whole chunk
+            stack = idx // pw
+            stack %= q
+            if ones:
+                stack[-1] = 1
+            vals = stack[rows[0]]
+            for r in rows[1:]:
+                vals *= q
+                vals += stack[r]
+                vals = mul[vals]
+            del stack
+            vals += cq
+            vals = mul[vals]
+            while len(vals) > 1:  # pairwise sums of the halves
+                h = len(vals) // 2
+                low = vals[:h]
+                low *= q
+                low += vals[h:]
+                vals = add[low]
+            idx = idx[~vals[0].any(axis=0)]
+            g0 = g1
         return idx
 
     idx = scan.pruned(q, n, prune)
-    # reverse the scan digits into point encodings
-    pts = np.sort(scan.encode(q, scan.decode(q, n, idx)[::-1]))
+    # digit t of a scan index is x_{n-t}, worth q^(n-1-t) in the point index
+    return np.sort(powers[n - 1::-1, 0] @ (idx // powers[:n] % q))
+
+
+def _pow2(w: int) -> int:
+    """The least power of two >= w."""
+    return 1 << (int(w) - 1).bit_length()
+
+
+def variety(gens: GeneratorSet, field: Field, *,
+            budget: int = DEFAULT_VARIETY_BUDGET) -> list[tuple[FieldElement, ...]]:
+    """All common zeros in F_q^n, in ascending point-encoding order."""
+    idx = _common_zeros(_encoded_terms(gens), gens.n, field, budget)
     return [tuple(map(field.from_encoding, row))
-            for row in scan.decode(q, n, pts).T.tolist()]
+            for row in scan.decode(field.q, gens.n, idx).T.tolist()]
 
 
 @dataclass(frozen=True)
@@ -256,7 +337,8 @@ class VarietyCheck:
     variety_size: int
     image_size: int
     equal: bool
-    points: tuple = dc_field(default=(), compare=False, repr=False)  # the scanned variety
+    # the scanned variety, each point as its coordinate encodings
+    points: tuple = dc_field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -273,11 +355,13 @@ def verify_variety(inst: EquationInstance, *,
                    budget: int = DEFAULT_VARIETY_BUDGET) -> VarietyCheck:
     """Scan the variety of the generating set and compare it, as a set, with
     the n+1 orbit image points."""
-    gens = generating_set(inst)
-    pts = variety(gens, inst.field, budget=budget)
-    img = {p.coords for p in image_points(inst)}
+    n, q = inst.n, inst.q
+    idx = _common_zeros(_generator_terms(inst, n), n, inst.field, budget)
+    img = sorted({sum(c * q**i for i, c in enumerate(row))
+                  for row in _image_encodings(inst)})
     return VarietyCheck(
-        n=inst.n, q=inst.q, a_encoding=inst.a.encoding,
-        variety_size=len(pts), image_size=len(img),
-        equal=set(pts) == img, points=tuple(pts),
+        n=n, q=q, a_encoding=inst.a.encoding,
+        variety_size=len(idx), image_size=len(img),
+        equal=idx.tolist() == img,
+        points=tuple(map(tuple, scan.decode(q, n, idx).T.tolist())),
     )

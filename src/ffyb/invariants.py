@@ -65,29 +65,32 @@ def image_points(inst: EquationInstance) -> list[ImagePoint]:
 
     Raises if any two coincide: with a != 0 they are always pairwise
     distinct, so a duplicate signals an implementation bug."""
+    fld = inst.field
+    return [ImagePoint(j, tuple(FieldElement(fld, c) for c in row))
+            for j, row in enumerate(_image_encodings(inst))]
+
+
+def _image_encodings(inst: EquationInstance) -> list[tuple[int, ...]]:
+    """The coordinate encodings of the image points, as in image_points."""
     inst.require_nonzero_a()
     n, fld = inst.n, inst.field
     mul = fld._mul
     powers = [inst.a.encoding]  # encodings of a^1..a^n
     for _ in range(n - 1):
         powers.append(mul(powers[-1], powers[0]))
-    pts = []
-    for j in range(n + 1):
-        coords = tuple(FieldElement(fld, mul(comb(j, i) % fld.p, ai))
-                       for i, ai in enumerate(powers, 1))
-        pts.append(ImagePoint(j, coords))
-    if len({p.coords for p in pts}) != n + 1:
+    rows = [tuple(mul(comb(j, i) % fld.p, ai) for i, ai in enumerate(powers, 1))
+            for j in range(n + 1)]
+    if len(set(rows)) != n + 1:
         raise InternalInvariantError("image points are not pairwise distinct")
-    return pts
+    return rows
 
 
 def _difference_masks(inst: EquationInstance) -> set[int]:
     """For each pair of image points, the bitmask of the coordinates where
     they differ, bit i-1 standing for coordinate i.  A coordinate subset
     separates the orbits iff its bitmask meets every one of these masks."""
-    rows = [[c.encoding for c in p.coords] for p in image_points(inst)]
     return {sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x != y)
-            for r, s in combinations(rows, 2)}
+            for r, s in combinations(_image_encodings(inst), 2)}
 
 
 def subset_separates(inst: EquationInstance, subset) -> bool:

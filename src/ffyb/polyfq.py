@@ -325,6 +325,16 @@ def monic_irreducibles(field: Field, degree: int):
             yield g
 
 
+DEFAULT_FACTOR_BUDGET = 10**6
+
+
+def trial_divisors(q: int, degree: int) -> int:
+    """An upper bound on the candidate divisors factor_monic tries on a
+    polynomial of the given degree over GF(q): the q roots, then the q^d
+    monic polynomials of each degree d = 2..degree/2."""
+    return q + sum(q**d for d in range(2, degree // 2 + 1))
+
+
 def factor_monic(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Factor a nonzero polynomial into monic irreducibles with multiplicity.
 

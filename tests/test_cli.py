@@ -104,6 +104,44 @@ def test_smith_command_computes_the_invariant_factors_once(monkeypatch, capsys):
     assert rep["rational_canonical_form"] == "1,0,0;0,0,1;0,1,0"
 
 
+def block_companion(p, *tails):
+    """The matrix text, over GF(p), of the direct sum of the companion
+    matrices of the monic polynomials x^d + tail, constant term first."""
+    n = sum(len(t) for t in tails)
+    rows = [[0] * n for _ in range(n)]
+    o = 0
+    for tail in tails:
+        d = len(tail)
+        for i in range(1, d):
+            rows[o + i][o + i - 1] = 1
+        for i, c in enumerate(tail):
+            rows[o + i][o + d - 1] = -c % p
+        o += d
+    return ";".join(",".join(map(str, r)) for r in rows)
+
+
+def test_smith_refuses_to_factor_beyond_the_budget(capsys):
+    # x^3 + x + 1 and x^3 + x + 3 are irreducible over GF(101): factoring
+    # their product tries up to 101 + 101^2 + 101^3 = 1040603 divisors
+    matrix = block_companion(101, (1, 1, 0), (3, 1, 0))
+    code, out, err = run_cli(capsys, "smith", "--p", "101", "--n", "6", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert "needs 1040603 trial divisors, budget is 1000000" in err
+
+
+def test_smith_runs_when_the_budget_covers_the_trial_divisors(capsys):
+    # x^2 + x + 1 and x^2 + 2 are irreducible over GF(5); their product
+    # needs 5 + 5^2 = 30 trial divisors
+    argv = ("smith", "--p", "5", "--n", "4", "--matrix", block_companion(5, (1, 1), (2, 0)))
+    code, out, err = run_cli(capsys, *argv, "--budget", "29")
+    assert code == 2 and out == ""
+    assert "needs 30 trial divisors, budget is 29" in err
+    rep = run_json(capsys, *argv, "--budget", "30")
+    assert rep["invariant_factors"] == ["1", "1", "1", "2,2,3,1,1"]
+    assert rep["elementary_divisors"] == ["1,1,1", "2,0,1"]
+
+
 def test_enumerate_with_list(capsys):
     rep = run_json(capsys, "enumerate", "--p", "2", "--n", "2", "--a", "1", "--list")
     assert rep["total"] == "8"
@@ -149,8 +187,8 @@ def test_ideal_verify_scans_the_variety_once(capsys, monkeypatch):
     import ffyb.ideal
 
     calls = []
-    scan = ffyb.ideal.variety
-    monkeypatch.setattr(ffyb.ideal, "variety",
+    scan = ffyb.ideal._common_zeros
+    monkeypatch.setattr(ffyb.ideal, "_common_zeros",
                         lambda *a, **k: calls.append(a) or scan(*a, **k))
     rep = run_json(capsys, "ideal", "--p", "3", "--n", "3", "--a", "2", "--verify")
     assert rep["verdict"] is True

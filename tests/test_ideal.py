@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from ffyb import scan
+from ffyb import ideal, scan
+from ffyb.cli import main
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import all_elements, make_field
 from ffyb.ideal import (GeneratorSet, MultiPoly, generating_set, variety,
@@ -219,3 +220,71 @@ def test_serialization_order_is_graded_lex():
     f11 = generating_set(inst, 2).generators[2]
     # x1^2 leads, then the degree-1 tail with x1 before x2
     assert f11.to_pairs() == [[[2, 0], 1], [[1, 0], 4], [[0, 1], 3]]
+
+
+def test_generating_set_is_the_encoded_terms_as_multipolys():
+    # over the fields of the verify-all separation check, rebuilt term by
+    # term from the encoded terms, and from the formula of the module
+    # docstring with field-element arithmetic
+    for p, s in VARIETY_FIELDS:
+        f = make_field(p, s)
+        for enc in range(1, f.q):
+            a = f.from_encoding(enc)
+            for n in range(2, 13):
+                inst = EquationInstance(f, n, a)
+                got = generating_set(inst).generators
+                start, coef, fac = ideal._generator_terms(inst, n)
+                rebuilt = []
+                for lo, hi in zip(start, start[1:]):
+                    poly = MultiPoly(f, n, {})
+                    for c, vs in zip(coef[lo:hi], fac[lo:hi]):
+                        exps = [0] * n
+                        for v in vs[vs >= 0]:
+                            exps[v] += 1
+                        poly = poly + MultiPoly.monomial(f, n, exps, f.from_encoding(int(c)))
+                    rebuilt.append(poly)
+                assert got == tuple(rebuilt)
+                if n in (2, 5, 12):
+                    assert got == formula_generators(f, n, a)
+
+
+def formula_generators(f, n, a):
+    unit = [tuple(int(v == m - 1) for v in range(n)) for m in range(n + 1)]
+    pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
+                                        for i in range(k, 0, -1)]
+    gens = []
+    for k, i in pairs:
+        lead = tuple(int(v == i - 1) + int(v == k - 1) for v in range(n))
+        g = MultiPoly.monomial(f, n, lead, f.one())
+        for m in range(k, min(n, i + k) + 1):
+            c = f.from_int(comb(m, k) * comb(k, m - i)) * a ** (i + k - m)
+            g = g - MultiPoly.monomial(f, n, unit[m], c)
+        gens.append(g)
+    return tuple(gens)
+
+
+def perturb_first_linear_coefficient(monkeypatch):
+    """Make the encoded builder add 1 to the coefficient of x_2 in g_{2,2}."""
+    real = ideal._generator_terms
+
+    def perturbed(inst, n):
+        terms = real(inst, n)
+        coef = terms.coef.copy()
+        j = terms.start[0] + 1
+        coef[j] = inst.field._add(int(coef[j]), 1)
+        return terms._replace(coef=coef)
+    monkeypatch.setattr(ideal, "_generator_terms", perturbed)
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 2), (3, 1, 4), (2, 2, 3), (5, 1, 5)])
+def test_a_perturbed_linear_coefficient_fails_verify_variety(monkeypatch, p, s, n):
+    inst = instance(p, s, n)
+    assert verify_variety(inst).equal
+    perturb_first_linear_coefficient(monkeypatch)
+    assert not verify_variety(inst).equal
+
+
+def test_a_perturbed_linear_coefficient_fails_verify_all(monkeypatch, capsys):
+    perturb_first_linear_coefficient(monkeypatch)
+    assert main(["verify-all", "--only", "variety", "--output", "table"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  variety: variety mismatch")

@@ -17,6 +17,7 @@ from ffyb.solutions import EquationInstance, brute_force_indices, is_solution
 
 SCAN_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)]  # GF(2), GF(4), GF(5), GF(8), GF(9)
 VARIETY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]  # GF(2), GF(3), GF(4), GF(5)
+PROPERTY_FIELDS = VARIETY_FIELDS + [(2, 3), (3, 2)]  # and GF(8), GF(9)
 
 
 @st.composite
@@ -140,6 +141,44 @@ def test_pruned_variety_matches_evaluation_at_every_point(case, chunk):
         assert variety(gens, f) == want
 
 
+@st.composite
+def one_layer_generator_sets(draw):
+    """Up to 12 polynomials that all read x_j and otherwise only x_j..x_n,
+    so the scan tests them in one layer, with 1 to 5 terms of degree <= 3
+    each, plus at most one constant polynomial, over fields with q^n <= 4096."""
+    f = make_field(*draw(st.sampled_from(PROPERTY_FIELDS)))
+    n = draw(st.integers(1, max(n for n in range(1, 13) if f.q**n <= 4096)))
+    j = draw(st.integers(0, n - 1))
+    var = st.integers(j, n - 1)
+
+    def exps(vs):
+        return tuple(vs.count(v) for v in range(n))
+    coef = st.integers(1, f.q - 1).map(f.from_encoding)
+    polys = []
+    for _ in range(draw(st.integers(1, 12))):
+        lead = exps([j] + draw(st.lists(var, max_size=2)))
+        terms = draw(st.dictionaries(st.lists(var, max_size=3).map(exps), coef, max_size=4))
+        terms[lead] = draw(coef)
+        polys.append(MultiPoly(f, n, terms))
+    for c in draw(st.lists(st.integers(0, f.q - 1), max_size=1)):
+        polys.insert(draw(st.integers(0, len(polys))),
+                     MultiPoly(f, n, {(0,) * n: f.from_encoding(c)}))
+    return f, GeneratorSet(n, f.one(), tuple(polys))
+
+
+@settings(deadline=None, max_examples=60)
+@given(one_layer_generator_sets(), st.sampled_from([1, 1, 5, 64, 4096]))
+def test_batched_layer_matches_evaluation_at_every_point(case, chunk):
+    # CHUNK = 1 makes every block one polynomial, so a layer splits into
+    # blocks of different widths
+    f, gens = case
+    elems = all_elements(f)
+    want = [pt[::-1] for pt in product(elems, repeat=gens.n)
+            if all(g.evaluate(pt[::-1]).is_zero() for g in gens.generators)]
+    with mock.patch.object(scan, "CHUNK", chunk):
+        assert variety(gens, f) == want
+
+
 def test_variety_without_pruning_holds_one_chunk_per_depth():
     # The scan fixes x_20 first, so each generator x_i + x_20 is tested as
     # soon as x_i is fixed, at depth 21 - i: from depth 2 on only the
@@ -167,6 +206,29 @@ def test_variety_without_pruning_from_the_last_variable_holds_one_chunk_per_dept
     unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
     gens = GeneratorSet(n, one, tuple(
         MultiPoly(f, n, {unit[0]: one, unit[i]: one}) for i in range(1, n)))
+    tracemalloc.start()
+    try:
+        got = variety(gens, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [(f.zero(),) * n, (one,) * n]
+    assert peak < 8 * 10**6
+
+
+def test_variety_of_one_full_layer_holds_one_chunk_at_a_time():
+    # all 38 generators x_1 + x_i and x_1 x_i + x_i read x_1, which the scan
+    # fixes last, so they share the last layer, and at full depth a chunk of
+    # prefixes lets each block hold only one of them
+    f = make_field(2)
+    n, one = 20, f.one()
+    unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    both = [tuple(int(v in (0, i)) for v in range(n)) for i in range(n)]
+    gens = []
+    for i in range(1, n):
+        gens.append(MultiPoly(f, n, {unit[0]: one, unit[i]: one}))
+        gens.append(MultiPoly(f, n, {both[i]: one, unit[i]: one}))
+    gens = GeneratorSet(n, one, tuple(gens))
     tracemalloc.start()
     try:
         got = variety(gens, f)
