@@ -174,14 +174,19 @@ def _generator_terms(inst: EquationInstance, n: int) -> _Terms:
     for m in range(1, n + 1):
         prev = binom[-1]
         binom.append([1] + [(prev[k - 1] + prev[k]) % p for k in range(1, n + 1)])
+    # per k, the m >= k with C(m, k) nonzero mod p, and C(m, k)
+    nonzero = [[(m, binom[m][k]) for m in range(k, n + 1) if binom[m][k]]
+               for k in range(n + 1)]
     pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
                                         for i in range(k, 0, -1)]
     start, rows = [], []  # rows: (coefficient, factor, factor or -1)
     for k, i in pairs:
         start.append(len(rows))
         rows.append((1, i - 1, k - 1))
-        for m in range(k, min(n, i + k) + 1):
-            c = binom[m][k] * binom[k][m - i] % p
+        for m, b in nonzero[k]:
+            if m > i + k:
+                break
+            c = b * binom[k][m - i] % p
             if c:
                 rows.append((mul(c, neg_powers[i + k - m]), m - 1, -1))
     start.append(len(rows))
@@ -189,7 +194,7 @@ def _generator_terms(inst: EquationInstance, n: int) -> _Terms:
     terms = _Terms(np.array(start), rows[:, 0], rows[:, 1:])
     if len(terms.start) - 1 != comb(n + 1, 2):
         raise InternalInvariantError("generator count is off")
-    if (terms.fac >= 0).sum(axis=1).max() > 2:
+    if terms.fac.shape[1] > 2:
         raise InternalInvariantError("generator of degree > 2")
     return terms
 
@@ -357,11 +362,11 @@ def verify_variety(inst: EquationInstance, *,
     the n+1 orbit image points."""
     n, q = inst.n, inst.q
     idx = _common_zeros(_generator_terms(inst, n), n, inst.field, budget)
-    img = sorted({sum(c * q**i for i, c in enumerate(row))
-                  for row in _image_encodings(inst)})
+    # the image points are pairwise distinct, or _image_encodings raises
+    img = np.sort(np.array(_image_encodings(inst)) @ q ** np.arange(n, dtype=np.int64))
     return VarietyCheck(
         n=n, q=q, a_encoding=inst.a.encoding,
         variety_size=len(idx), image_size=len(img),
-        equal=idx.tolist() == img,
+        equal=idx.tolist() == img.tolist(),
         points=tuple(map(tuple, scan.decode(q, n, idx).T.tolist())),
     )
