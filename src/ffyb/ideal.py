@@ -15,17 +15,27 @@ the formula solves it in every characteristic.
 
 The variety is the independent oracle for the claim that it equals the n+1
 image points, and it decides every one of the q^n points by evaluating the
-generators.  It does so by extending prefixes (scan.pruned) with the
-variables fixed from x_n down, so a prefix of length t fixes x_n..x_{n-t+1}.
-Each generator sits in the layer where the lowest-index variable it reads is
-fixed, and is tested on the prefixes of that length; since g_{k,i} reads
-only x_i..x_n, g_{n,n} = x_n^2 - a^n x_n already rules out all but two
-values of x_n.  A prefix on which a generator is nonzero is dropped
-unextended, and that is exact: the generator reads only prefix variables,
-so it is nonzero at every completion of the prefix.  The survivors are
-mapped back to the point encoding and sorted.  The budget still counts all
-q^n points, and is checked before any table is built; more than
-scan.INDEX_LIMIT points are refused whatever the budget.
+generators.  It runs on integer encodings: _generator_terms builds the
+g_{k,i} once as encoded terms (a coefficient encoding and the variables the
+term multiplies), generating_set wraps them in MultiPolys, and variety turns
+any GeneratorSet into the same terms.  The scan extends prefixes
+(scan.pruned) with the variables fixed from x_n down, so a prefix of length
+t fixes x_n..x_{n-t+1}.  Each generator sits in the layer where the
+lowest-index variable it reads is fixed, and is tested on the prefixes of
+that length; since g_{k,i} reads only x_i..x_n, g_{n,n} = x_n^2 - a^n x_n
+already rules out all but two values of x_n.  A layer is tested in blocks
+of generators, each about scan.CHUNK values wide in one batched step: the
+block decodes only the digits it reads, forms its terms with one table
+gather per degree, applies the coefficients over a (terms x generators)
+grid padded with zero coefficients, and sums the grid pairwise in
+log2(width) add-table gathers.  A prefix on which a generator of the block
+is nonzero is dropped unextended, and that is exact: the generator reads
+only prefix variables, so it is nonzero at every completion of the prefix.
+The survivors are mapped back to the point encoding and sorted.
+verify_variety compares them with the encoded image points; only variety
+builds FieldElement tuples.  The budget still counts all q^n points, and is
+checked before any table is built; more than scan.INDEX_LIMIT points are
+refused whatever the budget.
 """
 
 from __future__ import annotations
@@ -247,10 +257,10 @@ def _common_zeros(terms: _Terms, n: int, field: Field, budget: int) -> np.ndarra
     tabs = scan.Tables(field, budget)
     add, mul = tabs.add, tabs.mul
     powers = q ** np.arange(n + 1, dtype=np.int64)[:, None]
-    # The scan digit of a factor x_{v+1} is n-1-v; the padding -1 becomes
-    # digit n, which every prefix index has as 0 and which stands for the
-    # constant 1.  A polynomial sits in the layer where the lowest-index
-    # variable it reads is fixed, 0 for a constant.
+    # The scan digit of a factor x_{v+1} is n-1-v.  The padding -1 becomes
+    # digit n, whose decoded row is set to ones: it stands for the constant
+    # 1.  A polynomial sits in the layer where the lowest-index variable it
+    # reads is fixed, 0 for a constant.
     first = terms.start[:-1]
     size = np.diff(terms.start)
     digit = n - 1 - terms.fac

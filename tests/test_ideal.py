@@ -288,3 +288,18 @@ def test_a_perturbed_linear_coefficient_fails_verify_all(monkeypatch, capsys):
     perturb_first_linear_coefficient(monkeypatch)
     assert main(["verify-all", "--only", "variety", "--output", "table"]) == 1
     assert capsys.readouterr().out.startswith("FAIL  variety: variety mismatch")
+
+
+def test_verify_variety_compares_the_points_not_only_their_number(monkeypatch):
+    # move one image point off the variety: the sizes still agree
+    real = ideal._image_encodings
+
+    def moved(inst):
+        rows = real(inst)
+        rows[-1] = (inst.field._add(rows[-1][0], 1),) + rows[-1][1:]
+        return rows
+    inst = instance(5, 1, 3, enc=2)
+    monkeypatch.setattr(ideal, "_image_encodings", moved)
+    check = verify_variety(inst)
+    assert check.variety_size == check.image_size == 4
+    assert not check.equal
