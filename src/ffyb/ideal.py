@@ -40,6 +40,7 @@ refused whatever the budget.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from math import comb
 from typing import NamedTuple
@@ -189,18 +190,18 @@ def _generator_terms(inst: EquationInstance, n: int) -> _Terms:
                for k in range(n + 1)]
     pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
                                         for i in range(k, 0, -1)]
-    start, rows = [], []  # rows: (coefficient, factor, factor or -1)
+    start, rows = [], []  # rows: coefficient, factor, factor or -1, flat
     for k, i in pairs:
-        start.append(len(rows))
-        rows.append((1, i - 1, k - 1))
+        start.append(len(rows) // 3)
+        rows += (1, i - 1, k - 1)
         for m, b in nonzero[k]:
             if m > i + k:
                 break
             c = b * binom[k][m - i] % p
             if c:
-                rows.append((mul(c, neg_powers[i + k - m]), m - 1, -1))
-    start.append(len(rows))
-    rows = np.array(rows)
+                rows += (mul(c, neg_powers[i + k - m]), m - 1, -1)
+    start.append(len(rows) // 3)
+    rows = np.array(rows).reshape(-1, 3)
     terms = _Terms(np.array(start), rows[:, 0], rows[:, 1:])
     if len(terms.start) - 1 != comb(n + 1, 2):
         raise InternalInvariantError("generator count is off")
@@ -373,10 +374,11 @@ def verify_variety(inst: EquationInstance, *,
     n, q = inst.n, inst.q
     idx = _common_zeros(_generator_terms(inst, n), n, inst.field, budget)
     # the image points are pairwise distinct, or _image_encodings raises
-    img = np.sort(np.array(_image_encodings(inst)) @ q ** np.arange(n, dtype=np.int64))
+    weights = [q**i for i in range(n)]
+    img = sorted(sum(map(operator.mul, row, weights)) for row in _image_encodings(inst))
     return VarietyCheck(
         n=n, q=q, a_encoding=inst.a.encoding,
         variety_size=len(idx), image_size=len(img),
-        equal=idx.tolist() == img.tolist(),
+        equal=idx.tolist() == img,
         points=tuple(map(tuple, scan.decode(q, n, idx).T.tolist())),
     )

@@ -78,8 +78,8 @@ def _image_encodings(inst: EquationInstance) -> list[tuple[int, ...]]:
     powers = [inst.a.encoding]  # encodings of a^1..a^n
     for _ in range(n - 1):
         powers.append(mul(powers[-1], powers[0]))
-    rows = [tuple(mul(comb(j, i) % fld.p, ai) for i, ai in enumerate(powers, 1))
-            for j in range(n + 1)]
+    rows = [tuple(mul(comb(j, i) % fld.p, ai) if i <= j else 0
+                  for i, ai in enumerate(powers, 1)) for j in range(n + 1)]
     if len(set(rows)) != n + 1:
         raise InternalInvariantError("image points are not pairwise distinct")
     return rows
