@@ -43,7 +43,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dc_field
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -157,22 +156,17 @@ class GeneratorSet:
     generators: tuple[MultiPoly, ...]
 
 
-class _Terms(NamedTuple):
-    """Nonzero polynomials as encoded terms, one row per term: polynomial g
-    owns rows start[g]..start[g+1]-1.  coef[j] is the coefficient encoding
-    of term j and fac[j] the 0-based variables it multiplies, one per unit
-    of degree, padded with -1 to at least one column."""
+def _generator_terms(inst: EquationInstance, n: int) -> tuple[np.ndarray, ...]:
+    """The g_{k,i} of the module docstring in n >= 2 variables as encoded
+    terms, ordered (2,2), (2,1), (1,1), then for k = 3..n the pairs (k,k),
+    (k,k-1), ..., (k,1).  Each generator's terms are x_i x_k, then x_m for
+    m = k..min(n, i+k) wherever C(m,k) C(k,m-i) is nonzero in the field.
 
-    start: np.ndarray
-    coef: np.ndarray
-    fac: np.ndarray
-
-
-def _generator_terms(inst: EquationInstance, n: int) -> _Terms:
-    """The g_{k,i} of the module docstring in n >= 2 variables, ordered (2,2),
-    (2,1), (1,1), then for k = 3..n the pairs (k,k), (k,k-1), ..., (k,1).
-    Each generator's terms are x_i x_k, then x_m for m = k..min(n, i+k)
-    wherever C(m,k) C(k,m-i) is nonzero in the field."""
+    Encoded terms are a triple (start, coef, fac) of arrays with one row
+    per term of some nonzero polynomials: polynomial g owns rows
+    start[g]..start[g+1]-1, coef[j] is the coefficient encoding of term j,
+    and fac[j] the 0-based variables it multiplies, one per unit of degree,
+    padded with -1 to at least one column."""
     inst.require_nonzero_a()
     if n < 2:
         raise ValueError("generating set requires n >= 2")
@@ -202,12 +196,11 @@ def _generator_terms(inst: EquationInstance, n: int) -> _Terms:
                 rows += (mul(c, neg_powers[i + k - m]), m - 1, -1)
     start.append(len(rows) // 3)
     rows = np.array(rows).reshape(-1, 3)
-    terms = _Terms(np.array(start), rows[:, 0], rows[:, 1:])
-    if len(terms.start) - 1 != comb(n + 1, 2):
+    if len(start) - 1 != comb(n + 1, 2):
         raise InternalInvariantError("generator count is off")
-    if terms.fac.shape[1] > 2:
+    if rows.shape[1] - 1 > 2:
         raise InternalInvariantError("generator of degree > 2")
-    return terms
+    return np.array(start), rows[:, 0], rows[:, 1:]
 
 
 def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet:
@@ -229,16 +222,17 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
     return GeneratorSet(n, inst.a, tuple(gens))
 
 
-def _encoded_terms(gens: GeneratorSet) -> _Terms:
-    """The nonzero polynomials of any generator set as encoded terms; the
-    zero polynomial vanishes everywhere and is left out."""
+def _encoded_terms(gens: GeneratorSet) -> tuple[np.ndarray, ...]:
+    """The nonzero polynomials of any generator set as encoded terms, as in
+    _generator_terms; the zero polynomial vanishes everywhere and is left
+    out."""
     polys = [[(c.encoding, [v for v, e in enumerate(exps) for _ in range(e)])
               for exps, c in g.terms.items()] for g in gens.generators if g.terms]
     degree = max([1] + [len(fs) for terms in polys for _, fs in terms])
     start = np.cumsum([0] + [len(terms) for terms in polys])
     rows = [(c, *fs, *[-1] * (degree - len(fs))) for terms in polys for c, fs in terms]
     rows = np.array(rows, dtype=np.int64).reshape(len(rows), degree + 1)
-    return _Terms(start, rows[:, 0], rows[:, 1:])
+    return start, rows[:, 0], rows[:, 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +242,9 @@ def _encoded_terms(gens: GeneratorSet) -> _Terms:
 # variables from x_n down, so its digit t is x_{n-t} and the points whose
 # last t coordinates are fixed share the prefix index below q^t.
 
-def _common_zeros(terms: _Terms, n: int, field: Field, budget: int) -> np.ndarray:
-    """The point indices, ascending, where every encoded polynomial vanishes."""
+def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
+    """The point indices, ascending, where all the polynomials given as
+    encoded terms vanish."""
     q = field.q
     space = q**n
     limit = min(budget, scan.INDEX_LIMIT)
@@ -262,9 +257,10 @@ def _common_zeros(terms: _Terms, n: int, field: Field, budget: int) -> np.ndarra
     # digit n, whose decoded row is set to ones: it stands for the constant
     # 1.  A polynomial sits in the layer where the lowest-index variable it
     # reads is fixed, 0 for a constant.
-    first = terms.start[:-1]
-    size = np.diff(terms.start)
-    digit = n - 1 - terms.fac
+    start, coef, fac = terms
+    first = start[:-1]
+    size = np.diff(start)
+    digit = n - 1 - fac
     layer = np.maximum.reduceat(((digit + 1) % (n + 1)).max(axis=1), first) \
         if len(first) else first
     order = np.argsort(layer, kind="stable")
@@ -275,10 +271,10 @@ def _common_zeros(terms: _Terms, n: int, field: Field, budget: int) -> np.ndarra
     run = np.repeat(np.argsort(order), size)
     col = np.arange(len(digit)) - np.repeat(first, size)
     wide = size[order]
-    digits = np.full((_pow2(size.max(initial=1)), len(first), digit.shape[1]), n)
-    digits[col, run] = digit
-    coef = np.zeros(digits.shape[:2] + (1,), dtype=np.int64)
-    coef[col, run, 0] = terms.coef * q
+    dgrid = np.full((_pow2(size.max(initial=1)), len(first), digit.shape[1]), n)
+    dgrid[col, run] = digit
+    cgrid = np.zeros(dgrid.shape[:2] + (1,), dtype=np.int64)
+    cgrid[col, run, 0] = coef * q
     widths = {}
     blocks = {}
 
@@ -286,12 +282,12 @@ def _common_zeros(terms: _Terms, n: int, field: Field, budget: int) -> np.ndarra
         # the powers that decode the digits the block reads, ascending, so
         # that a row of ones comes last, and per degree the (width x block)
         # grid of rows into them
-        grid = digits[:w, g0:g1]
+        grid = dgrid[:w, g0:g1]
         reads = np.zeros(n + 1, dtype=bool)
         reads[grid] = True
         read = np.flatnonzero(reads)
         rows = [np.searchsorted(read, grid[..., d]) for d in range(grid.shape[2])]
-        return powers[read], bool(reads[n]), rows, coef[:w, g0:g1]
+        return powers[read], bool(reads[n]), rows, cgrid[:w, g0:g1]
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
         g0, end = ends[t], ends[t + 1]

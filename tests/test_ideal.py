@@ -268,11 +268,10 @@ def perturb_first_linear_coefficient(monkeypatch):
     real = ideal._generator_terms
 
     def perturbed(inst, n):
-        terms = real(inst, n)
-        coef = terms.coef.copy()
-        j = terms.start[0] + 1
-        coef[j] = inst.field._add(int(coef[j]), 1)
-        return terms._replace(coef=coef)
+        start, coef, fac = real(inst, n)
+        coef = coef.copy()
+        coef[start[0] + 1] = inst.field._add(int(coef[start[0] + 1]), 1)
+        return start, coef, fac
     monkeypatch.setattr(ideal, "_generator_terms", perturbed)
 
 
