@@ -259,12 +259,13 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     # reads is fixed, 0 for a constant.
     start, coef, fac = terms
     first = start[:-1]
-    size = np.diff(start)
+    size = start[1:] - first
     digit = n - 1 - fac
     layer = np.maximum.reduceat(((digit + 1) % (n + 1)).max(axis=1), first) \
         if len(first) else first
     order = np.argsort(layer, kind="stable")
-    ends = np.searchsorted(layer[order], np.arange(n + 2)).tolist()
+    layer = layer[order]
+    ends = np.searchsorted(layer, np.arange(n + 2)).tolist()
     # the (width x polynomials x degree) grid of factor digits, polynomials
     # by layer, and the matching grid of coefficients times q, both padded
     # with zero coefficients to a power-of-two width
@@ -275,19 +276,28 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     dgrid[col, run] = digit
     cgrid = np.zeros(dgrid.shape[:2] + (1,), dtype=np.int64)
     cgrid[col, run, 0] = coef * q
+    # the digits each layer reads, a row of ones last, and the grid's rows
+    # into them
+    at = layer[:, None]
+    reads = np.zeros((n + 1, n + 1), dtype=bool)
+    reads[at, dgrid] = True
+    rgrid = (reads.cumsum(axis=1) - 1)[at, dgrid]
     widths = {}
     blocks = {}
 
-    def block(g0: int, g1: int, w: int):
-        # the powers that decode the digits the block reads, ascending, so
-        # that a row of ones comes last, and per degree the (width x block)
-        # grid of rows into them
+    def block(t: int, g0: int, g1: int, w: int):
+        # the powers that decode the digits a block reads, and per degree
+        # the (width x block) grid of rows into them; a block that is not
+        # its whole layer reads fewer digits, and decodes only those
         grid = dgrid[:w, g0:g1]
-        reads = np.zeros(n + 1, dtype=bool)
-        reads[grid] = True
-        read = np.flatnonzero(reads)
-        rows = [np.searchsorted(read, grid[..., d]) for d in range(grid.shape[2])]
-        return powers[read], bool(reads[n]), rows, cgrid[:w, g0:g1]
+        if g1 - g0 < ends[t + 1] - ends[t]:
+            read = np.zeros(n + 1, dtype=bool)
+            read[grid] = True
+            rows = (read.cumsum() - 1)[grid]
+        else:
+            read, rows = reads[t], rgrid[:w, g0:g1]
+        return (powers[read], bool(read[n]), [rows[..., d] for d in range(rows.shape[2])],
+                cgrid[:w, g0:g1])
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
         g0, end = ends[t], ends[t + 1]
@@ -296,7 +306,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
         while g0 < end and len(idx):
             g1 = min(end, g0 + max(1, scan.CHUNK // (len(idx) * widths[t])))
             if (g0, g1) not in blocks:
-                blocks[g0, g1] = block(g0, g1, widths[t])
+                blocks[g0, g1] = block(t, g0, g1, widths[t])
             pw, ones, rows, cq = blocks[g0, g1]
             # in place where possible: at full depth idx holds a whole chunk
             stack = idx // pw
