@@ -296,7 +296,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
             rows = (read.cumsum() - 1)[grid]
         else:
             read, rows = reads[t], rgrid[:w, g0:g1]
-        return (powers[read], bool(read[n]), [rows[..., d] for d in range(rows.shape[2])],
+        return (powers[:n][read[:n]], bool(read[n]), [rows[..., d] for d in range(rows.shape[2])],
                 cgrid[:w, g0:g1])
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
@@ -309,10 +309,11 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
                 blocks[g0, g1] = block(t, g0, g1, widths[t])
             pw, ones, rows, cq = blocks[g0, g1]
             # in place where possible: at full depth idx holds a whole chunk
-            stack = idx // pw
-            stack %= q
-            if ones:
-                stack[-1] = 1
+            stack = np.empty((len(pw) + ones, len(idx)), dtype=np.int64)
+            digits = stack[:len(pw)]
+            np.floor_divide(idx, pw, out=digits)
+            digits %= q
+            stack[len(pw):] = 1
             vals = stack[rows[0]]
             for r in rows[1:]:
                 vals *= q
