@@ -310,9 +310,8 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
             pw, ones, rows, cq = blocks[g0, g1]
             # in place where possible: at full depth idx holds a whole chunk
             stack = np.empty((len(pw) + ones, len(idx)), dtype=np.int64)
-            digits = stack[:len(pw)]
-            np.floor_divide(idx, pw, out=digits)
-            digits %= q
+            np.floor_divide(idx, pw, out=stack[:len(pw)])
+            stack[:len(pw)] %= q
             stack[len(pw):] = 1
             vals = stack[rows[0]]
             for r in rows[1:]:
