@@ -156,17 +156,18 @@ class GeneratorSet:
     generators: tuple[MultiPoly, ...]
 
 
-def _generator_terms(inst: EquationInstance, n: int) -> tuple[np.ndarray, ...]:
+def _generator_terms(inst: EquationInstance, n: int):
     """The g_{k,i} of the module docstring in n >= 2 variables as encoded
-    terms, ordered (2,2), (2,1), (1,1), then for k = 3..n the pairs (k,k),
-    (k,k-1), ..., (k,1).  Each generator's terms are x_i x_k, then x_m for
-    m = k..min(n, i+k) wherever C(m,k) C(k,m-i) is nonzero in the field.
+    terms, in scan layers: layer n-i+1 holds g_{i,i}, g_{i+1,i}, ..., g_{n,i}.
+    Each generator's terms are x_i x_k, then x_m for m = k..min(n, i+k)
+    wherever C(m,k) C(k,m-i) is nonzero in the field.
 
-    Encoded terms are a triple (start, coef, fac) of arrays with one row
-    per term of some nonzero polynomials: polynomial g owns rows
-    start[g]..start[g+1]-1, coef[j] is the coefficient encoding of term j,
-    and fac[j] the 0-based variables it multiplies, one per unit of degree,
-    padded with -1 to at least one column."""
+    Encoded terms are (rows, ends, widths) for some nonzero polynomials,
+    ordered by the layer where the scan tests them.  Row (g, j, t, c, v_1,
+    ..., v_d) is term j of polynomial g, in layer t: coefficient encoding c
+    times x_{v_1+1} ... x_{v_d+1}, padded with -1 to the largest degree, at
+    least 1.  Layer t holds polynomials ends[t]..ends[t+1]-1, with at most
+    widths[t] terms each."""
     inst.require_nonzero_a()
     if n < 2:
         raise ValueError("generating set requires n >= 2")
@@ -182,57 +183,74 @@ def _generator_terms(inst: EquationInstance, n: int) -> tuple[np.ndarray, ...]:
     # per k, the m >= k with C(m, k) nonzero mod p, and C(m, k)
     nonzero = [[(m, binom[m][k]) for m in range(k, n + 1) if binom[m][k]]
                for k in range(n + 1)]
-    pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
-                                        for i in range(k, 0, -1)]
-    start, rows = [], []  # rows: coefficient, factor, factor or -1, flat
-    for k, i in pairs:
-        start.append(len(rows) // 3)
-        rows += (1, i - 1, k - 1)
-        for m, b in nonzero[k]:
-            if m > i + k:
-                break
-            c = b * binom[k][m - i] % p
-            if c:
-                rows += (mul(c, neg_powers[i + k - m]), m - 1, -1)
-    start.append(len(rows) // 3)
-    rows = np.array(rows).reshape(-1, 3)
-    if len(start) - 1 != comb(n + 1, 2):
+    rows, ends, widths = [], [0, 0], [0]  # rows flat; layer 0 is empty
+    for t in range(1, n + 1):
+        i = n + 1 - t
+        widths.append(0)
+        for g in range(ends[t], ends[t] + t):
+            k = i + g - ends[t]
+            rows += (g, 0, t, 1, i - 1, k - 1)
+            j = 1
+            for m, b in nonzero[k]:
+                if m > i + k:
+                    break
+                c = b * binom[k][m - i] % p
+                if c:
+                    rows += (g, j, t, mul(c, neg_powers[i + k - m]), m - 1, -1)
+                    j += 1
+            widths[t] = max(widths[t], j)
+        ends.append(ends[t] + t)
+    rows = np.array(rows).reshape(-1, 6)
+    if ends[-1] != comb(n + 1, 2):
         raise InternalInvariantError("generator count is off")
-    if rows.shape[1] - 1 > 2:
+    if rows.shape[1] - 4 > 2:
         raise InternalInvariantError("generator of degree > 2")
-    return np.array(start), rows[:, 0], rows[:, 1:]
+    return rows, ends, widths
 
 
 def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet:
-    """The quadratic generating set in n >= 2 variables, as MultiPolys in the
-    order of _generator_terms."""
+    """The quadratic generating set in n >= 2 variables, as MultiPolys
+    ordered (2,2), (2,1), (1,1), then for k = 3..n the pairs (k,k),
+    (k,k-1), ..., (k,1)."""
     n = inst.n if n is None else n
     fld = inst.field
-    start, coef, fac = (v.tolist() for v in _generator_terms(inst, n))
-    gens = []
-    for lo, hi in zip(start, start[1:]):
-        poly = {}
-        for c, fs in zip(coef[lo:hi], fac[lo:hi]):
-            exps = [0] * n
-            for v in fs:
-                if v >= 0:
-                    exps[v] += 1
-            poly[tuple(exps)] = FieldElement(fld, c)
-        gens.append(MultiPoly(fld, n, poly))
-    return GeneratorSet(n, inst.a, tuple(gens))
+    rows, ends, _ = _generator_terms(inst, n)
+    polys = [{} for _ in range(ends[-1])]
+    for g, _, _, c, *fs in rows.tolist():
+        exps = [0] * n
+        for v in fs:
+            if v >= 0:
+                exps[v] += 1
+        polys[g][tuple(exps)] = FieldElement(fld, c)
+    pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
+                                        for i in range(k, 0, -1)]
+    return GeneratorSet(n, inst.a, tuple(MultiPoly(fld, n, polys[ends[n + 1 - i] + k - i])
+                                         for k, i in pairs))
 
 
-def _encoded_terms(gens: GeneratorSet) -> tuple[np.ndarray, ...]:
+def _encoded_terms(gens: GeneratorSet):
     """The nonzero polynomials of any generator set as encoded terms, as in
     _generator_terms; the zero polynomial vanishes everywhere and is left
-    out."""
-    polys = [[(c.encoding, [v for v, e in enumerate(exps) for _ in range(e)])
-              for exps, c in g.terms.items()] for g in gens.generators if g.terms]
-    degree = max([1] + [len(fs) for terms in polys for _, fs in terms])
-    start = np.cumsum([0] + [len(terms) for terms in polys])
-    rows = [(c, *fs, *[-1] * (degree - len(fs))) for terms in polys for c, fs in terms]
-    rows = np.array(rows, dtype=np.int64).reshape(len(rows), degree + 1)
-    return start, rows[:, 0], rows[:, 1:]
+    out.  A polynomial sits in the layer where the lowest-index variable it
+    reads is fixed, layer 0 for a constant."""
+    n = gens.n
+    polys = []  # (layer, terms)
+    for g in gens.generators:
+        terms = [(c.encoding, [v for v, e in enumerate(exps) for _ in range(e)])
+                 for exps, c in g.terms.items()]
+        if terms:
+            polys.append((max([n - min(fs) for _, fs in terms if fs] or [0]), terms))
+    polys.sort(key=lambda lt: lt[0])
+    degree = max([1] + [len(fs) for _, terms in polys for _, fs in terms])
+    rows, ends, widths = [], [0] * (n + 2), [0] * (n + 1)
+    for g, (t, terms) in enumerate(polys):
+        ends[t + 1] = g + 1
+        widths[t] = max(widths[t], len(terms))
+        for j, (c, fs) in enumerate(terms):
+            rows += (g, j, t, c, *fs, *[-1] * (degree - len(fs)))
+    for t in range(n + 1):
+        ends[t + 1] = max(ends[t], ends[t + 1])
+    return np.array(rows, dtype=np.int64).reshape(-1, degree + 4), ends, widths
 
 
 # ---------------------------------------------------------------------------
@@ -252,67 +270,51 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
         raise BudgetExceededError(space, limit, "variety scan")
     tabs = scan.Tables(field, budget)
     add, mul = tabs.add, tabs.mul
-    powers = q ** np.arange(n + 1, dtype=np.int64)[:, None]
-    # The scan digit of a factor x_{v+1} is n-1-v.  The padding -1 becomes
-    # digit n, whose decoded row is set to ones: it stands for the constant
-    # 1.  A polynomial sits in the layer where the lowest-index variable it
-    # reads is fixed, 0 for a constant.
-    start, coef, fac = terms
-    first = start[:-1]
-    size = start[1:] - first
-    digit = n - 1 - fac
-    layer = np.maximum.reduceat(((digit + 1) % (n + 1)).max(axis=1), first) \
-        if len(first) else first
-    order = np.argsort(layer, kind="stable")
-    layer = layer[order]
-    ends = np.searchsorted(layer, np.arange(n + 2)).tolist()
-    # the (width x polynomials x degree) grid of factor digits, polynomials
-    # by layer, and the matching grid of coefficients times q, both padded
-    # with zero coefficients to a power-of-two width
-    run = np.repeat(np.argsort(order), size)
-    col = np.arange(len(digit)) - np.repeat(first, size)
-    wide = size[order]
-    dgrid = np.full((_pow2(size.max(initial=1)), len(first), digit.shape[1]), n)
-    dgrid[col, run] = digit
-    cgrid = np.zeros(dgrid.shape[:2] + (1,), dtype=np.int64)
-    cgrid[col, run, 0] = coef * q
-    # the digits each layer reads, a row of ones last, and the grid's rows
-    # into them
-    at = layer[:, None]
+    powers = q ** np.arange(n, dtype=np.int64)[:, None]
+    rows, ends, widths = terms
+    widths = [1 << (w - 1).bit_length() for w in widths]  # the sums pair halves
+    g, j, layer = rows[:, 0], rows[:, 1], rows[:, 2, None]
+    # reads[t] marks what layer t decodes: column 0 a row of ones, for the
+    # padding -1 of a term of lower degree, and column d+1 scan digit d.
+    # The factor x_{v+1} is scan digit n-1-v, column n-v.
+    read_col = (n - rows[:, 4:]) % (n + 1)
     reads = np.zeros((n + 1, n + 1), dtype=bool)
-    reads[at, dgrid] = True
-    rgrid = (reads.cumsum(axis=1) - 1)[at, dgrid]
-    widths = {}
+    reads[layer, read_col] = True
+    # the (width x polynomials x degree) grid of each factor's row in the
+    # decoded stack of its layer, the marked columns in order, and the grid
+    # of coefficients times q, both padded with zero coefficients
+    rgrid = np.zeros((max(widths), ends[-1], read_col.shape[1]), dtype=np.int64)
+    rgrid[j, g] = (reads.cumsum(axis=1) - 1)[layer, read_col]
+    cgrid = np.zeros(rgrid.shape[:2] + (1,), dtype=np.int64)
+    cgrid[j, g, 0] = rows[:, 3] * q
     blocks = {}
 
-    def block(t: int, g0: int, g1: int, w: int):
-        # the powers that decode the digits a block reads, and per degree
-        # the (width x block) grid of rows into them; a block that is not
-        # its whole layer reads fewer digits, and decodes only those
-        grid = dgrid[:w, g0:g1]
+    def block(t: int, g0: int, g1: int):
+        # the powers that decode the digits a block reads, whether it reads
+        # the row of ones, and per degree the (width x block) grid of rows
+        # into its stack; a block that is only part of its layer reads
+        # fewer digits, and decodes only those
+        read, grid = reads[t], rgrid[:widths[t], g0:g1]
         if g1 - g0 < ends[t + 1] - ends[t]:
+            cols = np.flatnonzero(read)[grid]
             read = np.zeros(n + 1, dtype=bool)
-            read[grid] = True
-            rows = (read.cumsum() - 1)[grid]
-        else:
-            read, rows = reads[t], rgrid[:w, g0:g1]
-        return (powers[:n][read[:n]], bool(read[n]), [rows[..., d] for d in range(rows.shape[2])],
-                cgrid[:w, g0:g1])
+            read[cols] = True
+            grid = (read.cumsum() - 1)[cols]
+        return (powers[read[1:]], bool(read[0]), [grid[..., d] for d in range(grid.shape[2])],
+                cgrid[:widths[t], g0:g1])
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
         g0, end = ends[t], ends[t + 1]
-        if g0 < end and t not in widths:
-            widths[t] = _pow2(wide[g0:end].max())
         while g0 < end and len(idx):
             g1 = min(end, g0 + max(1, scan.CHUNK // (len(idx) * widths[t])))
             if (g0, g1) not in blocks:
-                blocks[g0, g1] = block(t, g0, g1, widths[t])
+                blocks[g0, g1] = block(t, g0, g1)
             pw, ones, rows, cq = blocks[g0, g1]
             # in place where possible: at full depth idx holds a whole chunk
-            stack = np.empty((len(pw) + ones, len(idx)), dtype=np.int64)
-            np.floor_divide(idx, pw, out=stack[:len(pw)])
-            stack[:len(pw)] %= q
-            stack[len(pw):] = 1
+            stack = np.empty((ones + len(pw), len(idx)), dtype=np.int64)
+            np.floor_divide(idx, pw, out=stack[ones:])
+            stack[ones:] %= q
+            stack[:ones] = 1
             vals = stack[rows[0]]
             for r in rows[1:]:
                 vals *= q
@@ -333,12 +335,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
 
     idx = scan.pruned(q, n, prune)
     # digit t of a scan index is x_{n-t}, worth q^(n-1-t) in the point index
-    return np.sort(powers[n - 1::-1, 0] @ (idx // powers[:n] % q))
-
-
-def _pow2(w: int) -> int:
-    """The least power of two >= w."""
-    return 1 << (int(w) - 1).bit_length()
+    return np.sort(powers[::-1, 0] @ (idx // powers % q))
 
 
 def variety(gens: GeneratorSet, field: Field, *,

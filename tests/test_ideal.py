@@ -233,17 +233,18 @@ def test_generating_set_is_the_encoded_terms_as_multipolys():
             for n in range(2, 13):
                 inst = EquationInstance(f, n, a)
                 got = generating_set(inst).generators
-                start, coef, fac = ideal._generator_terms(inst, n)
-                rebuilt = []
-                for lo, hi in zip(start, start[1:]):
-                    poly = MultiPoly(f, n, {})
-                    for c, vs in zip(coef[lo:hi], fac[lo:hi]):
-                        exps = [0] * n
-                        for v in vs[vs >= 0]:
-                            exps[v] += 1
-                        poly = poly + MultiPoly.monomial(f, n, exps, f.from_encoding(int(c)))
-                    rebuilt.append(poly)
-                assert got == tuple(rebuilt)
+                rows, ends, widths = ideal._generator_terms(inst, n)
+                rebuilt = [MultiPoly(f, n, {}) for _ in range(ends[-1])]
+                for g, j, t, c, *vs in rows.tolist():
+                    assert ends[t] <= g < ends[t + 1] and j < widths[t]
+                    exps = [vs.count(v) for v in range(n)]
+                    rebuilt[g] = rebuilt[g] + MultiPoly.monomial(f, n, exps, f.from_encoding(c))
+                # layer t holds g_{i,i}, ..., g_{n,i} for i = n+1-t
+                by_pair = {(k, n + 1 - t): rebuilt[g] for t in range(1, n + 1)
+                           for k, g in enumerate(range(ends[t], ends[t + 1]), n + 1 - t)}
+                pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
+                                                    for i in range(k, 0, -1)]
+                assert got == tuple(by_pair[pair] for pair in pairs)
                 if n in (2, 5, 12):
                     assert got == formula_generators(f, n, a)
 
@@ -264,14 +265,15 @@ def formula_generators(f, n, a):
 
 
 def perturb_first_linear_coefficient(monkeypatch):
-    """Make the encoded builder add 1 to the coefficient of x_2 in g_{2,2}."""
+    """Make the encoded builder add 1 to the coefficient of x_n in g_{n,n},
+    its first linear coefficient."""
     real = ideal._generator_terms
 
     def perturbed(inst, n):
-        start, coef, fac = real(inst, n)
-        coef = coef.copy()
-        coef[start[0] + 1] = inst.field._add(int(coef[start[0] + 1]), 1)
-        return start, coef, fac
+        rows, ends, widths = real(inst, n)
+        rows = rows.copy()
+        rows[1, 3] = inst.field._add(int(rows[1, 3]), 1)
+        return rows, ends, widths
     monkeypatch.setattr(ideal, "_generator_terms", perturbed)
 
 
