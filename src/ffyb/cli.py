@@ -208,14 +208,13 @@ def cmd_invariants(args) -> tuple[dict, int]:
 
 def cmd_ideal(args) -> tuple[dict, int]:
     inst, extras = _build_instance(args)
-    gens = ideal_mod.generating_set(inst)
+    gens, check = ideal_mod._serialized(
+        inst, verify=args.verify, budget=args.budget or ideal_mod.DEFAULT_VARIETY_BUDGET)
     report = _base_report("ideal", inst, extras)
-    report["generator_count"] = len(gens.generators)
-    report["generators"] = [g.to_pairs() for g in gens.generators]
+    report["generator_count"] = len(gens)
+    report["generators"] = gens
     code = 0
-    if args.verify:
-        check = ideal_mod.verify_variety(
-            inst, budget=args.budget or ideal_mod.DEFAULT_VARIETY_BUDGET)
+    if check is not None:
         report["variety"] = [list(pt) for pt in check.points]
         report["verdict"] = check.equal
         if not check.equal:

@@ -163,11 +163,11 @@ def _generator_terms(inst: EquationInstance, n: int):
     wherever C(m,k) C(k,m-i) is nonzero in the field.
 
     Encoded terms are (rows, ends, widths) for some nonzero polynomials,
-    ordered by the layer where the scan tests them.  Row (g, j, t, c, v_1,
-    ..., v_d) is term j of polynomial g, in layer t: coefficient encoding c
-    times x_{v_1+1} ... x_{v_d+1}, padded with -1 to the largest degree, at
-    least 1.  Layer t holds polynomials ends[t]..ends[t+1]-1, with at most
-    widths[t] terms each."""
+    ordered by the layer where the scan tests them.  Row (g, j, t, c, f_1,
+    ..., f_d) is term j of polynomial g, in layer t: coefficient encoding c
+    times one factor x_v for each f = n+1-v, the scan digit of x_v plus 1,
+    padded with 0 to the largest degree, at least 1.  Layer t holds
+    polynomials ends[t]..ends[t+1]-1, with at most widths[t] terms each."""
     inst.require_nonzero_a()
     if n < 2:
         raise ValueError("generating set requires n >= 2")
@@ -189,14 +189,14 @@ def _generator_terms(inst: EquationInstance, n: int):
         widths.append(0)
         for g in range(ends[t], ends[t] + t):
             k = i + g - ends[t]
-            rows += (g, 0, t, 1, i - 1, k - 1)
+            rows += (g, 0, t, 1, n + 1 - i, n + 1 - k)
             j = 1
             for m, b in nonzero[k]:
                 if m > i + k:
                     break
                 c = b * binom[k][m - i] % p
                 if c:
-                    rows += (g, j, t, mul(c, neg_powers[i + k - m]), m - 1, -1)
+                    rows += (g, j, t, mul(c, neg_powers[i + k - m]), n + 1 - m, 0)
                     j += 1
             widths[t] = max(widths[t], j)
         ends.append(ends[t] + t)
@@ -208,24 +208,31 @@ def _generator_terms(inst: EquationInstance, n: int):
     return rows, ends, widths
 
 
-def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet:
-    """The quadratic generating set in n >= 2 variables, as MultiPolys
-    ordered (2,2), (2,1), (1,1), then for k = 3..n the pairs (k,k),
-    (k,k-1), ..., (k,1)."""
-    n = inst.n if n is None else n
-    fld = inst.field
-    rows, ends, _ = _generator_terms(inst, n)
+def _exponent_terms(terms, n: int) -> list[dict]:
+    """The polynomials of the g_{k,i}'s encoded terms as {exponent vector:
+    coefficient encoding}, ordered (2,2), (2,1), (1,1), then for k = 3..n the
+    pairs (k,k), (k,k-1), ..., (k,1)."""
+    rows, ends, _ = terms
     polys = [{} for _ in range(ends[-1])]
     for g, _, _, c, *fs in rows.tolist():
         exps = [0] * n
-        for v in fs:
-            if v >= 0:
-                exps[v] += 1
-        polys[g][tuple(exps)] = FieldElement(fld, c)
+        for f in fs:
+            if f:
+                exps[n - f] += 1
+        polys[g][tuple(exps)] = c
     pairs = [(2, 2), (2, 1), (1, 1)] + [(k, i) for k in range(3, n + 1)
                                         for i in range(k, 0, -1)]
-    return GeneratorSet(n, inst.a, tuple(MultiPoly(fld, n, polys[ends[n + 1 - i] + k - i])
-                                         for k, i in pairs))
+    return [polys[ends[n + 1 - i] + k - i] for k, i in pairs]
+
+
+def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet:
+    """The quadratic generating set in n >= 2 variables, as MultiPolys in
+    the order of _exponent_terms."""
+    n = inst.n if n is None else n
+    fld = inst.field
+    return GeneratorSet(n, inst.a, tuple(
+        MultiPoly(fld, n, {e: FieldElement(fld, c) for e, c in poly.items()})
+        for poly in _exponent_terms(_generator_terms(inst, n), n)))
 
 
 def _encoded_terms(gens: GeneratorSet):
@@ -236,10 +243,10 @@ def _encoded_terms(gens: GeneratorSet):
     n = gens.n
     polys = []  # (layer, terms)
     for g in gens.generators:
-        terms = [(c.encoding, [v for v, e in enumerate(exps) for _ in range(e)])
+        terms = [(c.encoding, [n - v for v, e in enumerate(exps) for _ in range(e)])
                  for exps, c in g.terms.items()]
         if terms:
-            polys.append((max([n - min(fs) for _, fs in terms if fs] or [0]), terms))
+            polys.append((max([max(fs) for _, fs in terms if fs] or [0]), terms))
     polys.sort(key=lambda lt: lt[0])
     degree = max([1] + [len(fs) for _, terms in polys for _, fs in terms])
     rows, ends, widths = [], [0] * (n + 2), [0] * (n + 1)
@@ -247,7 +254,7 @@ def _encoded_terms(gens: GeneratorSet):
         ends[t + 1] = g + 1
         widths[t] = max(widths[t], len(terms))
         for j, (c, fs) in enumerate(terms):
-            rows += (g, j, t, c, *fs, *[-1] * (degree - len(fs)))
+            rows += (g, j, t, c, *fs, *[0] * (degree - len(fs)))
     for t in range(n + 1):
         ends[t + 1] = max(ends[t], ends[t + 1])
     return np.array(rows, dtype=np.int64).reshape(-1, degree + 4), ends, widths
@@ -273,18 +280,16 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     powers = q ** np.arange(n, dtype=np.int64)[:, None]
     rows, ends, widths = terms
     widths = [1 << (w - 1).bit_length() for w in widths]  # the sums pair halves
-    g, j, layer = rows[:, 0], rows[:, 1], rows[:, 2, None]
-    # reads[t] marks what layer t decodes: column 0 a row of ones, for the
-    # padding -1 of a term of lower degree, and column d+1 scan digit d.
-    # The factor x_{v+1} is scan digit n-1-v, column n-v.
-    read_col = (n - rows[:, 4:]) % (n + 1)
+    g, j, layer, fac = rows[:, 0], rows[:, 1], rows[:, 2, None], rows[:, 4:]
+    # reads[t, f] marks what layer t decodes: scan digit f-1 for a factor f,
+    # and for the padding 0 of a term of lower degree a row of ones
     reads = np.zeros((n + 1, n + 1), dtype=bool)
-    reads[layer, read_col] = True
+    reads[layer, fac] = True
     # the (width x polynomials x degree) grid of each factor's row in the
     # decoded stack of its layer, the marked columns in order, and the grid
     # of coefficients times q, both padded with zero coefficients
-    rgrid = np.zeros((max(widths), ends[-1], read_col.shape[1]), dtype=np.int64)
-    rgrid[j, g] = (reads.cumsum(axis=1) - 1)[layer, read_col]
+    rgrid = np.zeros((max(widths), ends[-1], fac.shape[1]), dtype=np.int64)
+    rgrid[j, g] = (reads.cumsum(axis=1) - 1)[layer, fac]
     cgrid = np.zeros(rgrid.shape[:2] + (1,), dtype=np.int64)
     cgrid[j, g, 0] = rows[:, 3] * q
     blocks = {}
@@ -374,8 +379,13 @@ def verify_variety(inst: EquationInstance, *,
                    budget: int = DEFAULT_VARIETY_BUDGET) -> VarietyCheck:
     """Scan the variety of the generating set and compare it, as a set, with
     the n+1 orbit image points."""
+    return _check(inst, _generator_terms(inst, inst.n), budget)
+
+
+def _check(inst: EquationInstance, terms, budget: int) -> VarietyCheck:
+    """verify_variety on the generators' encoded terms."""
     n, q = inst.n, inst.q
-    idx = _common_zeros(_generator_terms(inst, n), n, inst.field, budget)
+    idx = _common_zeros(terms, n, inst.field, budget)
     # the image points are pairwise distinct, or _image_encodings raises
     weights = [q**i for i in range(n)]
     img = sorted(sum(map(operator.mul, row, weights)) for row in _image_encodings(inst))
@@ -385,3 +395,13 @@ def verify_variety(inst: EquationInstance, *,
         equal=idx.tolist() == img,
         points=tuple(map(tuple, scan.decode(q, n, idx).T.tolist())),
     )
+
+
+def _serialized(inst: EquationInstance, *, verify: bool, budget: int):
+    """From one encoded build: the generators as MultiPoly.to_pairs gives
+    them, in generating_set's order, and with verify the variety check."""
+    terms = _generator_terms(inst, inst.n)
+    pairs = [[[list(e), c] for e, c in sorted(poly.items(), reverse=True,
+                                              key=lambda ec: _grlex_key(ec[0]))]
+             for poly in _exponent_terms(terms, inst.n)]
+    return pairs, _check(inst, terms, budget) if verify else None

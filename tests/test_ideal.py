@@ -235,9 +235,9 @@ def test_generating_set_is_the_encoded_terms_as_multipolys():
                 got = generating_set(inst).generators
                 rows, ends, widths = ideal._generator_terms(inst, n)
                 rebuilt = [MultiPoly(f, n, {}) for _ in range(ends[-1])]
-                for g, j, t, c, *vs in rows.tolist():
+                for g, j, t, c, *fs in rows.tolist():
                     assert ends[t] <= g < ends[t + 1] and j < widths[t]
-                    exps = [vs.count(v) for v in range(n)]
+                    exps = [fs.count(n - v) for v in range(n)]
                     rebuilt[g] = rebuilt[g] + MultiPoly.monomial(f, n, exps, f.from_encoding(c))
                 # layer t holds g_{i,i}, ..., g_{n,i} for i = n+1-t
                 by_pair = {(k, n + 1 - t): rebuilt[g] for t in range(1, n + 1)
