@@ -401,7 +401,7 @@ def _serialized(inst: EquationInstance, *, verify: bool, budget: int):
     """From one encoded build: the generators as MultiPoly.to_pairs gives
     them, in generating_set's order, and with verify the variety check."""
     terms = _generator_terms(inst, inst.n)
-    pairs = [[[list(e), c] for e, c in sorted(poly.items(), reverse=True,
-                                              key=lambda ec: _grlex_key(ec[0]))]
+    # the builder gives each generator's terms in descending graded-lex order
+    pairs = [[[list(e), c] for e, c in poly.items()]
              for poly in _exponent_terms(terms, inst.n)]
     return pairs, _check(inst, terms, budget) if verify else None

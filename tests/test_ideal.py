@@ -304,3 +304,15 @@ def test_verify_variety_compares_the_points_not_only_their_number(monkeypatch):
     check = verify_variety(inst)
     assert check.variety_size == check.image_size == 4
     assert not check.equal
+
+
+def test_the_cli_report_serializes_the_generating_set():
+    # cmd_ideal builds its report from the encoded terms, without MultiPolys
+    for p, s in VARIETY_FIELDS:
+        f = make_field(p, s)
+        for enc in range(1, f.q):
+            for n in range(2, 13):
+                inst = EquationInstance(f, n, f.from_encoding(enc))
+                pairs, check = ideal._serialized(inst, verify=n <= 4, budget=10**7)
+                assert pairs == [g.to_pairs() for g in generating_set(inst).generators]
+                assert check == (verify_variety(inst) if n <= 4 else None)
