@@ -41,6 +41,7 @@ refused whatever the budget.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -249,14 +250,13 @@ def _encoded_terms(gens: GeneratorSet):
             polys.append((max([max(fs) for _, fs in terms if fs] or [0]), terms))
     polys.sort(key=lambda lt: lt[0])
     degree = max([1] + [len(fs) for _, terms in polys for _, fs in terms])
-    rows, ends, widths = [], [0] * (n + 2), [0] * (n + 1)
+    rows, widths = [], [0] * (n + 1)
     for g, (t, terms) in enumerate(polys):
-        ends[t + 1] = g + 1
         widths[t] = max(widths[t], len(terms))
         for j, (c, fs) in enumerate(terms):
             rows += (g, j, t, c, *fs, *[0] * (degree - len(fs)))
-    for t in range(n + 1):
-        ends[t + 1] = max(ends[t], ends[t + 1])
+    layers = [t for t, _ in polys]
+    ends = [bisect_left(layers, t) for t in range(n + 2)]
     return np.array(rows, dtype=np.int64).reshape(-1, degree + 4), ends, widths
 
 
