@@ -282,12 +282,14 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     widths = [1 << (w - 1).bit_length() for w in widths]  # the sums pair halves
     g, j, layer, fac = rows[:, 0], rows[:, 1], rows[:, 2, None], rows[:, 4:]
     # reads[t, f] marks what layer t decodes: scan digit f-1 for a factor f,
-    # and for the padding 0 of a term of lower degree a row of ones
+    # and a row of ones for the padding 0 of a term of lower degree.  The
+    # layer's stack holds these rows in order, so a factor f is row
+    # reads[t, :f].sum().
     reads = np.zeros((n + 1, n + 1), dtype=bool)
     reads[layer, fac] = True
-    # the (width x polynomials x degree) grid of each factor's row in the
-    # decoded stack of its layer, the marked columns in order, and the grid
-    # of coefficients times q, both padded with zero coefficients
+    # the (width x polynomials x degree) grid of each factor's row in its
+    # layer's stack, and the grid of coefficients times q, both padded with
+    # zero coefficients
     rgrid = np.zeros((max(widths), ends[-1], fac.shape[1]), dtype=np.int64)
     rgrid[j, g] = (reads.cumsum(axis=1) - 1)[layer, fac]
     cgrid = np.zeros(rgrid.shape[:2] + (1,), dtype=np.int64)
@@ -314,14 +316,14 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
             g1 = min(end, g0 + max(1, scan.CHUNK // (len(idx) * widths[t])))
             if (g0, g1) not in blocks:
                 blocks[g0, g1] = block(t, g0, g1)
-            pw, ones, rows, cq = blocks[g0, g1]
+            pw, ones, factor_rows, cq = blocks[g0, g1]
             # in place where possible: at full depth idx holds a whole chunk
             stack = np.empty((ones + len(pw), len(idx)), dtype=np.int64)
             np.floor_divide(idx, pw, out=stack[ones:])
             stack[ones:] %= q
             stack[:ones] = 1
-            vals = stack[rows[0]]
-            for r in rows[1:]:
+            vals = stack[factor_rows[0]]
+            for r in factor_rows[1:]:
                 vals *= q
                 vals += stack[r]
                 vals = mul[vals]
