@@ -17,8 +17,9 @@ The variety is the independent oracle for the claim that it equals the n+1
 image points, and it decides every one of the q^n points by evaluating the
 generators.  It runs on integer encodings: _generator_terms builds the
 g_{k,i} once as encoded terms (a coefficient encoding and the variables the
-term multiplies), generating_set wraps them in MultiPolys, and variety turns
-any GeneratorSet into the same terms.  The scan extends prefixes
+term multiplies, grouped by scan layer), generating_set wraps them in
+MultiPolys, the ideal command serializes them, and variety turns any
+GeneratorSet into the same terms.  The scan extends prefixes
 (scan.pruned) with the variables fixed from x_n down, so a prefix of length
 t fixes x_n..x_{n-t+1}.  Each generator sits in the layer where the
 lowest-index variable it reads is fixed, and is tested on the prefixes of
