@@ -1,7 +1,8 @@
 """Dense exact matrix algebra over GF(q).
 
-Matrices are immutable row-major tuples of field elements with the usual
-operator overloads.  Besides products, determinant, rank and inverse, this
+Matrices are immutable row-major tuples of the integer encodings of their
+entries, with the usual operator overloads; field elements are handed out
+only at the boundary.  Besides products, determinant, rank and inverse, this
 module provides the signed characteristic-polynomial coefficients (the
 conjugation invariants: first entry is the trace, last the determinant),
 companion matrices, direct sums, conjugation, and the order of GL(n, q).
@@ -16,87 +17,86 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError, SingularMatrixError
 from .gf import Field, FieldElement
-from .polyfq import UniPoly
+from .polyfq import UniPoly, _rcf_of_factors
+
+
+def _encoding_in(field: Field, e) -> int:
+    """The encoding of e, which must be an element of field."""
+    if not isinstance(e, FieldElement) or (e.field is not field and e.field != field):
+        raise ValueError("entries must be elements of the given field")
+    return e.encoding
 
 
 class Matrix:
-    """An immutable matrix over a Field."""
+    """An immutable matrix over a Field, held as the encodings of its entries."""
 
-    __slots__ = ("field", "n_rows", "n_cols", "entries")
+    __slots__ = ("field", "n_rows", "n_cols", "enc")
 
     def __init__(self, field: Field, rows):
-        entries = tuple(tuple(r) for r in rows)
-        n_cols = len(entries[0]) if entries else 0
-        for r in entries:
-            if len(r) != n_cols:
-                raise ValueError("ragged rows")
-            for e in r:
-                if not isinstance(e, FieldElement) or (e.field is not field
-                                                       and e.field != field):
-                    raise ValueError("entries must be elements of the given field")
-        self.field = field
-        self.n_rows = len(entries)
-        self.n_cols = n_cols
-        self.entries = entries
+        rows = [tuple(r) for r in rows]
+        n_cols = len(rows[0]) if rows else 0
+        if any(len(r) != n_cols for r in rows):
+            raise ValueError("ragged rows")
+        self.field, self.n_rows, self.n_cols = field, len(rows), n_cols
+        self.enc = tuple(tuple(_encoding_in(field, e) for e in r) for r in rows)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, n_rows: int, n_cols: int | None = None) -> "Matrix":
-        z = field.zero()
         cols = n_rows if n_cols is None else n_cols
-        return cls(field, [[z] * cols for _ in range(n_rows)])
+        return _from_encodings(field, [[0] * cols for _ in range(n_rows)])
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.scalar(field, n, field.one())
 
     @classmethod
     def scalar(cls, field: Field, n: int, c: FieldElement) -> "Matrix":
-        z = field.zero()
-        return cls(field, [[c if i == j else z for j in range(n)] for i in range(n)])
+        c = _encoding_in(field, c)
+        return _from_encodings(field, [[c if i == j else 0 for j in range(n)]
+                                       for i in range(n)])
 
     # -- access -------------------------------------------------------------
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return FieldElement(self.field, self.enc[i][j])
+
+    @property
+    def entries(self) -> tuple[tuple[FieldElement, ...], ...]:
+        return tuple(tuple(FieldElement(self.field, e) for e in row) for row in self.enc)
 
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise ValueError("matrices over different fields")
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("dimension mismatch")
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_shape(other)
-        return Matrix(self.field,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        if self.field != other.field:
+            raise ValueError("matrices over different fields")
+        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
+            raise ValueError("dimension mismatch")
+        add = self.field._add
+        return _from_encodings(self.field,
+                               [[add(a, b) for a, b in zip(ra, rb)]
+                                for ra, rb in zip(self.enc, other.enc)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_shape(other)
-        return Matrix(self.field,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return self + (-other)
 
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.entries])
+    def __neg__(self):  # times -1, the encoding p - 1
+        return self * FieldElement(self.field, self.field.p - 1)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            return Matrix(self.field, [[a * other for a in r] for r in self.entries])
+            c, mul = _encoding_in(self.field, other), self.field._mul
+            return _from_encodings(self.field, [[mul(a, c) for a in r] for r in self.enc])
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field:
@@ -104,9 +104,9 @@ class Matrix:
         if self.n_cols != other.n_rows:
             raise ValueError("dimension mismatch in product")
         add, mul = self.field._add, self.field._mul
-        cols = [[e.encoding for e in col] for col in zip(*other.entries)]
+        cols = list(zip(*other.enc))
         out = []
-        for row in self._encodings():
+        for row in self.enc:
             out_row = []
             for col in cols:
                 acc = 0
@@ -139,7 +139,8 @@ class Matrix:
     # -- elimination-based operations ----------------------------------------
 
     def _encodings(self) -> list[list[int]]:
-        return [[e.encoding for e in row] for row in self.entries]
+        """Fresh lists of the rows, for the eliminations that edit in place."""
+        return [list(row) for row in self.enc]
 
     def det(self) -> FieldElement:
         if not self.is_square:
@@ -166,21 +167,25 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.field == other.field and self.entries == other.entries
+        return (self.field == other.field and self.enc == other.enc
                 and self.n_cols == other.n_cols)
 
     def __hash__(self):
-        return hash((self.entries, self.n_cols, self.field.p, self.field.modulus))
+        return hash((self.enc, self.n_cols, self.field.p, self.field.modulus))
 
     def text(self) -> str:
-        return ";".join(",".join(str(e.encoding) for e in row) for row in self.entries)
+        return ";".join(",".join(map(str, row)) for row in self.enc)
 
     def __repr__(self):
         return f"Matrix({self.text()} over {self.field!r})"
 
 
 def _from_encodings(field: Field, rows) -> Matrix:
-    return Matrix(field, [[FieldElement(field, e) for e in row] for row in rows])
+    """The matrix with these rows of encodings, trusted to lie in 0..q-1."""
+    X = object.__new__(Matrix)
+    enc = X.enc = tuple(map(tuple, rows))
+    X.field, X.n_rows, X.n_cols = field, len(enc), len(enc[0]) if enc else 0
+    return X
 
 
 def _echelon(field: Field, rows: list[list[int]]):
@@ -291,14 +296,9 @@ def companion(f: UniPoly) -> Matrix:
     """Companion matrix of a monic polynomial of degree >= 1."""
     if not f.is_monic():
         raise ValueError("companion matrix requires a monic polynomial")
-    k = f.degree
-    if k < 1:
+    if f.degree < 1:
         raise ValueError("companion matrix requires degree >= 1")
-    fld = f.field
-    z, o = fld.zero(), fld.one()
-    rows = [[o if j == i + 1 else z for j in range(k)] for i in range(k - 1)]
-    rows.append([-f.coeff(j) for j in range(k)])
-    return Matrix(fld, rows)
+    return _rcf_of_factors(f.field, [f])
 
 
 def direct_sum(b: Matrix, c: Matrix) -> Matrix:
@@ -307,11 +307,9 @@ def direct_sum(b: Matrix, c: Matrix) -> Matrix:
         raise ValueError("matrices over different fields")
     if not (b.is_square and c.is_square):
         raise ValueError("direct sum requires square matrices")
-    z = b.field.zero()
     k, m = b.n_rows, c.n_rows
-    rows = [list(b.entries[i]) + [z] * m for i in range(k)]
-    rows += [[z] * k + list(c.entries[i]) for i in range(m)]
-    return Matrix(b.field, rows)
+    return _from_encodings(b.field, [row + (0,) * m for row in b.enc]
+                           + [(0,) * k + row for row in c.enc])
 
 
 def conjugate(p: Matrix, x: Matrix) -> Matrix:
@@ -340,15 +338,13 @@ def matrix_from_index(field: Field, n: int, idx: int) -> Matrix:
     for _ in range(n * n):
         idx, r = divmod(idx, q)
         digits.append(r)
-    return Matrix(field, [[field.from_encoding(digits[i * n + j])
-                           for j in range(n)] for i in range(n)])
+    return _from_encodings(field, [digits[i:i + n] for i in range(0, n * n, n)])
 
 
 def matrix_index(X: Matrix) -> int:
     q = X.field.q
     idx = 0
-    flat = [e.encoding for row in X.entries for e in row]
-    for d in reversed(flat):
+    for d in reversed([e for row in X.enc for e in row]):
         idx = idx * q + d
     return idx
 
@@ -357,7 +353,10 @@ def parse_matrix(field: Field, text: str) -> Matrix:
     rows = []
     for row_text in text.strip().split(";"):
         try:
-            rows.append([field.from_encoding(int(tok)) for tok in row_text.split(",")])
+            rows.append([field.from_encoding(int(tok)).encoding
+                         for tok in row_text.split(",")])
         except ValueError as exc:
             raise ValueError(f"malformed matrix text {text!r}: {exc}") from exc
-    return Matrix(field, rows)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    return _from_encodings(field, rows)

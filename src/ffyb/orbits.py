@@ -22,8 +22,8 @@ import numpy as np
 from . import scan
 from .errors import BudgetExceededError
 from .gf import Field, FieldElement, exact_div
-from .matfq import Matrix, direct_sum, gl_order, matrix_from_index
-from .solutions import (CountReport, EquationInstance, brute_force_indices,
+from .matfq import Matrix, _from_encodings, direct_sum, gl_order
+from .solutions import (CountReport, EquationInstance, _matrices_of, brute_force_indices,
                         is_solution, require_printable)
 
 GL_SCAN_BUDGET = 10**6
@@ -87,12 +87,8 @@ def block_solution(inst: EquationInstance, k: int, b: FieldElement) -> Matrix:
     if not 0 <= 2 * k <= inst.n:
         raise ValueError(f"k = {k} out of range for n = {inst.n}")
     fld = inst.field
-    z, o = fld.zero(), fld.one()
-    blocks = []
-    if inst.n > 2 * k:
-        blocks.append(Matrix.scalar(fld, inst.n - 2 * k, b))
-    qa = Matrix(fld, [[z, o], [z, inst.a]])
-    blocks.extend([qa] * k)
+    blocks = [Matrix.scalar(fld, inst.n - 2 * k, b)] if inst.n > 2 * k else []
+    blocks += [_from_encodings(fld, [[0, 1], [0, inst.a.encoding]])] * k
     return reduce(direct_sum, blocks)
 
 
@@ -216,8 +212,7 @@ def _gl_scan(field: Field, n: int, budget: int, x=None) -> np.ndarray:
 
 def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:
     """All invertible n x n matrices, by scanning every matrix index."""
-    idx = _gl_scan(field, n, budget)
-    return [matrix_from_index(field, n, i) for i in idx.tolist()]
+    return _matrices_of(field, n, _gl_scan(field, n, budget))
 
 
 def _generators(fld: Field, n: int) -> np.ndarray:
@@ -260,7 +255,7 @@ def brute_force_conjugacy_classes(inst: EquationInstance, *,
             frontier = np.setdiff1d(np.concatenate(images), orbit)
             orbit = np.union1d(orbit, frontier)
         left = np.setdiff1d(left, orbit, assume_unique=True)
-        classes.append([matrix_from_index(fld, n, i) for i in orbit.tolist()])
+        classes.append(_matrices_of(fld, n, orbit))
     return classes
 
 
@@ -269,5 +264,5 @@ def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,
     """Count the P in GL(n, q) commuting with X, one scan chunk at a time."""
     if X.field != inst.field or not (X.n_rows == X.n_cols == inst.n):
         raise ValueError(f"expected a {inst.n}x{inst.n} matrix over the instance field")
-    x = np.array([[e.encoding] for row in X.entries for e in row], dtype=np.int64)
+    x = np.array([[e] for row in X.enc for e in row], dtype=np.int64)
     return len(_gl_scan(inst.field, inst.n, budget, x))

@@ -104,8 +104,7 @@ class Tables:
         q, add, mul = self.q, self.add, self.mul
         fld = self.field
         neg = mul[(fld.p - 1) * q:fld.p * q]
-        inv_of = np.array([0] + [fld.from_encoding(k).inv().encoding
-                                 for k in range(1, q)], dtype=np.int64)
+        inv_of = np.array([0] + [fld._inv(k) for k in range(1, q)], dtype=np.int64)
         m = mats.shape[1]
         aug = np.zeros((n, 2 * n, m), dtype=np.int64)  # [A | I], row by row
         aug[:, :n] = mats.reshape(n, n, m)

@@ -21,7 +21,7 @@ import numpy as np
 from . import scan
 from .errors import BudgetExceededError
 from .gf import Field, FieldElement, exact_div
-from .matfq import Matrix, gl_order, matrix_from_index
+from .matfq import Matrix, _from_encodings, gl_order
 
 DEFAULT_SCAN_BUDGET = 10**8
 LIST_LIMIT = 10**6
@@ -196,8 +196,15 @@ def brute_force_solutions(inst: EquationInstance, *,
 
     Refuses when the search space exceeds the budget, or when there are more
     than LIST_LIMIT solutions."""
-    return [matrix_from_index(inst.field, inst.n, i)
-            for i in brute_force_indices(inst, budget=budget)]
+    idx = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
+    return _matrices_of(inst.field, inst.n, idx)
+
+
+def _matrices_of(field: Field, n: int, idx: np.ndarray) -> list[Matrix]:
+    """The n x n matrices of an index array, from one decode of its digits."""
+    rows = range(0, n * n, n)
+    return [_from_encodings(field, [d[i:i + n] for i in rows])
+            for d in scan.decode(field.q, n * n, idx).T.tolist()]
 
 
 # ---------------------------------------------------------------------------
