@@ -181,11 +181,11 @@ def cmd_smith(args) -> tuple[dict, int]:
         raise ValueError("smith expects a square matrix")
     factors = polyfq.invariant_factors(X)
     # only the minimal polynomial, the last factor, is factored
-    trials = polyfq.trial_divisors(inst.q, factors[-1].degree)
+    cost = polyfq.factor_cost(inst.q, factors[-1].degree)
     budget = args.budget or polyfq.DEFAULT_FACTOR_BUDGET
-    if trials > budget:
-        raise BudgetExceededError(trials, budget, "factoring the minimal polynomial",
-                                  "trial divisors")
+    if cost > budget:
+        raise BudgetExceededError(cost, budget, "factoring the minimal polynomial",
+                                  "field multiplications")
     report = _base_report("smith", inst, extras)
     report.update({
         "matrix": X.text(),

@@ -52,8 +52,8 @@ def is_prime(m: int) -> bool:
 
 def coeff_tuples(base: int, length: int):
     """All length-tuples over 0..base-1, lexicographic, first position most
-    significant.  Shared ordering for the modulus search and for the
-    irreducible enumerations used in polynomial factoring."""
+    significant.  Shared ordering for the modulus search and for
+    polyfq.monic_polys."""
     return itertools.product(range(base), repeat=length)
 
 

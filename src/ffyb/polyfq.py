@@ -1,9 +1,10 @@
 """Univariate polynomials over GF(q), lambda-matrices and canonical forms.
 
-Provides exact polynomial arithmetic, Smith normal form of square polynomial
-matrices over GF(q)[x], invariant factors and elementary divisors of a field
-matrix (via x*I - X), the rational canonical form, and the degree-3 companion
-block exclusion check used by the solution classification.
+Provides exact polynomial arithmetic, factoring in time polynomial in log q,
+Smith normal form of square polynomial matrices over GF(q)[x], invariant
+factors and elementary divisors of a field matrix (via x*I - X), the rational
+canonical form, and the degree-3 companion block exclusion check used by the
+solution classification.
 
 A UniPoly stores the integer encodings of its coefficients, not
 FieldElements, and computes on them with the field's encoding operations;
@@ -19,6 +20,7 @@ k = 1.  The Smith form runs on coefficient tuples, with no UniPoly per step.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError
@@ -297,8 +299,10 @@ def _exact_poly_div(num: UniPoly, den: UniPoly) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Irreducible enumeration and factoring (trial-division scale: the inputs
-# here are characteristic polynomials of small matrices over tiny fields).
+# Irreducibility and factoring on coefficient tuples, in time polynomial in
+# the degree and log q: squarefree, distinct-degree and Cantor-Zassenhaus
+# equal-degree splits (Cantor and Zassenhaus, Math. Comp. 36, 1981; von zur
+# Gathen and Gerhard, Modern Computer Algebra, ch. 14).
 
 def monic_polys(field: Field, degree: int):
     """Monic degree-d polynomials in canonical order: coefficient tuples over
@@ -308,15 +312,93 @@ def monic_polys(field: Field, degree: int):
         yield UniPoly(field, (*tail, 1))
 
 
+def _enc_powmod(fld: Field, b, e: int, g) -> tuple[int, ...]:
+    """b^e mod the monic g by square-and-multiply, each product reduced in
+    place; e >= 1, and b must be reduced mod g only where e = 1."""
+    add, mul, d = fld._add, fld._mul, len(g) - 1
+    neg_g = [mul(c, fld.p - 1) for c in g[:d]]
+    out = b
+    for op in bin(e)[3:].replace("1", "01"):  # 0: square, 1: times b
+        prod = list(_enc_mul(fld, out, b if op == "1" else out))
+        for i in range(len(prod) - 1, d - 1, -1):
+            c = prod[i]
+            if c:
+                for j, y in enumerate(neg_g, i - d):
+                    if y:
+                        prod[j] = add(prod[j], mul(c, y))
+        out = _trim(prod[:d])
+    return out
+
+
+def _squarefree_parts(fld: Field, f) -> list[tuple[tuple[int, ...], int]]:
+    """Pairs (g, e), g squarefree and pairwise coprime, whose g^e multiply to
+    the monic f.  A round splits f by c = gcd(f, f'); what is left of c has
+    derivative 0, and its p-th root, c_pk^(q/p) at x^k, is the next f."""
+    p, root_exp, mult, out = fld.p, fld.q // fld.p, 1, []
+    while len(f) > 1:
+        c = _enc_gcd(fld, f, _trim([fld._mul(a, k % p) for k, a in enumerate(f)][1:]))
+        if len(c) == 1:
+            out.append((f, mult))
+            break
+        w, i = _enc_divmod(fld, f, c)[0], mult
+        while len(w) > 1:  # w is the product of the factors of multiplicity >= i
+            y = _enc_gcd(fld, w, c)
+            if len(y) < len(w):
+                out.append((_enc_divmod(fld, w, y)[0], i))
+            w, c, i = y, _enc_divmod(fld, c, y)[0], i + mult
+        f, mult = tuple((FieldElement(fld, a) ** root_exp).encoding for a in c[::p]), mult * p
+    return out
+
+
+def _distinct_degree(fld: Field, g):
+    """Yield (u, d), d ascending, u = gcd(g, x^(q^d) - x) the product of the
+    degree-d factors of the monic squarefree g, where not 1; once 2(d+1) >
+    deg g, the rest is irreducible.  For any monic g, the first d yielded
+    is the least degree of a factor."""
+    h, d = (0, 1), 0
+    while 2 * (d + 1) < len(g):
+        d += 1
+        h = _enc_powmod(fld, h, fld.q, g)
+        u = _enc_gcd(fld, g, _enc_plus(fld, h, (0, 1), fld.p - 1))
+        if len(u) > 1:
+            yield u, d
+            if len(u) == len(g):
+                return
+            g = _enc_divmod(fld, g, u)[0]
+    if len(g) > 1:
+        yield g, len(g) - 1
+
+
+def _equal_degree(fld: Field, u, d: int, rng: random.Random) -> list[tuple[int, ...]]:
+    """The factors of u, a product of distinct monic irreducibles of degree
+    d.  A draw b, deg b < deg u, splits u with probability at least 4/9 by
+    gcd(u, b^((q^d-1)/2) - 1) for odd q, or by gcd(u, b + b^2 + ... +
+    b^(2^(sd-1))), the trace, for q = 2^s; 200 failed draws, a chance
+    below 10^-50, mean u is not such a product: InternalInvariantError."""
+    if len(u) - 1 == d:
+        return [u]
+    for _ in range(200):
+        b = _trim([rng.randrange(fld.q) for _ in range(len(u) - 1)])
+        if fld.p == 2:
+            t = s = b
+            for _ in range(fld.s * d - 1):
+                s = _enc_powmod(fld, s, 2, u)
+                t = _enc_plus(fld, t, s, 1)
+        else:
+            t = _enc_plus(fld, _enc_powmod(fld, b, (fld.q**d - 1) // 2, u), (1,), fld.p - 1)
+        w = _enc_gcd(fld, u, t)
+        if 1 < len(w) < len(u):
+            return (_equal_degree(fld, w, d, rng)
+                    + _equal_degree(fld, _enc_divmod(fld, u, w)[0], d, rng))
+    raise InternalInvariantError("no equal-degree split in 200 draws")
+
+
 def is_irreducible_poly(f: UniPoly) -> bool:
-    """Trial division by every monic polynomial of degree at most deg(f)/2."""
+    """gcd(f, x^(q^k) - x) = 1 for k = 1..deg(f)/2.  f need not be
+    squarefree: a repeated factor has degree at most deg(f)/2 as well."""
     if f.degree < 1:
         return False
-    for d in range(1, f.degree // 2 + 1):
-        for g in monic_polys(f.field, d):
-            if (f % g).is_zero():
-                return False
-    return True
+    return next(_distinct_degree(f.field, _enc_monic(f.field, f.enc)))[1] == f.degree
 
 
 def monic_irreducibles(field: Field, degree: int):
@@ -325,53 +407,37 @@ def monic_irreducibles(field: Field, degree: int):
             yield g
 
 
-DEFAULT_FACTOR_BUDGET = 10**6
+DEFAULT_FACTOR_BUDGET = 10**7  # field multiplications
 
 
-def trial_divisors(q: int, degree: int) -> int:
-    """An upper bound on the candidate divisors factor_monic tries on a
-    polynomial of the given degree over GF(q): the q roots, then the q^d
-    monic polynomials of each degree d = 2..degree/2."""
-    return q + sum(q**d for d in range(2, degree // 2 + 1))
+def factor_cost(q: int, degree: int) -> int:
+    """A bound on the field multiplications factor_monic makes on a degree-m
+    polynomial over GF(q).  With k = m + 1 and L the bit length of q, a
+    product mod g costs at most 2k^2 and a gcd or a division 3k^2.  The
+    squarefree split makes 9k gcds and divisions, and 2L multiplications
+    per coefficient of a p-th root; the distinct-degree split m/2 rounds of
+    2L products and 3 more steps.  The degree-d factors need m/d splits,
+    each charged four draws of 2dL products and 2 steps; 9/4 are expected."""
+    L, m, k = q.bit_length(), degree, degree + 1
+    return (18 * L + 29) * m * k * k + 27 * k**3 + 2 * L * k
 
 
 def factor_monic(f: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Factor a nonzero polynomial into monic irreducibles with multiplicity.
-
-    Linear factors come from a root scan over the field, in encoding order of
-    the root; the rest from trial division by the monic polynomials of
-    ascending degree, each degree in coefficient-tuple order."""
+    """Factor a nonzero polynomial into monic irreducibles with multiplicity;
+    a constant has none.  Linear factors come first, in encoding order of
+    the root; then the rest by degree, each degree in coefficient-tuple
+    order.  Draws come from random.Random(0): the work is deterministic."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    f = f.monic()
-    fld = f.field
-    found: list[tuple[UniPoly, int]] = []
-    for c in range(fld.q):
-        lin = UniPoly(fld, (fld._mul(c, fld.p - 1), 1))
-        e = 0
-        while f.degree >= 1 and not f._at(c):
-            f = _exact_poly_div(f, lin)
-            e += 1
-        if e:
-            found.append((lin, e))
-    d = 2
-    while 2 * d <= f.degree:
-        # Every factor of degree < d is divided out already, so a monic
-        # degree-d divisor of f has no proper factor: it is irreducible, and
-        # no irreducibility test is needed.
-        for g in monic_polys(fld, d):
-            e = 0
-            while f.degree >= g.degree and (f % g).is_zero():
-                f = _exact_poly_div(f, g)
-                e += 1
-            if e:
-                found.append((g, e))
-            if f.degree < 2 * d:
-                break
-        d += 1
-    if f.degree >= 1:
-        found.append((f, 1))
-    return found
+    fld, rng, found = f.field, None, []
+    for g, e in _squarefree_parts(fld, _enc_monic(fld, f.enc)):
+        for u, d in _distinct_degree(fld, g):
+            if len(u) - 1 > d and rng is None:  # a split needs draws
+                rng = random.Random(0)
+            found += [(v, e) for v in _equal_degree(fld, u, d, rng)]
+    found.sort(key=lambda ue: (len(ue[0]), fld._mul(ue[0][0], fld.p - 1)  # the root
+                               if len(ue[0]) == 2 else ue[0]))
+    return [(UniPoly(fld, g), e) for g, e in found]
 
 
 # ---------------------------------------------------------------------------

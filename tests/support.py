@@ -3,8 +3,9 @@
 import random
 from itertools import combinations, permutations
 
-from ffyb.gf import Field, all_elements
+from ffyb.gf import Field, all_elements, coeff_tuples, make_field
 from ffyb.matfq import Matrix
+from ffyb.polyfq import UniPoly, monic_polys
 
 
 def random_matrix(rng: random.Random, field: Field, n: int) -> Matrix:
@@ -66,3 +67,60 @@ def ref_inverse(a: list[list], zero, one) -> list[list] | None:
     if any(rows[i][i] != one for i in range(n)):
         return None
     return [row[n:] for row in rows]
+
+
+# -- trial division, the reference for polyfq's factoring ---------------------
+
+def ref_is_irreducible(f: UniPoly) -> bool:
+    """Trial division by every monic polynomial of degree at most deg(f)/2."""
+    if f.degree < 1:
+        return False
+    for d in range(1, f.degree // 2 + 1):
+        for g in monic_polys(f.field, d):
+            if (f % g).is_zero():
+                return False
+    return True
+
+
+def ref_factor_monic(f: UniPoly) -> list[tuple[UniPoly, int]]:
+    """The factors of f by a root scan over the field, in encoding order of
+    the root, then trial division by the monic polynomials of ascending
+    degree, each degree in coefficient-tuple order.  Once every factor of
+    degree < d is divided out, a monic degree-d divisor is irreducible."""
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    f = f.monic()
+    fld = f.field
+    found = []
+    for c in range(fld.q):
+        lin = UniPoly(fld, (fld._mul(c, fld.p - 1), 1))
+        e = 0
+        while f.degree >= 1 and (f % lin).is_zero():
+            f, e = f // lin, e + 1
+        if e:
+            found.append((lin, e))
+    d = 2
+    while 2 * d <= f.degree:
+        for g in monic_polys(fld, d):
+            e = 0
+            while f.degree >= g.degree and (f % g).is_zero():
+                f, e = f // g, e + 1
+            if e:
+                found.append((g, e))
+            if f.degree < 2 * d:
+                break
+        d += 1
+    if f.degree >= 1:
+        found.append((f, 1))
+    return found
+
+
+def ref_modulus(p: int, s: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree s over GF(p), candidates in
+    coefficient-tuple order with the constant term compared first."""
+    prime = make_field(p)
+    for tail in coeff_tuples(p, s):
+        g = UniPoly(prime, (*tail, 1))
+        if ref_is_irreducible(g):
+            return g.enc
+    raise AssertionError("no irreducible found")

@@ -1,7 +1,8 @@
 """Property tests of the canonical-form layer against its references.
 
 char_coeffs (Hessenberg recurrence) is checked against the Bareiss
-determinant of x*I - X, factor_monic against is_irreducible_poly, the
+determinant of x*I - X, factor_monic and is_irreducible_poly against trial
+division and factor_monic's multiplications against factor_cost, the
 invariants against random conjugation, the Smith form of a general
 polynomial matrix against random unimodular row and column operations, and
 the invariant factors (Hessenberg sweep), elementary divisors and rational
@@ -9,14 +10,16 @@ canonical form against the full Smith form of x*I - X."""
 
 import random
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_invertible
+from support import (random_invertible, ref_factor_monic, ref_is_irreducible,
+                     ref_modulus)
 from ffyb import polyfq
 from ffyb.errors import InternalInvariantError
-from ffyb.gf import make_field
+from ffyb.gf import Field, is_prime, make_field
 from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum, parse_matrix
 from ffyb.orbits import all_labels, classify, representative
 from ffyb.polyfq import (PolyMatrix, UniPoly, char_matrix, elementary_divisors,
@@ -238,11 +241,9 @@ def test_unipoly_arithmetic_commutes_with_evaluation(ps, data):
 
 @st.composite
 def products_of_monics(draw):
-    """Products of random monic polynomials, with repeated factors; degrees
-    stay small over the two large fields, where trial division by every
-    monic quadratic would take seconds."""
+    """Products of random monic polynomials, with repeated factors."""
     f = make_field(*draw(st.sampled_from(FIELDS)))
-    max_deg = 8 if f.q <= 9 else 3
+    max_deg = 8
     out = UniPoly.one(f)
     while out.degree < max_deg and draw(st.booleans()):
         d = draw(st.integers(1, min(3, max_deg - out.degree)))
@@ -270,6 +271,88 @@ def test_factor_monic_gives_ordered_irreducible_factors(f):
     keys = [(g.degree, g.enc) for g in rest]
     assert keys == sorted(set(keys))
     assert all(is_irreducible_poly(g) for g in rest)
+
+
+# GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9): the trace split runs over
+# GF(4) and GF(8), the p-th root wherever the input is g(x^p)
+REF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def factoring_inputs(draw):
+    """Constants and products with repeated factors, times a random nonzero
+    leading coefficient; some are g(x^p), whose derivative is 0."""
+    f = make_field(*draw(st.sampled_from(REF_FIELDS)))
+    max_deg = 8 if f.q <= 4 else 6
+    step = f.p if draw(st.booleans()) else 1
+    g = UniPoly.one(f)
+    while g.degree < max_deg // step and draw(st.booleans()):
+        room = max_deg // step - g.degree
+        d = draw(st.integers(1, room))
+        tail = draw(st.lists(st.integers(0, f.q - 1), min_size=d, max_size=d))
+        g = g * UniPoly(f, (*tail, 1)) ** draw(st.integers(1, room // d))
+    enc = [0] * (g.degree * step + 1)
+    enc[::step] = g.enc
+    return UniPoly(f, tuple(enc)) * f.from_encoding(draw(st.integers(1, f.q - 1)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(factoring_inputs())
+def test_factor_monic_equals_trial_division(f):
+    assert factor_monic(f) == ref_factor_monic(f)
+
+
+def test_is_irreducible_poly_equals_trial_division():
+    for ps in REF_FIELDS:
+        f = make_field(*ps)
+        for d in range(7 if f.q <= 3 else 5):
+            for g in monic_polys(f, d):
+                assert is_irreducible_poly(g) == ref_is_irreducible(g), g
+
+
+def test_make_field_finds_the_trial_division_modulus():
+    for p in range(2, 2**6 + 1):
+        if not is_prime(p):
+            continue
+        s = 2
+        while p**s <= 2**12:
+            assert make_field(p, s).modulus == ref_modulus(p, s), (p, s)
+            s += 1
+
+
+def test_factor_cost_bounds_the_field_multiplications(monkeypatch):
+    calls = [0]
+    mul = Field._mul
+
+    def counted(fld, a, b):
+        calls[0] += 1
+        return mul(fld, a, b)
+    monkeypatch.setattr(Field, "_mul", counted)
+    rng = random.Random(13)
+    for ps in [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 8), (3, 5), (1021, 1),
+               (1048573, 1)]:
+        f = make_field(*ps)
+        for _ in range(40):
+            m = rng.randint(1, 8)
+            g = UniPoly.one(f)
+            while g.degree < m:  # many small factors: the most splitting
+                d = rng.randint(1, min(2, m - g.degree))
+                g = g * UniPoly(f, (*(rng.randrange(f.q) for _ in range(d)), 1))
+            calls[0] = 0
+            factor_monic(g)
+            assert calls[0] <= polyfq.factor_cost(f.q, m), (f, g)
+
+
+def test_two_quartics_over_gf101_factor_in_under_a_second():
+    f = make_field(101)
+    X = parse_matrix(f, ";".join(",".join("1" if j == i + 1 else "0" for j in range(8))
+                                 for i in range(7)) + ";100,99,98,91,94,95,88,8")
+    start = time.perf_counter()
+    divisors = elementary_divisors(X)
+    assert time.perf_counter() - start < 1
+    assert [g.degree for g in divisors] == [4, 4]
+    assert all(ref_is_irreducible(g) for g in divisors)
+    assert divisors[0] * divisors[1] == invariant_factors(X)[-1]
 
 
 @settings(deadline=None)
@@ -300,6 +383,29 @@ def test_factor_monic_runs_no_irreducibility_test(monkeypatch):
         raise AssertionError("is_irreducible_poly called")
     monkeypatch.setattr(polyfq, "is_irreducible_poly", refuse)
     assert factor_monic(prod) == [(quads[0], 1), (quads[1], 1)]
+
+
+def test_factor_monic_enumerates_no_candidate_divisors(monkeypatch):
+    rng = random.Random(3)
+    cases = []
+    for ps in [(5, 1), (2, 3), (3, 2), (101, 1)]:
+        f = make_field(*ps)
+        for _ in range(10):
+            g = UniPoly(f, (*(rng.randrange(f.q) for _ in range(6)), 1))
+            cases.append((g, factor_monic(g)))
+
+    def refuse(field, degree):
+        raise AssertionError("monic_polys called")
+    monkeypatch.setattr(polyfq, "monic_polys", refuse)
+    for g, want in cases:
+        assert factor_monic(g) == want
+    assert any(len(want) > 1 for _, want in cases)
+
+
+def test_equal_degree_split_of_an_irreducible_raises_instead_of_spinning():
+    # x^2 + 1 is irreducible over GF(3), so no draw splits it into linear factors
+    with pytest.raises(InternalInvariantError):
+        polyfq._equal_degree(make_field(3), (1, 0, 1), 1, random.Random(0))
 
 
 def test_from_encodings_rejects_out_of_range_coefficients():

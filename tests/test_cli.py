@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ffyb import polyfq
 from ffyb.cli import main
 
 
@@ -87,8 +88,6 @@ def test_smith_command(capsys):
 
 
 def test_smith_command_computes_the_invariant_factors_once(monkeypatch, capsys):
-    from ffyb import polyfq
-
     calls = []
     real = polyfq.invariant_factors
 
@@ -120,26 +119,41 @@ def block_companion(p, *tails):
     return ";".join(",".join(map(str, r)) for r in rows)
 
 
-def test_smith_refuses_to_factor_beyond_the_budget(capsys):
-    # x^3 + x + 1 and x^3 + x + 3 are irreducible over GF(101): factoring
-    # their product tries up to 101 + 101^2 + 101^3 = 1040603 divisors
-    matrix = block_companion(101, (1, 1, 0), (3, 1, 0))
-    code, out, err = run_cli(capsys, "smith", "--p", "101", "--n", "6", "--matrix", matrix)
-    assert code == 2
-    assert out == ""
-    assert "needs 1040603 trial divisors, budget is 1000000" in err
-
-
-def test_smith_runs_when_the_budget_covers_the_trial_divisors(capsys):
-    # x^2 + x + 1 and x^2 + 2 are irreducible over GF(5); their product
-    # needs 5 + 5^2 = 30 trial divisors
-    argv = ("smith", "--p", "5", "--n", "4", "--matrix", block_companion(5, (1, 1), (2, 0)))
-    code, out, err = run_cli(capsys, *argv, "--budget", "29")
+def test_smith_refuses_to_factor_beyond_the_budget(capsys, monkeypatch):
+    # x^3 + x + 1 and x^3 + x + 3 are irreducible over GF(101)
+    argv = ("smith", "--p", "101", "--n", "6", "--matrix",
+            block_companion(101, (1, 1, 0), (3, 1, 0)))
+    need = polyfq.factor_cost(101, 6)
+    code, out, err = run_cli(capsys, *argv, "--budget", str(need - 1))
     assert code == 2 and out == ""
-    assert "needs 30 trial divisors, budget is 29" in err
-    rep = run_json(capsys, *argv, "--budget", "30")
+    assert f"needs {need} field multiplications, budget is {need - 1}" in err
+    monkeypatch.setenv("FFYB_BUDGET", str(need - 1))
+    assert run_cli(capsys, *argv)[0] == 2
+
+
+def test_smith_runs_when_the_budget_covers_the_factoring_cost(capsys):
+    # x^2 + x + 1 and x^2 + 2 are irreducible over GF(5); with k = 5 and
+    # L = 3, factor_cost is (18 L + 29) 4 k^2 + 27 k^3 + 2 L k = 11705
+    argv = ("smith", "--p", "5", "--n", "4", "--matrix", block_companion(5, (1, 1), (2, 0)))
+    code, out, err = run_cli(capsys, *argv, "--budget", "11704")
+    assert code == 2 and out == ""
+    assert "needs 11705 field multiplications, budget is 11704" in err
+    rep = run_json(capsys, *argv, "--budget", "11705")
     assert rep["invariant_factors"] == ["1", "1", "1", "2,2,3,1,1"]
     assert rep["elementary_divisors"] == ["1,1,1", "2,0,1"]
+
+
+@pytest.mark.parametrize("argv, divisors", [
+    # the last two irreducible cubics over GF(101) in scan order
+    (("--p", "101", "--n", "6", "--matrix", "0,1,0,0,0,0;0,0,1,0,0,0;0,0,0,1,0,0;"
+      "0,0,0,0,1,0;0,0,0,0,0,1;100,99,82,85,71,18"), ["100,100,85,1", "100,100,99,1"]),
+    (("--p", "1048573", "--n", "2", "--matrix", "1048571,0;0,1048570"), ["2,1", "3,1"]),
+])
+def test_smith_factors_the_former_worst_cases_at_the_default_budget(capsys, argv, divisors):
+    start = time.perf_counter()
+    rep = run_json(capsys, "smith", *argv)
+    assert time.perf_counter() - start < 1
+    assert rep["elementary_divisors"] == divisors
 
 
 def test_enumerate_with_list(capsys):

@@ -97,6 +97,9 @@ def test_factor_monic_recovers_structure():
     assert factor_monic(g * g) == [(g, 2)]
     assert is_irreducible_poly(g)
     assert not is_irreducible_poly(g * g)
+    assert factor_monic(UniPoly.from_encodings(f3, [2])) == []
+    with pytest.raises(ValueError):
+        factor_monic(UniPoly.zero(f3))
 
 
 # -- smith normal form ---------------------------------------------------------
