@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from math import comb
 
 from . import ideal as ideal_mod
 from . import invariants as inv_mod
@@ -208,6 +209,11 @@ def cmd_invariants(args) -> tuple[dict, int]:
 
 def cmd_ideal(args) -> tuple[dict, int]:
     inst, extras = _build_instance(args)
+    # C(n+1, 2) generators, each with at least one exponent vector of n entries
+    entries = comb(inst.n + 1, 2) * inst.n
+    if entries > sol_mod.LIST_LIMIT:
+        raise BudgetExceededError(entries, sol_mod.LIST_LIMIT, "generator report",
+                                  "exponent entries")
     gens, check = ideal_mod._serialized(
         inst, verify=args.verify, budget=args.budget or ideal_mod.DEFAULT_VARIETY_BUDGET)
     report = _base_report("ideal", inst, extras)

@@ -20,23 +20,24 @@ g_{k,i} once as encoded terms (a coefficient encoding and the variables the
 term multiplies, grouped by scan layer), generating_set wraps them in
 MultiPolys, the ideal command serializes them, and variety turns any
 GeneratorSet into the same terms.  The scan extends prefixes
-(scan.pruned) with the variables fixed from x_n down, so a prefix of length
-t fixes x_n..x_{n-t+1}.  Each generator sits in the layer where the
-lowest-index variable it reads is fixed, and is tested on the prefixes of
-that length; since g_{k,i} reads only x_i..x_n, g_{n,n} = x_n^2 - a^n x_n
-already rules out all but two values of x_n.  A layer is tested in blocks
-of generators, each about scan.CHUNK values wide in one batched step: the
-block decodes only the digits it reads, forms its terms with one table
-gather per degree, applies the coefficients over a (terms x generators)
-grid padded with zero coefficients, and sums the grid pairwise in
-log2(width) add-table gathers.  A prefix on which a generator of the block
-is nonzero is dropped unextended, and that is exact: the generator reads
-only prefix variables, so it is nonzero at every completion of the prefix.
-The survivors are mapped back to the point encoding and sorted.
+(scan.pruned) with the variables fixed from x_n down, each at its place
+value in the point encoding, so a prefix of length t fixes x_n..x_{n-t+1}.
+Each generator sits in the layer where the lowest-index variable it reads
+is fixed, and is tested on the prefixes of that length; since g_{k,i}
+reads only x_i..x_n, g_{n,n} = x_n^2 - a^n x_n already rules out all but
+two values of x_n.  A layer is tested in blocks of generators, each about
+scan.CHUNK values wide in one batched step: the block decodes only the
+digits it reads, forms its terms with one table gather per degree,
+applies the coefficients over a (terms x generators) grid padded with zero
+coefficients, and sums the grid pairwise in log2(width) add-table gathers.
+A prefix on which a generator of the block is nonzero is dropped
+unextended, and that is exact: the generator reads only prefix variables,
+so it is nonzero at every completion of the prefix.
+The survivors are point encodings, ascending, as the scan returns them.
 verify_variety compares them with the encoded image points; only variety
-builds FieldElement tuples.  The budget still counts all q^n points, and is
-checked before any table is built; more than scan.INDEX_LIMIT points are
-refused whatever the budget.
+builds FieldElement tuples.  The budget still counts all q^n points, and
+scan.gate checks it before any table is built; more than 2^63 - 1 points
+are refused whatever the budget.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from math import comb
 import numpy as np
 
 from . import scan
-from .errors import BudgetExceededError, InternalInvariantError
+from .errors import InternalInvariantError
 from .gf import Field, FieldElement
 from .invariants import _image_encodings
 from .solutions import EquationInstance
@@ -265,20 +266,16 @@ def _encoded_terms(gens: GeneratorSet):
 # Prefix-pruned variety scan.
 #
 # Point encoding: index = sum of enc(x_i) * q^(i-1).  The scan fixes the
-# variables from x_n down, so its digit t is x_{n-t} and the points whose
-# last t coordinates are fixed share the prefix index below q^t.
+# variables from x_n down, so its digit t is x_{n-t}, with place value
+# q^(n-1-t), and the points whose last t coordinates are fixed share a prefix
+# index, a multiple of q^(n-t).
 
 def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     """The point indices, ascending, where all the polynomials given as
     encoded terms vanish."""
-    q = field.q
-    space = q**n
-    limit = min(budget, scan.INDEX_LIMIT)
-    if space > limit:
-        raise BudgetExceededError(space, limit, "variety scan")
-    tabs = scan.Tables(field, budget)
-    add, mul = tabs.add, tabs.mul
-    powers = q ** np.arange(n, dtype=np.int64)[:, None]
+    tabs = scan.gate(field, n, budget, "variety scan")
+    q, add, mul = tabs.q, tabs.add, tabs.mul
+    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]  # place of each digit
     rows, ends, widths = terms
     widths = [1 << (w - 1).bit_length() for w in widths]  # the sums pair halves
     g, j, layer, fac = rows[:, 0], rows[:, 1], rows[:, 2, None], rows[:, 4:]
@@ -341,9 +338,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
             g0 = g1
         return idx
 
-    idx = scan.pruned(q, n, prune)
-    # digit t of a scan index is x_{n-t}, worth q^(n-1-t) in the point index
-    return np.sort(powers[::-1, 0] @ (idx // powers % q))
+    return scan.pruned(q, powers[:, 0].tolist(), prune)
 
 
 def variety(gens: GeneratorSet, field: Field, *,
@@ -366,16 +361,6 @@ class VarietyCheck:
     equal: bool
     # the scanned variety, each point as its coordinate encodings
     points: tuple = dc_field(default=(), compare=False, repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "a": self.a_encoding,
-            "variety_size": self.variety_size,
-            "image_size": self.image_size,
-            "equal": self.equal,
-        }
 
 
 def verify_variety(inst: EquationInstance, *,

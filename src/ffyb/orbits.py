@@ -20,7 +20,6 @@ from itertools import permutations
 import numpy as np
 
 from . import scan
-from .errors import BudgetExceededError
 from .gf import Field, FieldElement, exact_div
 from .matfq import Matrix, _from_encodings, direct_sum, gl_order
 from .solutions import (CountReport, EquationInstance, _matrices_of, brute_force_indices,
@@ -193,10 +192,7 @@ def _gl_scan(field: Field, n: int, budget: int, x=None) -> np.ndarray:
     One pruned scan of all q^(n^2) matrix indices that tests only at full
     depth, by batched products and elimination.  The budget is checked
     before anything is built."""
-    space = field.q ** (n * n)
-    if space > budget:
-        raise BudgetExceededError(space, budget, "GL enumeration")
-    tabs = scan.Tables(field, budget)
+    tabs = scan.gate(field, n * n, budget, "GL enumeration")
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
         if t < n * n:
@@ -207,7 +203,7 @@ def _gl_scan(field: Field, n: int, budget: int, x=None) -> np.ndarray:
             idx, mats = idx[ok], mats[:, ok]
         return idx[tabs.invert(n, mats)[0]]
 
-    return scan.pruned(field.q, n * n, prune)
+    return scan.pruned(tabs.q, [tabs.q**t for t in range(n * n)], prune)
 
 
 def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:

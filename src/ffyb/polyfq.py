@@ -3,8 +3,8 @@
 Provides exact polynomial arithmetic, factoring in time polynomial in log q,
 Smith normal form of square polynomial matrices over GF(q)[x], invariant
 factors and elementary divisors of a field matrix (via x*I - X), the rational
-canonical form, and the degree-3 companion block exclusion check used by the
-solution classification.
+canonical form, and a standalone check that a companion block of degree
+>= 3 never solves X^2 = aX (orbits.classify reads the rank instead).
 
 A UniPoly stores the integer encodings of its coefficients, not
 FieldElements, and computes on them with the field's encoding operations;
@@ -158,11 +158,6 @@ class UniPoly:
 
     def is_monic(self) -> bool:
         return bool(self.enc) and self.enc[-1] == 1
-
-    def lead(self) -> FieldElement:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self.enc[-1])
 
     def coeff(self, k: int) -> FieldElement:
         return FieldElement(self.field, self.enc[k] if 0 <= k < len(self.enc) else 0)
@@ -519,9 +514,6 @@ class SmithForm:
 
     def __init__(self, invariant_factors: tuple[UniPoly, ...]):
         self.invariant_factors = invariant_factors
-
-    def nontrivial(self) -> tuple[UniPoly, ...]:
-        return tuple(h for h in self.invariant_factors if h.degree >= 1)
 
     def __eq__(self, other):
         if not isinstance(other, SmithForm):

@@ -6,11 +6,15 @@ field arithmetic is done by lookups in the field's add/mul tables, used
 through flat views indexed a*q + b, which numpy gathers faster than a 2-D
 fancy index.
 
-`pruned` builds indices digit by digit and never extends a prefix that
-already fails a test on its first t digits, so most indices are never formed.
-The solution, variety, GL and centralizer scans all run on it.  `decode`
-gives the (width, rows) digit array of an index array, row t holding digit
-t, and `encode` maps it back.
+`gate` decides what a scan may cost: it refuses more than min(budget,
+INDEX_LIMIT) indices before it builds the tables, so the solution, variety,
+GL and centralizer scans all refuse an index space that int64 cannot hold,
+whatever the budget.  `pruned` builds indices digit by digit and never
+extends a prefix that already fails a test on its digits, so most indices
+are never formed.  The scan may fix the digits in any order: each is given
+with its place value in the index, so the scan's output is the canonical
+indices, ascending.  `decode` gives the (width, rows) digit array of an
+index array, row t holding digit t, and `encode` maps it back.
 """
 
 from __future__ import annotations
@@ -40,16 +44,29 @@ def encode(q: int, digits: np.ndarray) -> np.ndarray:
     return idx
 
 
-def pruned(q: int, width: int, prune) -> np.ndarray:
-    """The indices in [0, q^width) that survive prune, in ascending order.
+def gate(field: Field, width: int, budget: int, what: str) -> Tables:
+    """The tables for a scan of all q^width indices, refused before they are
+    built when q^width exceeds the budget or INDEX_LIMIT."""
+    space = field.q ** width
+    limit = min(budget, INDEX_LIMIT)
+    if space > limit:
+        raise BudgetExceededError(space, limit, what)
+    return Tables(field, limit)
 
-    The first t digits of an index are a prefix, itself an index below q^t.
-    prune(t, idx) returns the t-digit prefixes in idx that may still extend
-    to a survivor; a prefix it drops is never extended.  Extending a prefix
-    by digit t adds d * q^t for d = 0..q-1.  The scan runs depth first on
-    slices of at most CHUNK // q prefixes, so each depth holds about CHUNK
-    indices at a time, however little prune drops."""
+
+def pruned(q: int, places: list[int], prune) -> np.ndarray:
+    """The indices sum_t d_t * places[t], d_t in [0, q), that survive prune,
+    in ascending order.
+
+    The first t digits of an index are a prefix, itself such a sum with the
+    later digits 0.  prune(t, idx) returns the t-digit prefixes in idx that
+    may still extend to a survivor; a prefix it drops is never extended.
+    Extending a prefix by digit t adds d * places[t] for d = 0..q-1.  The
+    scan runs depth first on slices of at most CHUNK // q prefixes, so each
+    depth holds about CHUNK indices at a time, however little prune drops."""
     step = max(1, CHUNK // q)
+    width = len(places)
+    shifts = [np.arange(0, q * w, w, dtype=np.int64)[:, None] for w in places]
     out = [np.zeros(0, dtype=np.int64)]
 
     def descend(t: int, idx: np.ndarray):
@@ -57,9 +74,8 @@ def pruned(q: int, width: int, prune) -> np.ndarray:
         if t == width:
             out.append(idx)
             return
-        shift = np.arange(0, q * q**t, q**t, dtype=np.int64)[:, None]
         for lo in range(0, len(idx), step):
-            descend(t + 1, (idx[lo:lo + step] + shift).ravel())
+            descend(t + 1, (idx[lo:lo + step] + shifts[t]).ravel())
 
     descend(0, np.zeros(1, dtype=np.int64))
     return np.sort(np.concatenate(out))

@@ -4,9 +4,10 @@ For a != 0 this equation carves out the same set as the parameter-independent
 Yang-Baxter equation A X A = X A X.  The module exposes the membership
 predicate, an exhaustive enumeration oracle over the canonical matrix index,
 and the exact closed-form count.  The oracle fixes the entries of X in hook
-order on the prefix-pruned scan of scan.py and tests each entry equation as
-soon as the row and column it reads are fixed, so a prefix that already fails
-is never extended; its budget still counts all q^(n^2) matrices.  The degenerate cases a = 0 and n = 1 are
+order on the prefix-pruned scan of scan.py, each at its place value in the
+canonical index, and tests each entry equation as soon as the row and column
+it reads are fixed, so a prefix that already fails is never extended; its
+budget still counts all q^(n^2) matrices.  The degenerate case a = 0 is
 routed explicitly instead of being folded into the general formula.
 """
 
@@ -109,7 +110,8 @@ def satisfies_yang_baxter(inst: EquationInstance, X: Matrix) -> bool:
 # once the column part is fixed, the entries (i, t) with i <= t are.  A prefix
 # that fails one of them fails it in every completion, so scan.pruned never
 # extends it, and each of the q^(n^2) matrices is decided by the same n^2
-# entry equations as X*X == a*X.
+# entry equations as X*X == a*X.  Entry (i, j) is added at its place value
+# q^(i*n+j), so the scan's indices are already canonical.
 
 def _hook_order(n: int) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int, int]]]]:
     """The entries of X in scan order, and the entries tested at each depth."""
@@ -123,29 +125,24 @@ def _hook_order(n: int) -> tuple[list[tuple[int, int]], dict[int, list[tuple[int
     return order, tests
 
 
-def _hook_scan(inst: EquationInstance,
-               budget: int | None) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The entry order and the solutions as ascending indices in that order.
+def _hook_scan(inst: EquationInstance, budget: int | None) -> np.ndarray:
+    """The canonical indices of the solutions, ascending.
 
     The budget still counts all q^(n^2) matrices, checked before any table is
     built."""
     inst.require_nonzero_a()
-    space = inst.search_space()
-    limit = min(DEFAULT_SCAN_BUDGET if budget is None else budget, scan.INDEX_LIMIT)
-    if space > limit:
-        raise BudgetExceededError(space, limit, "matrix enumeration")
     n = inst.n
-    tabs = scan.Tables(inst.field, limit)
+    tabs = scan.gate(inst.field, n * n,
+                     DEFAULT_SCAN_BUDGET if budget is None else budget, "matrix enumeration")
     q = tabs.q
     a_enc = inst.a.encoding
     mul_a = tabs.mul[a_enc * q:(a_enc + 1) * q]
     order, tests = _hook_order(n)
-    at = {e: f for f, e in enumerate(order)}  # digit position of each entry
-    # each equation as the digits of its row, its column and its entry, and
-    # the digits that the equations after it at the same depth read
+    # each equation as the canonical digits of its row, its column and its
+    # entry, and the digits that the equations after it at the same depth read
     eqs = {}
     for depth, entries in tests.items():
-        reads = [([at[i, k] for k in range(n)], [at[k, j] for k in range(n)], at[i, j])
+        reads = [([i * n + k for k in range(n)], [k * n + j for k in range(n)], i * n + j)
                  for i, j in entries]
         eqs[depth] = [(row, col, f, {g for r, c, _ in reads[e + 1:] for g in r + c})
                       for e, (row, col, f) in enumerate(reads)]
@@ -168,12 +165,12 @@ def _hook_scan(inst: EquationInstance,
                 x = {g: d[ok] for g, d in x.items() if g in later}
         return idx
 
-    return order, scan.pruned(q, n * n, prune)
+    return scan.pruned(q, [q ** (i * n + j) for i, j in order], prune)
 
 
 def brute_force_count(inst: EquationInstance, *, budget: int | None = None) -> int:
     """Count the solutions by deciding every one of the q^(n^2) matrices."""
-    return len(_hook_scan(inst, budget)[1])
+    return len(_hook_scan(inst, budget))
 
 
 def brute_force_indices(inst: EquationInstance, *,
@@ -182,12 +179,10 @@ def brute_force_indices(inst: EquationInstance, *,
 
     Refuses when the search space exceeds the budget, or when there are more
     than LIST_LIMIT solutions."""
-    order, idx = _hook_scan(inst, budget)
+    idx = _hook_scan(inst, budget)
     if len(idx) > LIST_LIMIT:
         raise BudgetExceededError(len(idx), LIST_LIMIT, "solution list")
-    q, n = inst.q, inst.n
-    row_major = np.argsort([i * n + j for i, j in order])  # scan digit of each entry
-    return np.sort(scan.encode(q, scan.decode(q, n * n, idx)[row_major])).tolist()
+    return idx.tolist()
 
 
 def brute_force_solutions(inst: EquationInstance, *,
@@ -226,25 +221,17 @@ def require_printable(q: int, exponent: int, factor: int, what: str) -> None:
 def closed_form_count(inst: EquationInstance) -> CountReport:
     """The exact solution count, without enumeration.
 
-    For n >= 2 the count is 2 plus the sizes of the nonzero singular orbits,
-    each an exact ratio of GL orders; every division is asserted exact.
-    n = 1 has exactly the two solutions 0 and a.  Requires a != 0."""
+    The count is 2 plus the sizes of the nonzero singular orbits, each an
+    exact ratio of GL orders, twice over for k != n/2 (b = 0 and b = a);
+    every division is asserted exact.  For n = 1 the sum is empty, leaving
+    the two solutions 0 and a.  Requires a != 0."""
     inst.require_nonzero_a()
     n, q = inst.n, inst.q
     require_printable(q, n * n // 2, 12 * (n + 1), "the solution count")
-    if n == 1:
-        total = 2
-    else:
-        m = n // 2
-        gl_n = gl_order(n, q)
-        total = 2
-        if n % 2 == 0:
-            total += exact_div(gl_n, gl_order(m, q) ** 2)
-            for k in range(1, m):
-                total += 2 * exact_div(gl_n, gl_order(n - k, q) * gl_order(k, q))
-        else:
-            for k in range(1, m + 1):
-                total += 2 * exact_div(gl_n, gl_order(n - k, q) * gl_order(k, q))
+    gl_n = gl_order(n, q)
+    total = 2 + sum((1 if 2 * k == n else 2)
+                    * exact_div(gl_n, gl_order(n - k, q) * gl_order(k, q))
+                    for k in range(1, n // 2 + 1))
     return CountReport(n=n, q=q, a_encoding=inst.a.encoding, total=total,
                        method="closed_form")
 

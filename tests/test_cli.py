@@ -180,6 +180,17 @@ def test_enumerate_list_refused_above_list_limit(monkeypatch, capsys):
     assert "solution list" in err
 
 
+def test_ideal_report_refused_before_it_is_built(capsys):
+    # C(127, 2) * 126 = 1,008,126 exponent entries exceed LIST_LIMIT; n = 125
+    # has 984,375
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ideal", "--p", "2", "--n", "126")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "generator report needs 1008126 exponent entries" in err
+
+
 def test_invariants_command(capsys):
     rep = run_json(capsys, "invariants", "--p", "2", "--n", "3", "--a", "1",
                    "--minimal-subsets")

@@ -182,8 +182,8 @@ def test_variety_scan_fixes_the_last_variable_first(monkeypatch):
     formed = []
     pruned = scan.pruned
 
-    def counting(q, width, prune):
-        return pruned(q, width, lambda t, idx: formed.append(len(idx)) or prune(t, idx))
+    def counting(q, places, prune):
+        return pruned(q, places, lambda t, idx: formed.append(len(idx)) or prune(t, idx))
 
     monkeypatch.setattr(scan, "pruned", counting)
     inst = instance(23, 2, 2, enc=444)
@@ -204,6 +204,7 @@ def test_variety_beyond_int64_indices_is_refused_whatever_the_budget():
     with pytest.raises(BudgetExceededError) as info:
         verify_variety(instance(101, 1, 10, enc=100), budget=10**30)
     assert info.value.required == 101**10
+    assert info.value.budget == scan.INDEX_LIMIT
     assert verify_variety(instance(101, 1, 9, enc=100), budget=10**30).equal
 
 

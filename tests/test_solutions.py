@@ -8,7 +8,8 @@ from support import random_invertible
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import all_elements, make_field
 from ffyb.matfq import Matrix, matrix_from_index, parse_matrix
-from ffyb.scan import TABLE_ENTRY_LIMIT
+from ffyb.orbits import brute_force_centralizer_order, enumerate_gl
+from ffyb.scan import INDEX_LIMIT, TABLE_ENTRY_LIMIT
 from ffyb.solutions import (EquationInstance, brute_force_count,
                             brute_force_solutions, closed_form_count,
                             is_solution, satisfies_yang_baxter,
@@ -146,6 +147,16 @@ def test_index_space_beyond_int64_is_refused_whatever_the_budget():
     with pytest.raises(BudgetExceededError) as info:
         brute_force_count(instance(2, 7, 3), budget=10**30)
     assert info.value.required == 2**63
+    assert info.value.budget == INDEX_LIMIT
+    # 3^49 matrix indices: the GL and centralizer scans share the gate
+    inst = instance(3, 1, 7)
+    for run in (lambda: enumerate_gl(inst.field, 7, budget=10**30),
+                lambda: brute_force_centralizer_order(
+                    inst, Matrix.zeros(inst.field, 7), budget=10**30)):
+        with pytest.raises(BudgetExceededError) as info:
+            run()
+        assert info.value.required == 3**49
+        assert info.value.budget == INDEX_LIMIT
 
 
 def test_solutions_closed_under_conjugation():
