@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -78,8 +77,10 @@ def _image_encodings(inst: EquationInstance) -> list[tuple[int, ...]]:
     powers = [inst.a.encoding]  # encodings of a^1..a^n
     for _ in range(n - 1):
         powers.append(mul(powers[-1], powers[0]))
-    rows = [tuple(mul(comb(j, i) % fld.p, ai) if i <= j else 0
-                  for i, ai in enumerate(powers, 1)) for j in range(n + 1)]
+    rows, binom = [], [1]  # C(j, i) mod p, i = 0..j, by Pascal's rule
+    for j in range(n + 1):
+        rows.append((*map(mul, binom[1:], powers), *[0] * (n - j)))
+        binom = [1, *[(x + y) % fld.p for x, y in zip(binom, binom[1:])], 1]
     if len(set(rows)) != n + 1:
         raise InternalInvariantError("image points are not pairwise distinct")
     return rows
@@ -122,10 +123,13 @@ def minimal_separating_subsets(inst: EquationInstance) -> list[tuple[int, ...]]:
     and dropping any one coordinate does not, since a superset of a
     separating subset separates too.  Ordered by size then
     lexicographically.  Refused for n > 20, before any work."""
-    n = inst.n
+    _gate_sweep(inst.n)
+    return _minimal_subsets(_difference_masks(inst), inst.n)
+
+
+def _gate_sweep(n: int) -> None:
     if n > SUBSET_SWEEP_MAX_N:
         raise BudgetExceededError(2**n, 2**SUBSET_SWEEP_MAX_N, "subset sweep")
-    return _minimal_subsets(_difference_masks(inst), n)
 
 
 def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
@@ -147,10 +151,14 @@ def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
 
 def separation_report(inst: EquationInstance, *,
                       with_minimal_subsets: bool = False) -> SeparationReport:
-    full = subset_separates(inst, range(1, inst.n + 1))
-    minimal = tuple(minimal_separating_subsets(inst)) if with_minimal_subsets else None
+    """Full-set, trace and minimal-subset separation from one mask build."""
+    inst.require_nonzero_a()
+    if with_minimal_subsets:
+        _gate_sweep(inst.n)
+    diffs = _difference_masks(inst)
     return SeparationReport(
-        full_set_separates=full,
-        trace_alone_separates=trace_separates(inst),
-        minimal_separating_subsets=minimal,
+        full_set_separates=all(diffs),  # each mask lies inside the full set
+        trace_alone_separates=all(d & 1 for d in diffs),
+        minimal_separating_subsets=(tuple(_minimal_subsets(diffs, inst.n))
+                                    if with_minimal_subsets else None),
     )

@@ -7,8 +7,9 @@ rank of their representative as a fingerprint, and their sizes follow from
 the orbit-stabilizer formula with stabilizer order |GL(n-k,q)|*|GL(k,q)|.
 Brute-force oracles cross-check the formulas at small sizes: GL(n, q) and
 the centralizers by one pruned scan of every matrix index, with batched
-P X == X P tests and elimination at full depth, and the orbits as closures
-under conjugation by generators of GL(n, q).
+P X == X P tests and elimination at full depth, and the orbits as the
+connected components of conjugation by generators of GL(n, q), each applied
+as one row and one column operation.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import permutations
 import numpy as np
 
 from . import scan
+from .errors import InternalInvariantError
 from .gf import Field, FieldElement, exact_div
 from .matfq import Matrix, _from_encodings, direct_sum, gl_order
 from .solutions import (CountReport, EquationInstance, _matrices_of, brute_force_indices,
@@ -211,48 +213,73 @@ def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[
     return _matrices_of(field, n, _gl_scan(field, n, budget))
 
 
-def _generators(fld: Field, n: int) -> np.ndarray:
-    """Indices of the transvections I + x^t E_ij (i != j, t < s; p^t encodes
-    x^t) and the dilations diag(d, 1, ..., 1), d = 2..q-1."""
-    eye = sum(fld.q ** (i * n + i) for i in range(n))
-    return np.array([eye + fld.p**t * fld.q ** (i * n + j)
-                     for i, j in permutations(range(n), 2) for t in range(fld.s)]
-                    + [eye + d - 1 for d in range(2, fld.q)], dtype=np.int64)
+def _conjugators(fld: Field, n: int) -> np.ndarray:
+    """Generators P of GL(n, q), column (i, j, u, v, w, z) each: X -> P X P^-1
+    sets row i to u*row i + v*row j, then column j to w*column j + z*column i.
+    The transvections I + x^t E_ij (i != j, t < s; p^t encodes x^t) are
+    (i, j, 1, x^t, 1, -x^t), the dilations diag(d, 1, ..., 1), d = 2..q-1,
+    are (0, 0, d, 0, 1/d, 0)."""
+    ops = [(i, j, 1, fld.p**t, 1, fld._mul(fld.p - 1, fld.p**t))
+           for i, j in permutations(range(n), 2) for t in range(fld.s)]
+    ops += [(0, 0, d, 0, fld._inv(d), 0) for d in range(2, fld.q)]
+    return np.array(ops, dtype=np.int64).reshape(-1, 6).T
+
+
+def _conjugate(tabs: scan.Tables, n: int, gens: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (k, len(idx)) indices of P X P^-1, P the k generators of
+    _conjugators, X the matrices of idx: only row i and column j change."""
+    q, add, mul = tabs.q, tabs.add, tabs.mul
+    i, j = gens[:2]
+    u, v, w, z = gens[2:, :, None, None] * q
+    x = scan.decode(q, n * n, idx).reshape(n, n, -1)
+    row = add[mul[u + x[i]] * q + mul[v + x[j]]]
+    t = np.arange(len(i))
+    ci, cj = x[:, i].transpose(1, 0, 2), x[:, j].transpose(1, 0, 2)
+    ci[t, i], cj[t, i] = row[t, i], row[t, j]  # entries (i, i) and (i, j) after the row step
+    col = add[mul[w + cj] * q + mul[z + ci]]
+    place = q ** np.arange(n * n, dtype=np.int64).reshape(n, n)
+    return (idx + ((row - x[i]) * place[i][:, :, None]).sum(1)
+            + ((col - cj) * place[:, j].T[:, :, None]).sum(1))
 
 
 def brute_force_conjugacy_classes(inst: EquationInstance, *,
                                   budget: int = GL_SCAN_BUDGET) -> list[list[Matrix]]:
     """Partition of the solution set into conjugation orbits.
 
-    The transvections and dilations of _generators generate GL(n, q)
-    (Taylor, The Geometry of the Classical Groups, 1992), so the orbit of a
-    solution is its breadth-first closure under conjugation by them: each
-    level conjugates the frontier by every generator, in batches of at most
-    scan.CHUNK products.  Too small a generator set could only shrink an
-    orbit, which the size check against orbit_size would catch.  Classes
-    ascend by smallest member index, members sorted by index."""
+    The transvections and dilations of _conjugators generate GL(n, q)
+    (Taylor, The Geometry of the Classical Groups, 1992), so the orbits are
+    the components of the graph joining each solution to its conjugates by
+    them; each generator has finite order, so every component is strongly
+    connected.  One pass conjugates about scan.CHUNK // k solutions at a time
+    by all k generators and looks the images up among the solutions; one that
+    is not a solution raises.  Min-label propagation with pointer jumping
+    labels each solution with the least index of its component.  Too small a
+    generator set could only split an orbit, which the size check against
+    orbit_size would catch.  Classes ascend by smallest member index, members
+    sorted by index."""
     inst.require_nonzero_a()
     fld, n = inst.field, inst.n
-    left = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
+    sol = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
     tabs = scan.Tables(fld, budget)
-    gens = scan.decode(fld.q, n * n, _generators(fld, n))
-    _, _, gens_inv = tabs.invert(n, gens)
-    classes = []
-    while len(left):
-        orbit = frontier = left[:1]
-        while len(frontier):
-            k = len(frontier)
-            images = [np.zeros(0, dtype=np.int64)]
-            for lo in range(0, gens.shape[1] * k, scan.CHUNK):
-                col = np.arange(lo, min(lo + scan.CHUNK, gens.shape[1] * k))
-                g, x = col // k, scan.decode(fld.q, n * n, frontier[col % k])
-                images.append(scan.encode(fld.q, tabs.matmul(
-                    n, tabs.matmul(n, gens[:, g], x), gens_inv[:, g])))
-            frontier = np.setdiff1d(np.concatenate(images), orbit)
-            orbit = np.union1d(orbit, frontier)
-        left = np.setdiff1d(left, orbit, assume_unique=True)
-        classes.append(_matrices_of(fld, n, orbit))
-    return classes
+    gens = _conjugators(fld, n)
+    k, m = gens.shape[1], len(sol)
+    dst = np.empty((k, m), dtype=np.int32 if m < 2**31 else np.int64)
+    step = max(1, scan.CHUNK // max(k, 1))
+    for lo in range(0, m, step):
+        images = _conjugate(tabs, n, gens, sol[lo:lo + step])
+        dst[:, lo:lo + step] = pos = np.searchsorted(sol, images).clip(max=m - 1)
+        if (sol[pos] != images).any():
+            raise InternalInvariantError("a conjugate of a solution is not a solution")
+    lab, prev = np.arange(m), -1
+    while (lab != prev).any():
+        prev = lab.copy()
+        for g in range(k):
+            np.minimum(lab, lab[dst[g]], out=lab)
+        lab = lab[lab]
+    del dst  # free its k*m entries before the class matrices are built
+    order = np.argsort(lab, kind="stable")
+    classes = np.split(sol[order], np.flatnonzero(np.diff(lab[order])) + 1)
+    return [_matrices_of(fld, n, c) for c in classes]
 
 
 def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,

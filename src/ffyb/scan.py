@@ -14,7 +14,7 @@ extends a prefix that already fails a test on its digits, so most indices
 are never formed.  The scan may fix the digits in any order: each is given
 with its place value in the index, so the scan's output is the canonical
 indices, ascending.  `decode` gives the (width, rows) digit array of an
-index array, row t holding digit t, and `encode` maps it back.
+index array, row t holding digit t.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ TABLE_ENTRY_LIMIT = 2**24
 def decode(q: int, width: int, idx: np.ndarray) -> np.ndarray:
     """The (width, len(idx)) base-q digit array of the indices idx."""
     return idx // q ** np.arange(width, dtype=np.int64)[:, None] % q
-
-
-def encode(q: int, digits: np.ndarray) -> np.ndarray:
-    """The index of each column of a digit array."""
-    idx = np.zeros(digits.shape[1], dtype=np.int64)
-    for row in digits[::-1]:
-        idx = idx * q + row
-    return idx
 
 
 def gate(field: Field, width: int, budget: int, what: str) -> Tables:

@@ -20,6 +20,18 @@ def random_invertible(rng: random.Random, field: Field, n: int) -> Matrix:
             return m
 
 
+def ref_generators(field: Field, n: int) -> list[Matrix]:
+    """The transvections I + x^t E_ij (i != j, t < s; p^t encodes x^t), then
+    the dilations diag(d, 1, ..., 1), d = 2..q-1, as matrices."""
+    def identity_with(i: int, j: int, enc: int) -> Matrix:
+        rows = [[field.from_encoding(int(r == c)) for c in range(n)] for r in range(n)]
+        rows[i][j] = field.from_encoding(enc)
+        return Matrix(field, rows)
+    return ([identity_with(i, j, field.p**t)
+             for i, j in permutations(range(n), 2) for t in range(field.s)]
+            + [identity_with(0, 0, d) for d in range(2, field.q)])
+
+
 # -- an entry-wise reference for matfq, on rows of FieldElements ------------
 
 def ref_rows(X: Matrix) -> list[list]:

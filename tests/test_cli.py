@@ -7,6 +7,7 @@ import pytest
 
 from ffyb import polyfq
 from ffyb.cli import main
+from ffyb.gf import Field
 
 
 def run_cli(capsys, *argv):
@@ -305,9 +306,9 @@ def test_long_counts_below_the_digit_limit_still_print(capsys):
 
 
 def test_exit_code_internal_invariant_failure(monkeypatch, capsys):
-    # with every binomial read as 0 all n+1 image points collapse onto the
-    # origin, which image_points must report as a bug, not as bad input
-    monkeypatch.setattr("ffyb.invariants.comb", lambda j, i: 0)
+    # with every field product read as 0 all n+1 image points collapse onto
+    # the origin, which image_points must report as a bug, not as bad input
+    monkeypatch.setattr(Field, "_mul", lambda self, x, y: 0)
     code, out, err = run_cli(capsys, "invariants", "--p", "5", "--n", "3", "--a", "2")
     assert code == 3
     assert out == ""

@@ -1,13 +1,15 @@
 import random
+import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_invertible
-from ffyb import scan
-from ffyb.errors import BudgetExceededError
+from support import random_invertible, ref_generators
+from ffyb import orbits, scan
+from ffyb.errors import BudgetExceededError, InternalInvariantError
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, gl_order, matrix_index
 from ffyb.orbits import (SCALAR_A, ZERO, all_labels, block_solution,
@@ -209,6 +211,54 @@ def test_closure_census_equals_full_gl_census(p, s, n, chunk):
             got = brute_force_conjugacy_classes(inst)
         assert [[matrix_index(m) for m in c] for c in got] \
             == [list(c) for c in full_gl_census(inst)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]), st.integers(1, 4),
+       st.data())
+def test_row_and_column_operations_conjugate_by_each_generator(ps, n, data):
+    f = make_field(*ps)
+    entry = st.integers(0, f.q - 1).map(f.from_encoding)
+    xs = data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                     min_size=n, max_size=n).map(lambda r: Matrix(f, r)),
+                            min_size=1, max_size=4))
+    idx = np.array([matrix_index(X) for X in xs], dtype=np.int64)
+    got = orbits._conjugate(scan.Tables(f), n, orbits._conjugators(f, n), idx)
+    gens = ref_generators(f, n)
+    assert got.shape == (len(gens), len(xs))
+    assert got.T.tolist() == [[matrix_index(P * X * P.inverse()) for P in gens] for X in xs]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_census_n1_every_solution_is_its_own_class(p):
+    # GF(2) has no transvection at n = 1 and no dilation: no generator at all
+    f = make_field(p)
+    for enc in range(1, p):
+        got = brute_force_conjugacy_classes(EquationInstance(f, 1, f.from_encoding(enc)))
+        assert [[matrix_index(m) for m in c] for c in got] == [[0], [enc]]
+
+
+def test_census_raises_when_a_conjugate_is_not_a_solution(monkeypatch):
+    real = orbits._conjugate
+
+    def faulty(*args):
+        images = real(*args)
+        images[0, 0] = 3  # E_01 over GF(3): its square is 0, not a * E_01
+        return images
+
+    monkeypatch.setattr(orbits, "_conjugate", faulty)
+    with pytest.raises(InternalInvariantError):
+        brute_force_conjugacy_classes(instance(3, 1, 2))
+
+
+def test_census_gf3_n4_at_scale():
+    inst = instance(3, 1, 4)
+    start = time.perf_counter()
+    classes = brute_force_conjugacy_classes(inst, budget=3**16)
+    assert time.perf_counter() - start < 5
+    assert [len(c) for c in classes] == [1, 1080, 10530, 1080, 1]
+    for cls in classes:
+        assert len(cls) == orbit_size(inst, classify(inst, cls[0]))
 
 
 def test_centralizer_counts():
