@@ -11,7 +11,7 @@ from support import random_invertible, ref_generators
 from ffyb import orbits, scan
 from ffyb.errors import BudgetExceededError, InternalInvariantError
 from ffyb.gf import make_field
-from ffyb.matfq import Matrix, gl_order, matrix_index
+from ffyb.matfq import Matrix, gl_order, matrix_from_index, matrix_index
 from ffyb.orbits import (SCALAR_A, ZERO, all_labels, block_solution,
                          brute_force_centralizer_order,
                          brute_force_conjugacy_classes, classify,
@@ -218,15 +218,13 @@ def test_closure_census_equals_full_gl_census(p, s, n, chunk):
        st.data())
 def test_row_and_column_operations_conjugate_by_each_generator(ps, n, data):
     f = make_field(*ps)
-    entry = st.integers(0, f.q - 1).map(f.from_encoding)
-    xs = data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
-                                     min_size=n, max_size=n).map(lambda r: Matrix(f, r)),
-                            min_size=1, max_size=4))
-    idx = np.array([matrix_index(X) for X in xs], dtype=np.int64)
-    got = orbits._conjugate(scan.Tables(f), n, orbits._conjugators(f, n), idx)
+    idx = data.draw(st.lists(st.integers(0, f.q ** (n * n) - 1), min_size=1, max_size=4))
+    got = orbits._conjugate(scan.Tables(f), n, orbits._conjugators(f, n),
+                            np.array(idx, dtype=np.int64))
     gens = ref_generators(f, n)
-    assert got.shape == (len(gens), len(xs))
-    assert got.T.tolist() == [[matrix_index(P * X * P.inverse()) for P in gens] for X in xs]
+    assert got.shape == (len(gens), len(idx))
+    assert got.T.tolist() == [[matrix_index(P * X * P.inverse()) for P in gens]
+                              for X in (matrix_from_index(f, n, i) for i in idx)]
 
 
 @pytest.mark.parametrize("p", [2, 5])
