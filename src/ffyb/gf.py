@@ -8,8 +8,10 @@ integer is the wire format of the CLI and the digit of the enumeration
 scanners.
 
 Prime fields compute mod p.  Extension fields compute through exp, log and
-Zech-log tables of size q over a primitive element, built on first use;
-the q x q tables of the scanners are built from those with numpy.
+Zech-log tables of size q over a primitive element, built on first use.  The
+scanners' q x q tables take a few whole-array numpy passes: add stacks the
+p x p table of GF(p) once per digit, mul gathers exp[log a + log b] (prime
+fields: reduces the products mod p).
 
 The modulus is chosen deterministically: candidates are ordered
 lexicographically by their non-leading coefficient tuple, constant term
@@ -23,6 +25,7 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InternalInvariantError
 
@@ -123,15 +126,14 @@ class Field:
         if self._logs is None:
             p, s, q = self.p, self.s, self.q
             for g in range(p, q):  # the prime subfield holds no generator
-                # times_g[k] = g * k, grown one base-p digit of k at a time
+                # times_g[k] = g * k, grown one base-p digit of k at a time:
+                # g * (d x^t + k) = d * v + g * k with v = g * x^t, all d at once
                 times_g = np.zeros(1, dtype=np.int64)
                 v = g  # g * x^t
                 for _ in range(s):
-                    step, dv = [times_g], 0
-                    for _ in range(p - 1):
-                        dv = _digit_add(dv, v, p, s)
-                        step.append(_digit_add(times_g, dv, p, s))
-                    times_g = np.concatenate(step)
+                    dv = itertools.accumulate([v] * (p - 1), lambda a, b: _digit_add(a, b, p, s))
+                    step = _digit_add(np.array([*dv])[:, None], times_g, p, s).ravel()
+                    times_g = np.concatenate([times_g, step])
                     # v * x: shift the digits up; hi * x^s reduces to -hi * (modulus - x^s)
                     hi, lo = divmod(v, p ** (s - 1))
                     fold = sum(-hi * m % p * p**t for t, m in enumerate(self.modulus[:-1]))
@@ -183,16 +185,23 @@ class Field:
         The scanners run on these tables instead of element objects."""
         if self._tables is None:
             p, s, q = self.p, self.s, self.q
-            k = np.arange(q, dtype=np.int64)
+            d = np.arange(p, dtype=np.int64)
+            # GF(p): row a of the sums mod p is a window of d written twice
+            add = add_p = as_strided(np.tile(d, 2), (p, p), (d.itemsize, d.itemsize)).copy()
+            for t in range(1, s):  # digit t on top: (hi, lo) -> hi * p^t + lo on both axes
+                w = p**t
+                add = (add_p[:, None, :, None] * w + add[None, :, None, :]).reshape(p * w, p * w)
             if s == 1:
-                add = (k[:, None] + k) % p
-                mul = k[:, None] * k % p
+                mul = np.multiply.outer(d, d)
+                mul %= p
             else:
-                add = _digit_add(k[:, None], k, p, s)
                 exp, log, _ = self._log_tables()
-                log_a = np.array(log, dtype=np.int64)
-                mul = np.array(exp, dtype=np.int64)[(log_a[:, None] + log_a) % (q - 1)]
-                mul[0, :] = mul[:, 0] = 0
+                # exp twice holds every log a + log b; log 0 = 2(q-1) lands in zeros
+                ext = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+                lg = np.array([2 * (q - 1), *log[1:]], dtype=np.int64)
+                mul = np.add.outer(lg, lg)
+                # gathered in place; mode "raise" would buffer a second q x q array
+                np.take(ext, mul, out=mul, mode="clip")
             self._tables = (add, mul)
         return self._tables
 

@@ -3,6 +3,8 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
+
 from ffyb.gf import Field, all_elements, coeff_tuples, make_field
 from ffyb.matfq import Matrix
 from ffyb.polyfq import UniPoly, monic_polys
@@ -136,3 +138,61 @@ def ref_modulus(p: int, s: int) -> tuple[int, ...]:
         if ref_is_irreducible(g):
             return g.enc
     raise AssertionError("no irreducible found")
+
+
+# -- the field's tables entry by entry, the reference for gf's builders ------
+
+def ref_digit_add(a, b, p: int, s: int):
+    """Digitwise sum mod p of encodings, elementwise on numpy arrays."""
+    if p == 2:
+        return a ^ b
+    out, w = 0, 1
+    for _ in range(s):
+        out = out + (a // w + b // w) % p * w
+        w *= p
+    return out
+
+
+def ref_log_tables(field: Field) -> tuple[list[int], list[int], list[int]]:
+    """(exp, log, zech) of an extension field: the first primitive g >= p,
+    with g * k for every encoding k grown by p - 1 digit adds per digit."""
+    p, s, q = field.p, field.s, field.q
+    for g in range(p, q):
+        times_g = np.zeros(1, dtype=np.int64)
+        v = g  # g * x^t
+        for _ in range(s):
+            step, dv = [times_g], 0
+            for _ in range(p - 1):
+                dv = ref_digit_add(dv, v, p, s)
+                step.append(ref_digit_add(times_g, dv, p, s))
+            times_g = np.concatenate(step)
+            hi, lo = divmod(v, p ** (s - 1))
+            fold = sum(-hi * m % p * p**t for t, m in enumerate(field.modulus[:-1]))
+            v = ref_digit_add(lo * p, fold, p, s)
+        exp = np.ones(1, dtype=np.int64)
+        while len(exp) < q - 1:
+            exp = np.concatenate([exp, times_g[exp]])
+            times_g = times_g[times_g]
+        exp = exp[:q - 1]
+        if np.count_nonzero(exp == 1) == 1:
+            break
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    succ = exp - exp % p + (exp + 1) % p
+    zech = np.where(succ == 0, -1, log[succ]).tolist()
+    return exp.tolist(), log.tolist(), zech
+
+
+def ref_encoded_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(add, mul) as q x q int64 arrays: a digit add over all pairs, and
+    mod p or exp[(log a + log b) mod (q - 1)] with the zero row and column
+    set after."""
+    p, s, q = field.p, field.s, field.q
+    k = np.arange(q, dtype=np.int64)
+    if s == 1:
+        return (k[:, None] + k) % p, k[:, None] * k % p
+    exp, log, _ = ref_log_tables(field)
+    log_a = np.array(log, dtype=np.int64)
+    mul = np.array(exp, dtype=np.int64)[(log_a[:, None] + log_a) % (q - 1)]
+    mul[0, :] = mul[:, 0] = 0
+    return ref_digit_add(k[:, None], k, p, s), mul

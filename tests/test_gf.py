@@ -1,6 +1,10 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from ffyb.gf import FieldElement, all_elements, is_prime, make_field
+from ffyb.gf import Field, FieldElement, all_elements, is_prime, make_field
+from support import ref_encoded_tables, ref_log_tables
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -121,7 +125,7 @@ def test_is_prime():
 
 
 def test_encoded_tables_agree_with_object_arithmetic():
-    for p, s in [(3, 2), (5, 3), (2, 7)]:
+    for p, s in [(2, 1), (3, 1), (31, 1), (2, 2), (3, 2), (5, 3), (2, 7)]:
         f = make_field(p, s)
         add, mul = f.encoded_tables()
         elems = all_elements(f)
@@ -129,6 +133,40 @@ def test_encoded_tables_agree_with_object_arithmetic():
             for y in elems:
                 assert add[x.encoding][y.encoding] == (x + y).encoding
                 assert mul[x.encoding][y.encoding] == (x * y).encoding
+
+
+# Every field of order at most 1024: q = 2, GF(4), odd p with s >= 3 such as
+# 3^5, 5^3 and 7^3, and the primes up to 1021.
+FIELDS_TO_1024 = [(p, s) for p in range(2, 1025) if is_prime(p)
+                  for s in range(1, 11) if p**s <= 1024]
+
+
+def test_encoded_tables_equal_reference_up_to_order_1024():
+    for p, s in FIELDS_TO_1024:
+        f = Field(p, s, make_field(p, s).modulus)  # a fresh field: nothing cached
+        for got, want in zip(f.encoded_tables(), ref_encoded_tables(f), strict=True):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got, want), (p, s)
+
+
+@pytest.mark.parametrize("p,s", [ps for ps in FIELDS_TO_1024 if ps[1] > 1])
+def test_log_tables_equal_reference(p, s):
+    f = make_field(p, s)
+    assert f._log_tables() == ref_log_tables(f)
+
+
+@pytest.mark.parametrize("p,s", [(23, 2), (3, 5), (257, 1), (2, 7), (521, 1)])
+def test_encoded_tables_peak_is_the_tables(p, s):
+    # no q x q temporary: stacking a digit adds q^2 / p^2 entries, and mul is
+    # reduced or gathered in place; at GF(521) a temporary would pass 1 MB
+    f = Field(p, s, make_field(p, s).modulus)
+    tracemalloc.start()
+    try:
+        add, mul = f.encoded_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= add.nbytes + mul.nbytes + 2**20
 
 
 # The moduli chosen by the candidate search; every encoding depends on them.

@@ -203,7 +203,7 @@ def full_gl_census(inst):
 @pytest.mark.parametrize("chunk", [scan.CHUNK, 5])
 @pytest.mark.parametrize("p,s,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)])
 def test_closure_census_equals_full_gl_census(p, s, n, chunk):
-    # chunk 5 splits each level's generator-by-frontier batch into pieces
+    # CHUNK = 5 gives each conjugation chunk max(1, 5 // k) solutions, k generators
     f = make_field(p, s)
     for enc in range(1, f.q):
         inst = EquationInstance(f, n, f.from_encoding(enc))
