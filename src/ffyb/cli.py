@@ -268,12 +268,12 @@ def _check_orbit_census(budget: int) -> tuple[bool, str]:
         fld = make_field(p, s)
         for enc in range(1, fld.q):
             inst = EquationInstance(fld, n, fld.from_encoding(enc))
-            classes = orb_mod.brute_force_conjugacy_classes(inst, budget=budget)
+            classes = orb_mod._census(inst, budget)
             if len(classes) != n + 1:
                 return False, f"{len(classes)} classes at n={n} q={fld.q}, want {n + 1}"
             total = 0
             for cls in classes:
-                label = orb_mod.classify(inst, cls[0])
+                label = orb_mod.classify(inst, sol_mod._matrices_of(fld, n, cls[:1])[0])
                 want = orb_mod.orbit_size(inst, label)
                 if len(cls) != want:
                     return False, (f"orbit {label.text()} has size {len(cls)}, "

@@ -8,10 +8,10 @@ integer is the wire format of the CLI and the digit of the enumeration
 scanners.
 
 Prime fields compute mod p.  Extension fields compute through exp, log and
-Zech-log tables of size q over a primitive element, built on first use.  The
-scanners' q x q tables take a few whole-array numpy passes: add stacks the
-p x p table of GF(p) once per digit, mul gathers exp[log a + log b] (prime
-fields: reduces the products mod p).
+Zech-log tables of size q over the first primitive element, built on first
+use.  The scanners' q x q tables take a few whole-array numpy passes: add is
+an XOR for p = 2 and else stacks GF(p)'s p x p table once per digit, mul
+gathers exp[log a + log b] (prime fields: reduces the products mod p).
 
 The modulus is chosen deterministically: candidates are ordered
 lexicographically by their non-leading coefficient tuple, constant term
@@ -124,28 +124,33 @@ class Field:
         (log[0] is unused), and zech[i] = log(1 + g^i), or -1 where
         1 + g^i = 0."""
         if self._logs is None:
+            from .polyfq import _enc_powmod, _trim
             p, s, q = self.p, self.s, self.q
-            for g in range(p, q):  # the prime subfield holds no generator
-                # times_g[k] = g * k, grown one base-p digit of k at a time:
-                # g * (d x^t + k) = d * v + g * k with v = g * x^t, all d at once
-                times_g = np.zeros(1, dtype=np.int64)
-                v = g  # g * x^t
-                for _ in range(s):
-                    dv = itertools.accumulate([v] * (p - 1), lambda a, b: _digit_add(a, b, p, s))
-                    step = _digit_add(np.array([*dv])[:, None], times_g, p, s).ravel()
-                    times_g = np.concatenate([times_g, step])
-                    # v * x: shift the digits up; hi * x^s reduces to -hi * (modulus - x^s)
-                    hi, lo = divmod(v, p ** (s - 1))
-                    fold = sum(-hi * m % p * p**t for t, m in enumerate(self.modulus[:-1]))
-                    v = _digit_add(lo * p, fold, p, s)
-                # exp[:2L] from exp[:L] and times_g = (g^L * .), by doubling
-                exp = np.ones(1, dtype=np.int64)
-                while len(exp) < q - 1:
-                    exp = np.concatenate([exp, times_g[exp]])
-                    times_g = times_g[times_g]
-                exp = exp[:q - 1]
-                if np.count_nonzero(exp == 1) == 1:  # g has order q - 1
-                    break
+            # g is primitive when g^((q-1)/r) != 1, by powering mod the
+            # modulus, for each prime r | q-1; the prime subfield holds none
+            rs = {d for r in range(1, int(q**0.5) + 1) if (q - 1) % r == 0
+                  for d in (r, (q - 1) // r)}
+            g = next(g for g in range(p, q) if all(
+                _enc_powmod(make_field(p), _trim([g // p**t % p for t in range(s)]),
+                            (q - 1) // r, self.modulus) != (1,) for r in rs if is_prime(r)))
+            # times_g[k] = g * k, grown one base-p digit of k at a time:
+            # g * (d x^t + k) = d * v + g * k with v = g * x^t, all d at once
+            times_g = np.zeros(1, dtype=np.int64)
+            v = g  # g * x^t
+            for _ in range(s):
+                dv = itertools.accumulate([v] * (p - 1), lambda a, b: _digit_add(a, b, p, s))
+                step = _digit_add(np.array([*dv])[:, None], times_g, p, s).ravel()
+                times_g = np.concatenate([times_g, step])
+                # v * x: shift the digits up; hi * x^s reduces to -hi * (modulus - x^s)
+                hi, lo = divmod(v, p ** (s - 1))
+                fold = sum(-hi * m % p * p**t for t, m in enumerate(self.modulus[:-1]))
+                v = _digit_add(lo * p, fold, p, s)
+            # exp[:2L] from exp[:L] and times_g = (g^L * .), by doubling
+            exp = np.ones(1, dtype=np.int64)
+            while len(exp) < q - 1:
+                exp = np.concatenate([exp, times_g[exp]])
+                times_g = times_g[times_g]
+            exp = exp[:q - 1]
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1)
             succ = exp - exp % p + (exp + 1) % p  # 1 + g^i
@@ -186,11 +191,14 @@ class Field:
         if self._tables is None:
             p, s, q = self.p, self.s, self.q
             d = np.arange(p, dtype=np.int64)
-            # GF(p): row a of the sums mod p is a window of d written twice
-            add = add_p = as_strided(np.tile(d, 2), (p, p), (d.itemsize, d.itemsize)).copy()
-            for t in range(1, s):  # digit t on top: (hi, lo) -> hi * p^t + lo on both axes
-                w = p**t
-                add = (add_p[:, None, :, None] * w + add[None, :, None, :]).reshape(p * w, p * w)
+            if p == 2:  # digitwise sums mod 2 are XORs
+                add = np.bitwise_xor.outer(*[np.arange(q, dtype=np.int64)] * 2)
+            else:  # GF(p): row a of the sums mod p is a window of d written twice
+                add = add_p = as_strided(np.tile(d, 2), (p, p), (d.itemsize, d.itemsize)).copy()
+                for t in range(1, s):  # digit t on top: (hi, lo) -> hi * p^t + lo on both axes
+                    w = p**t
+                    add = (add_p[:, None, :, None] * w
+                           + add[None, :, None, :]).reshape(p * w, p * w)
             if s == 1:
                 mul = np.multiply.outer(d, d)
                 mul %= p

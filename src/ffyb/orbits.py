@@ -5,11 +5,12 @@ Q(a)), Q(a) = [[0,1],[0,a]], with b in {0, a}; the extremes are the zero
 matrix and a*I.  Orbits are labeled Zero, ScalarA or Mixed{k,b}, carry the
 rank of their representative as a fingerprint, and their sizes follow from
 the orbit-stabilizer formula with stabilizer order |GL(n-k,q)|*|GL(k,q)|.
-Brute-force oracles cross-check the formulas at small sizes: GL(n, q) and
-the centralizers by one pruned scan of every matrix index, with batched
-P X == X P tests and elimination at full depth, and the orbits as the
-connected components of conjugation by generators of GL(n, q), each applied
-as one row and one column operation.
+Brute-force oracles cross-check the formulas at small sizes.  GL(n, q) and
+each centralizer are the members of a span with nonzero batched determinant,
+scanned by coefficient index: all matrices, or the commutant {P : P X = X P}
+from a kernel basis of one elimination.  The orbits are the connected
+components of conjugation by generators of GL(n, q), each applied as one
+row and one column operation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import scan
 from .errors import InternalInvariantError
 from .gf import Field, FieldElement, exact_div
-from .matfq import Matrix, _from_encodings, direct_sum, gl_order
+from .matfq import Matrix, _echelon, _from_encodings, direct_sum, gl_order
 from .solutions import (CountReport, EquationInstance, _matrices_of, brute_force_indices,
                         is_solution, require_printable)
 
@@ -187,25 +188,36 @@ def orbit_sum_count(inst: EquationInstance) -> CountReport:
 # Brute-force oracles, on the scanner of scan.py.  None of them calls gl_order
 # or the closed form they are checked against.
 
-def _gl_scan(field: Field, n: int, budget: int, x=None) -> np.ndarray:
-    """Ascending indices of the invertible n x n matrices, or of those that
-    commute with the matrix x, given as an (n*n, 1) digit array.
-
-    One pruned scan of all q^(n^2) matrix indices that tests only at full
-    depth, by batched products and elimination.  The budget is checked
-    before anything is built."""
-    tabs = scan.gate(field, n * n, budget, "GL enumeration")
+def _span_scan(tabs: scan.Tables, n: int, basis: np.ndarray, free: list[int]) -> np.ndarray:
+    """Ascending indices sum_b c_b q^b of the coefficient vectors whose member
+    sum_b c_b basis[b] is invertible.  Row b of the (d, n*n) digit array basis
+    alone is nonzero at entry free[b], where it is 1.  The q^d indices are
+    scanned in chunks and tested at full depth: entry free[b] of the members
+    is c_b, the others take one mul and one add gather per basis vector, and
+    a member is kept where its batched determinant is nonzero."""
+    q, add, mul = tabs.q, tabs.add, tabs.mul
+    rest = sorted(set(range(n * n)) - set(free))
+    terms = basis[:, rest, None]
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
-        if t < n * n:
+        if t < len(basis):
             return idx
-        mats = scan.decode(tabs.q, n * n, idx)
-        if x is not None:
-            ok = (tabs.matmul(n, mats, x) == tabs.matmul(n, x, mats)).all(axis=0)
-            idx, mats = idx[ok], mats[:, ok]
-        return idx[tabs.invert(n, mats)[0]]
+        mats = c = scan.decode(q, len(basis), idx)
+        if rest:  # else free is every entry, ascending, and the members are c
+            mats = np.zeros((n * n, len(idx)), dtype=np.int64)
+            mats[free] = c
+            mats[rest] = reduce(lambda acc, cv: add[acc * q + mul[cv[0] * q + cv[1]]],
+                                zip(c, terms), 0)
+        return idx[tabs.det(n, mats) != 0]
 
-    return scan.pruned(tabs.q, [tabs.q**t for t in range(n * n)], prune)
+    return scan.pruned(q, [q**t for t in range(len(basis))], prune)
+
+
+def _gl_scan(field: Field, n: int, budget: int) -> np.ndarray:
+    """Ascending indices of the invertible n x n matrices: the span scan of
+    the unit basis, whose coefficient indices are the matrix indices."""
+    tabs = scan.gate(field, n * n, budget, "GL enumeration")
+    return _span_scan(tabs, n, np.eye(n * n, dtype=np.int64), list(range(n * n)))
 
 
 def enumerate_gl(field: Field, n: int, *, budget: int = GL_SCAN_BUDGET) -> list[Matrix]:
@@ -242,9 +254,8 @@ def _conjugate(tabs: scan.Tables, n: int, gens: np.ndarray, idx: np.ndarray) -> 
             + ((col - cj) * place[:, j].T[:, :, None]).sum(1))
 
 
-def brute_force_conjugacy_classes(inst: EquationInstance, *,
-                                  budget: int = GL_SCAN_BUDGET) -> list[list[Matrix]]:
-    """Partition of the solution set into conjugation orbits.
+def _census(inst: EquationInstance, budget: int) -> list[np.ndarray]:
+    """The conjugation orbits of the solution set, as index arrays.
 
     The transvections and dilations of _conjugators generate GL(n, q)
     (Taylor, The Geometry of the Classical Groups, 1992), so the orbits are
@@ -276,16 +287,51 @@ def brute_force_conjugacy_classes(inst: EquationInstance, *,
         for g in range(k):
             np.minimum(lab, lab[dst[g]], out=lab)
         lab = lab[lab]
-    del dst  # free its k*m entries before the class matrices are built
+    del dst  # free its k*m entries before the classes are split out
     order = np.argsort(lab, kind="stable")
-    classes = np.split(sol[order], np.flatnonzero(np.diff(lab[order])) + 1)
-    return [_matrices_of(fld, n, c) for c in classes]
+    return np.split(sol[order], np.flatnonzero(np.diff(lab[order])) + 1)
+
+
+def brute_force_conjugacy_classes(inst: EquationInstance, *,
+                                  budget: int = GL_SCAN_BUDGET) -> list[list[Matrix]]:
+    """Partition of the solution set into conjugation orbits: the Matrix
+    lists of _census's classes."""
+    return [_matrices_of(inst.field, inst.n, c) for c in _census(inst, budget)]
+
+
+def _commutant_basis(tabs: scan.Tables, X: Matrix) -> tuple[np.ndarray, list[int]]:
+    """A basis of {P : P X = X P} as a (d, n*n) digit array, and its free
+    entries.  _echelon reduces the n^2 equations P X - X P = 0; free column
+    f gives the vector with P_f = 1, the other free entries 0 and each pivot
+    entry minus its row's entry at f.  One batched product pair checks that
+    every basis matrix commutes with X."""
+    q, add, mul, n, p = tabs.q, tabs.add, tabs.mul, X.n_rows, X.field.p
+    neg, one, x = mul[(p - 1) * q:p * q], np.eye(n, dtype=np.int64), np.array(X.enc)
+    # row (i, j), column (a, b): [a = i] X_bj - [b = j] X_ia
+    eqs = add[one[:, None, :, None] * x.T[None, :, None, :] * q
+              + neg[x[:, None, :, None] * one[None, :, None, :]]]
+    rows, rank, _ = _echelon(X.field, eqs.reshape(n * n, n * n).tolist())
+    pivots = [r.index(next(filter(None, r))) for r in rows[:rank]]
+    free = sorted(set(range(n * n)) - set(pivots))
+    basis = np.eye(n * n, dtype=np.int64)[free]
+    basis[:, pivots] = neg[np.array(rows[:rank], dtype=np.int64).reshape(rank, n * n)[:, free].T]
+
+    def prod(a, b):  # batched products of (n, n, m) digit arrays
+        return reduce(lambda s, t: add[s * q + t], mul[a[:, :, None] * q + b[None]].swapaxes(0, 1))
+
+    mats, x = basis.T.reshape(n, n, -1), x[:, :, None]
+    if (prod(mats, x) != prod(x, mats)).any():
+        raise InternalInvariantError("a commutant basis matrix does not commute with X")
+    return basis, free
 
 
 def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,
                                   budget: int = GL_SCAN_BUDGET) -> int:
-    """Count the P in GL(n, q) commuting with X, one scan chunk at a time."""
+    """Count the P in GL(n, q) commuting with X: the invertible members of
+    its commutant, of dimension d >= n, one scan chunk at a time.  q^n is
+    refused before the elimination and q^d before any member is formed."""
     if X.field != inst.field or not (X.n_rows == X.n_cols == inst.n):
         raise ValueError(f"expected a {inst.n}x{inst.n} matrix over the instance field")
-    x = np.array([[e] for row in X.enc for e in row], dtype=np.int64)
-    return len(_gl_scan(inst.field, inst.n, budget, x))
+    basis, free = _commutant_basis(scan.gate(inst.field, inst.n, budget, "centralizer"), X)
+    return len(_span_scan(scan.gate(inst.field, len(free), budget, "centralizer"),
+                          inst.n, basis, free))

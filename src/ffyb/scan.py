@@ -97,46 +97,19 @@ class Tables:
             acc = prod if acc is None else add[acc * q + prod]
         return acc
 
-    def matmul(self, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched n x n products of digit arrays; a column of shape
-        (n*n, 1) stands for one matrix against the whole batch."""
-        return np.stack([self.dot(a[i * n:(i + 1) * n], b[j::n])
-                         for i in range(n) for j in range(n)])
-
-    def invert(self, n: int, mats: np.ndarray):
-        """Batched Gauss-Jordan elimination of n x n digit arrays.
-
-        Returns (pos, det, inv): the columns of mats that are invertible,
-        their determinants and their inverses as a digit array.  A matrix
-        leaves the batch at the first column without a pivot."""
-        q, add, mul = self.q, self.add, self.mul
-        fld = self.field
+    def det(self, n: int, mats: np.ndarray) -> np.ndarray:
+        """Batched determinants of n x n digit arrays, by elimination below
+        the pivots; a matrix with no pivot in a column gets det 0."""
+        q, add, mul, fld = self.q, self.add, self.mul, self.field
         neg = mul[(fld.p - 1) * q:fld.p * q]
         inv_of = np.array([0] + [fld._inv(k) for k in range(1, q)], dtype=np.int64)
-        m = mats.shape[1]
-        aug = np.zeros((n, 2 * n, m), dtype=np.int64)  # [A | I], row by row
-        aug[:, :n] = mats.reshape(n, n, m)
-        aug[np.arange(n), n + np.arange(n)] = 1
-        pos = np.arange(m)
-        det = np.ones(m, dtype=np.int64)
-        for c in range(n):
-            nonzero = aug[c:, c] != 0
-            found = nonzero.any(axis=0)
-            if not found.all():
-                aug, pos, det, nonzero = (aug[:, :, found], pos[found], det[found],
-                                          nonzero[:, found])
-            r = c + nonzero.argmax(axis=0)
-            swap = r != c
-            if swap.any():
-                cols = np.flatnonzero(swap)
-                pivot_rows = aug[r[cols], :, cols]
-                aug[r[cols], :, cols] = aug[c, :, cols]
-                aug[c, :, cols] = pivot_rows
-                det[cols] = neg[det[cols]]
-            pivot = aug[c, c]
-            det = mul[det * q + pivot]
-            aug[c] = mul[inv_of[pivot] * q + aug[c]]
-            factor = neg[aug[:, c]]
-            factor[c] = 0
-            aug = add[aug * q + mul[factor[:, None] * q + aug[c]]]
-        return pos, det, aug[:, n:].reshape(n * n, -1)
+        a = mats.reshape(n, n, mats.shape[1]).copy()
+        cols, det = np.arange(a.shape[2]), np.ones(a.shape[2], dtype=np.int64)
+        for c in range(n - 1):  # the last pivot needs no swap and clears no row
+            r = c + (a[c:, c] != 0).argmax(0)  # the pivot row, or c if there is none
+            det[r != c] = neg[det[r != c]]
+            a[r, c:, cols], a[c, c:] = a[c, c:, cols], a[r, c:, cols].T  # swap rows c and r
+            det = mul[det * q + a[c, c]]
+            f = mul[neg[a[c + 1:, c]] * q + inv_of[a[c, c]]]
+            a[c + 1:, c + 1:] = add[a[c + 1:, c + 1:] * q + mul[f[:, None] * q + a[c, c + 1:]]]
+        return mul[det * q + a[n - 1, n - 1]]

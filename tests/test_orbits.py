@@ -236,6 +236,31 @@ def test_census_n1_every_solution_is_its_own_class(p):
         assert [[matrix_index(m) for m in c] for c in got] == [[0], [enc]]
 
 
+@pytest.mark.parametrize("p,s,n", [(2, 2, 2), (3, 1, 3)])
+def test_census_index_arrays_are_the_public_classes(p, s, n):
+    inst = instance(p, s, n, enc=p**s - 1)
+    got = orbits._census(inst, orbits.GL_SCAN_BUDGET)
+    assert all(c.dtype == np.int64 and (np.diff(c) > 0).all() for c in got)
+    assert [c.tolist() for c in got] \
+        == [[matrix_index(m) for m in c] for c in brute_force_conjugacy_classes(inst)]
+
+
+def test_orbit_census_check_builds_one_matrix_per_class(monkeypatch):
+    from ffyb import cli, solutions
+    sizes = []
+
+    def counting(field, n, idx):
+        sizes.append(len(idx))
+        return real(field, n, idx)
+
+    real = solutions._matrices_of
+    monkeypatch.setattr(solutions, "_matrices_of", counting)
+    monkeypatch.setattr(orbits, "_matrices_of", counting)
+    ok, detail = cli._check_orbit_census(orbits.GL_SCAN_BUDGET)
+    assert ok, detail
+    assert sizes and set(sizes) == {1}
+
+
 def test_census_raises_when_a_conjugate_is_not_a_solution(monkeypatch):
     real = orbits._conjugate
 
@@ -271,8 +296,8 @@ def test_centralizer_counts():
 
 
 def test_centralizer_count_holds_one_chunk_at_a_time():
-    # GF(31), n = 2 scans 923,521 matrices, near the GL budget; holding the
-    # whole group and its inverses at once takes about 140 MB
+    # GF(31), n = 2: the commutant of Q(a) is its 31^2 polynomials c I + d Q(a)
+    # (d = 2), formed in one chunk; the X = 0 test below spans many chunks
     inst = instance(31, 1, 2)
     x = block_solution(inst, 1, inst.field.zero())
     tracemalloc.start()
@@ -283,6 +308,73 @@ def test_centralizer_count_holds_one_chunk_at_a_time():
         tracemalloc.stop()
     assert got == 900  # (q-1)^2
     assert peak < 48 * 10**6
+
+
+def test_centralizer_of_zero_holds_one_chunk_at_a_time():
+    # X = 0 at GF(31), n = 2: the commutant is all 923,521 matrices (d = 4),
+    # near the GL budget; holding the whole group and its inverses at once
+    # takes about 140 MB
+    inst = instance(31, 1, 2)
+    tracemalloc.start()
+    try:
+        got = brute_force_centralizer_order(inst, representative(inst, ZERO))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == gl_order(2, 31)
+    assert peak < 48 * 10**6
+
+
+@pytest.mark.parametrize("p,s,n,kinds", [(3, 1, 4, {"mixed"}),
+                                         (2, 2, 3, {"zero", "mixed", "scalar_a"})])
+def test_centralizers_of_conjugated_representatives_beyond_the_full_scan(p, s, n, kinds):
+    # q^(n^2) = 3^16 and 4^9: the full matrix scan refused 3^16 at the default
+    # budget; the commutants have q^d members, d = k^2 + (n-k)^2 <= 10
+    rng = random.Random(17)
+    f = make_field(p, s)
+    for enc in range(1, f.q):
+        inst = EquationInstance(f, n, f.from_encoding(enc))
+        for label in all_labels(n):
+            if label.kind in kinds:
+                P = random_invertible(rng, f, n)
+                X = P * representative(inst, label) * P.inverse()
+                assert brute_force_centralizer_order(inst, X) == stabilizer_order(inst, label)
+
+
+def test_centralizer_refusals_come_before_the_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the budget check")
+
+    inst = instance(3, 1, 4)
+    X = representative(inst, mixed_label(4, 1, "0"))  # d = 1 + 9
+    monkeypatch.setattr(orbits, "_echelon", refuse)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_centralizer_order(inst, X, budget=3**4 - 1)
+    assert info.value.required == 3**4  # every commutant holds at least q^n
+    monkeypatch.undo()
+    monkeypatch.setattr(scan, "pruned", refuse)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_centralizer_order(inst, X, budget=3**10 - 1)
+    assert info.value.required == 3**10
+    monkeypatch.undo()
+    assert brute_force_centralizer_order(inst, X, budget=3**10) == stabilizer_order(
+        inst, mixed_label(4, 1, "0"))
+
+
+def test_centralizer_raises_on_a_basis_matrix_that_does_not_commute(monkeypatch):
+    real = orbits._echelon
+
+    def faulty(field, rows):
+        rows, rank, det = real(field, rows)
+        rows[0] = [0] * (len(rows[0]) - 1) + [1]  # a wrong reduced row: P_last = 0
+        return rows, rank, det
+
+    inst = instance(3, 1, 2)
+    X = representative(inst, mixed_label(2, 1, "0"))
+    assert brute_force_centralizer_order(inst, X) == 4
+    monkeypatch.setattr(orbits, "_echelon", faulty)
+    with pytest.raises(InternalInvariantError):
+        brute_force_centralizer_order(inst, X)
 
 
 def test_conjugacy_census_holds_one_chunk_at_a_time():
