@@ -59,6 +59,8 @@ def _corpus() -> list[list[str]]:
     # varieties over large prime fields, at q^n near 6.6*10^4 and 10^6
     out += [["ideal", "--p", "257", "--n", "2", "--verify"],
             ["ideal", "--p", "101", "--n", "3", "--verify"]]
+    # the whole cross-verification sweep at its default budgets
+    out += [["verify-all"], ["verify-all", "--output", "table"]]
     return out
 
 
