@@ -6,22 +6,20 @@ from .errors import (BudgetExceededError, InternalInvariantError,
 from .gf import Field, FieldElement, all_elements, make_field
 from .matfq import (Matrix, char_coeffs, companion, conjugate, direct_sum,
                     gl_order, matrix_from_index, matrix_index, parse_matrix)
-from .polyfq import (PolyMatrix, SmithForm, UniPoly, char_matrix,
-                     companion_not_solution, elementary_divisors,
-                     factor_monic, invariant_factors, monic_irreducibles,
-                     parse_unipoly, poly_gcd, rational_canonical_form,
-                     smith_normal_form)
+from .polyfq import (PolyMatrix, UniPoly, char_matrix, elementary_divisors,
+                     factor_monic, invariant_factors, parse_unipoly, poly_gcd,
+                     rational_canonical_form)
 from .solutions import (CountReport, EquationInstance, brute_force_count,
                         brute_force_solutions, closed_form_count, is_solution,
-                        satisfies_yang_baxter, yang_baxter_count)
+                        yang_baxter_count)
 from .orbits import (OrbitLabel, OrbitRecord, all_labels, block_solution,
                      brute_force_centralizer_order,
                      brute_force_conjugacy_classes, classify, enumerate_gl,
                      label_rank, list_orbits, mixed_label, orbit_size,
-                     orbit_sum_count, representative, stabilizer_order)
+                     representative, stabilizer_order)
 from .invariants import (ImagePoint, SeparationReport, image_points,
-                         minimal_separating_subsets, orbit_invariants,
-                         separation_report, subset_separates, trace_separates)
+                         minimal_separating_subsets, separation_report,
+                         subset_separates, trace_separates)
 from .ideal import (GeneratorSet, MultiPoly, VarietyCheck, generating_set,
                     variety, verify_variety)
 

@@ -1,13 +1,14 @@
-"""Command-line front end: reproducible verification runs and JSON reports.
+"""Command-line front end: argument handling and JSON or table reports.
 
 Commands: count, enumerate, classify, orbits, smith, invariants, ideal,
-verify-all.  Reports are JSON by default (big integers as decimal strings,
-stable key order, top-level "schema": 1) or plain text with --output table.
-Exit codes: 0 success, 1 input error or failed verification, 2 budget
-refusal, 3 failed internal check.  The FFYB_BUDGET environment variable
-overrides the default enumeration budget; --budget overrides both.  Either
-must be a positive integer.  The parser is built once per process, on the
-first call of main, and FFYB_BUDGET is read on every call.
+verify-all; the checks of verify-all are in verify.py.  Reports are JSON
+by default (big integers as decimal strings, stable key order, top-level
+"schema": 1) or plain text with --output table.  Exit codes: 0 success,
+1 input error or failed verification, 2 budget refusal, 3 failed internal
+check.  The FFYB_BUDGET environment variable overrides the default
+enumeration budget; --budget overrides both.  Either must be a positive
+integer.  The parser is built once per process, on the first call of
+main, and FFYB_BUDGET is read on every call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import BudgetExceededError, InternalInvariantError
 from .gf import make_field
 from .matfq import parse_matrix
 from .solutions import EquationInstance
+from .verify import CHECKS
 
 SCHEMA_VERSION = 1
 _parser = None  # built by the first main call, then reused
@@ -229,147 +231,7 @@ def cmd_ideal(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# verify-all: the cross-verification sweep, one line per check.
-
-def _default_brute_pairs(limit: int) -> list[tuple[int, int, int]]:
-    """(n, p, s) with q <= 5, n <= 5 and search space within limit."""
-    out = []
-    for n in range(2, 6):
-        for p, s in [(2, 1), (3, 1), (2, 2), (5, 1)]:
-            q = p**s
-            if q**(n * n) <= limit:
-                out.append((n, p, s))
-    return out
-
-
-def _check_counts(budget: int) -> tuple[bool, str]:
-    tried = []
-    for n, p, s in _default_brute_pairs(min(budget, sol_mod.DEFAULT_SCAN_BUDGET)):
-        fld = make_field(p, s)
-        closed = None
-        counts = set()
-        for enc in range(1, fld.q):
-            inst = EquationInstance(fld, n, fld.from_encoding(enc))
-            closed = sol_mod.closed_form_count(inst).total
-            got = sol_mod.brute_force_count(inst, budget=budget)
-            if got != closed:
-                return False, f"mismatch at n={n} q={fld.q} a={enc}: {got} != {closed}"
-            counts.add(got)
-        if len(counts) != 1:
-            return False, f"count depends on a at n={n} q={fld.q}: {sorted(counts)}"
-        tried.append(f"(n={n},q={fld.q}):{closed}")
-    return True, "; ".join(tried)
-
-
-def _check_orbit_census(budget: int) -> tuple[bool, str]:
-    cases = [(2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1)]
-    details = []
-    for n, p, s in cases:
-        fld = make_field(p, s)
-        for enc in range(1, fld.q):
-            inst = EquationInstance(fld, n, fld.from_encoding(enc))
-            classes = orb_mod._census(inst, budget)
-            if len(classes) != n + 1:
-                return False, f"{len(classes)} classes at n={n} q={fld.q}, want {n + 1}"
-            total = 0
-            for cls in classes:
-                label = orb_mod.classify(inst, sol_mod._matrices_of(fld, n, cls[:1])[0])
-                want = orb_mod.orbit_size(inst, label)
-                if len(cls) != want:
-                    return False, (f"orbit {label.text()} has size {len(cls)}, "
-                                   f"formula says {want}")
-                total += len(cls)
-            if total != sol_mod.closed_form_count(inst).total:
-                return False, f"orbit sizes do not sum to the count at n={n} q={fld.q}"
-        details.append(f"(n={n},q={fld.q})")
-    return True, "classes and sizes match at " + ", ".join(details)
-
-
-def _check_stabilizers(budget: int) -> tuple[bool, str]:
-    cases = [(2, 2, 1), (2, 3, 1), (3, 2, 1)]
-    for n, p, s in cases:
-        fld = make_field(p, s)
-        for enc in range(1, fld.q):
-            inst = EquationInstance(fld, n, fld.from_encoding(enc))
-            for rec in orb_mod.list_orbits(inst):
-                got = orb_mod.brute_force_centralizer_order(inst, rec.representative,
-                                                            budget=budget)
-                if got != rec.stabilizer_order:
-                    return False, (f"centralizer of {rec.label.text()} at n={n} "
-                                   f"q={fld.q}: {got} != {rec.stabilizer_order}")
-    return True, "centralizer counts match GL(n-k)xGL(k) orders"
-
-
-def _check_elementary_divisors() -> tuple[bool, str]:
-    checked = 0
-    for p, s in [(2, 1), (3, 1), (2, 2), (5, 1)]:
-        fld = make_field(p, s)
-        x = polyfq.UniPoly.x(fld)
-        for n in range(2, 7):
-            for enc in range(1, fld.q):
-                a = fld.from_encoding(enc)
-                inst = EquationInstance(fld, n, a)
-                x_minus_a = x - polyfq.UniPoly.constant(a)
-                for k in range(1, n // 2 + 1):
-                    for b_is_a in (False, True):
-                        b = a if b_is_a else fld.zero()
-                        mat = orb_mod.block_solution(inst, k, b)
-                        got = sorted(polyfq.elementary_divisors(mat),
-                                     key=lambda g: g.text())
-                        lam = n - k if b_is_a else k
-                        want = sorted([x] * (n - lam) + [x_minus_a] * lam,
-                                      key=lambda g: g.text())
-                        if got != want:
-                            return False, (f"divisors off at n={n} q={fld.q} k={k} "
-                                           f"b={'a' if b_is_a else '0'}")
-                        checked += 1
-    return True, f"{checked} block matrices have the expected divisor multisets"
-
-
-def _check_separation() -> tuple[bool, str]:
-    fields = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
-    for p, s in fields:
-        fld = make_field(p, s)
-        for n in range(1, 9):
-            for enc in range(1, fld.q):
-                inst = EquationInstance(fld, n, fld.from_encoding(enc))
-                pts = inv_mod.image_points(inst)
-                if len(pts) != n + 1:
-                    return False, f"image has {len(pts)} points at n={n} q={fld.q}"
-                if not inv_mod.subset_separates(inst, range(1, n + 1)):
-                    return False, f"full invariant set fails at n={n} q={fld.q}"
-                if p > n and not inv_mod.trace_separates(inst):
-                    return False, f"trace should separate at n={n} p={p}"
-    return True, "n+1 distinct image points; full set separates; trace when p > n"
-
-
-def _check_variety(budget: int) -> tuple[bool, str]:
-    checked = 0
-    for p, s in [(2, 1), (3, 1), (2, 2), (5, 1)]:
-        fld = make_field(p, s)
-        for n in range(2, 7):
-            if fld.q**n > min(budget, 10**6):
-                continue
-            for enc in range(1, fld.q):
-                inst = EquationInstance(fld, n, fld.from_encoding(enc))
-                check = ideal_mod.verify_variety(inst, budget=budget)
-                if not check.equal or check.variety_size != n + 1:
-                    return False, f"variety mismatch at n={n} q={fld.q} a={enc}"
-                checked += 1
-    return True, f"{checked} varieties equal their n+1 image points"
-
-
-CHECKS = {
-    "count-oracle": lambda args: _check_counts(args.budget
-                                               or sol_mod.DEFAULT_SCAN_BUDGET),
-    "orbit-census": lambda args: _check_orbit_census(args.budget or orb_mod.GL_SCAN_BUDGET),
-    "stabilizers": lambda args: _check_stabilizers(args.budget or orb_mod.GL_SCAN_BUDGET),
-    "elementary-divisors": lambda args: _check_elementary_divisors(),
-    "separation": lambda args: _check_separation(),
-    "variety": lambda args: _check_variety(args.budget
-                                           or ideal_mod.DEFAULT_VARIETY_BUDGET),
-}
-
+# verify-all: the cross-verification sweep of verify.py, one line per check.
 
 def cmd_verify_all(args) -> tuple[dict, int]:
     names = list(CHECKS)
@@ -379,13 +241,12 @@ def cmd_verify_all(args) -> tuple[dict, int]:
             raise ValueError(f"unknown checks {unknown}; available: {names}")
         names = [n for n in names if n in args.only]
     results = []
-    all_ok = True
     lines_to = sys.stdout if args.output == "table" else sys.stderr
     for name in names:
-        ok, detail = CHECKS[name](args)
-        all_ok &= ok
+        ok, detail = CHECKS[name](args.budget)
         results.append({"name": name, "ok": ok, "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=lines_to)
+    all_ok = all(r["ok"] for r in results)
     report = {"schema": SCHEMA_VERSION, "command": "verify-all",
               "checks": results, "all_ok": all_ok}
     return report, 0 if all_ok else 1

@@ -84,48 +84,8 @@ class MultiPoly:
         self.n_vars = n_vars
         self.terms = clean
 
-    @classmethod
-    def monomial(cls, field: Field, n_vars: int, exps, coeff: FieldElement) -> "MultiPoly":
-        return cls(field, n_vars, {tuple(exps): coeff})
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def evaluate(self, point) -> FieldElement:
-        pt = list(point)
-        if len(pt) != self.n_vars:
-            raise ValueError(f"expected a point of length {self.n_vars}")
-        acc = self.field.zero()
-        for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(pt, exps):
-                for _ in range(e):
-                    term = term * x
-            acc = acc + term
-        return acc
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        if self.field != other.field or self.n_vars != other.n_vars:
-            raise ValueError("polynomial ring mismatch")
-        terms = dict(self.terms)
-        zero = self.field.zero()
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, zero) + c
-        return MultiPoly(self.field, self.n_vars, terms)
-
-    def __neg__(self):
-        return MultiPoly(self.field, self.n_vars,
-                         {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -3,9 +3,9 @@
 The map sending an orbit to the signed characteristic-polynomial
 coefficients of any member lands on n+1 distinct points of F_q^n: the zero
 vector, plus for j = 1..n the point whose i-th coordinate is C(j,i)*a^i.
-This module builds those image points, evaluates the invariants on orbit
-representatives, and decides which coordinate subsets still separate all
-orbits (including the 2^n sweep for inclusion-minimal separating subsets).
+This module builds those image points from the formula and decides which
+coordinate subsets still separate all orbits (including the 2^n sweep for
+inclusion-minimal separating subsets).
 
 All of these decisions read one set of bitmasks: for each pair of image
 points, the coordinates where the two differ.  A subset separates iff it
@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import BudgetExceededError, InternalInvariantError
 from .gf import FieldElement
-from .matfq import char_coeffs
-from .orbits import OrbitLabel, representative
 from .solutions import EquationInstance
 
 SUBSET_SWEEP_MAX_N = 20
@@ -52,11 +50,6 @@ class SeparationReport:
             out["minimal_separating_subsets"] = [list(s)
                                                  for s in self.minimal_separating_subsets]
         return out
-
-
-def orbit_invariants(inst: EquationInstance, label: OrbitLabel) -> tuple[FieldElement, ...]:
-    """The invariant vector of an orbit, evaluated on its representative."""
-    return char_coeffs(representative(inst, label))
 
 
 def image_points(inst: EquationInstance) -> list[ImagePoint]:

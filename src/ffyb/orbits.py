@@ -25,8 +25,8 @@ from . import scan
 from .errors import InternalInvariantError
 from .gf import Field, FieldElement, exact_div
 from .matfq import Matrix, _echelon, _from_encodings, direct_sum, gl_order
-from .solutions import (CountReport, EquationInstance, _matrices_of, brute_force_indices,
-                        is_solution, require_printable)
+from .solutions import (EquationInstance, _matrices_of, brute_force_indices, is_solution,
+                        require_printable)
 
 GL_SCAN_BUDGET = 10**6
 
@@ -171,17 +171,6 @@ def classify(inst: EquationInstance, X: Matrix) -> OrbitLabel:
     if r <= inst.n // 2:
         return mixed_label(inst.n, r, "0")
     return mixed_label(inst.n, inst.n - r, "a")
-
-
-def orbit_sum_count(inst: EquationInstance) -> CountReport:
-    """Total solution count reconstructed as the sum of all orbit sizes."""
-    records = list_orbits(inst)
-    return CountReport(
-        n=inst.n, q=inst.q, a_encoding=inst.a.encoding,
-        total=sum(r.orbit_size for r in records),
-        method="orbit_sum",
-        per_orbit=tuple((r.label.text(), r.orbit_size) for r in records),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Univariate polynomials over GF(q), lambda-matrices and canonical forms.
+"""Univariate polynomials over GF(q) and the canonical forms of a matrix.
 
 Provides exact polynomial arithmetic, factoring in time polynomial in log q,
-Smith normal form of square polynomial matrices over GF(q)[x], invariant
-factors and elementary divisors of a field matrix (via x*I - X), the rational
-canonical form, and a standalone check that a companion block of degree
->= 3 never solves X^2 = aX (orbits.classify reads the rank instead).
+the invariant factors, elementary divisors and rational canonical form of a
+field matrix, and x*I - X as a PolyMatrix with a Bareiss determinant, which
+only perfbench reads.  The Smith form of a whole polynomial matrix is a test
+reference, in tests/support.py.
 
 A UniPoly stores the integer encodings of its coefficients, not
 FieldElements, and computes on them with the field's encoding operations;
@@ -396,12 +396,6 @@ def is_irreducible_poly(f: UniPoly) -> bool:
     return next(_distinct_degree(f.field, _enc_monic(f.field, f.enc)))[1] == f.degree
 
 
-def monic_irreducibles(field: Field, degree: int):
-    for g in monic_polys(field, degree):
-        if is_irreducible_poly(g):
-            yield g
-
-
 DEFAULT_FACTOR_BUDGET = 10**7  # field multiplications
 
 
@@ -507,23 +501,6 @@ def char_matrix(X: "Matrix") -> PolyMatrix:
     return PolyMatrix(fld, rows)
 
 
-class SmithForm:
-    """Diagonal invariant factors h1 | h2 | ... | hn, units normalized to 1."""
-
-    __slots__ = ("invariant_factors",)
-
-    def __init__(self, invariant_factors: tuple[UniPoly, ...]):
-        self.invariant_factors = invariant_factors
-
-    def __eq__(self, other):
-        if not isinstance(other, SmithForm):
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
-
-    def __repr__(self):
-        return "SmithForm(" + "; ".join(h.text() for h in self.invariant_factors) + ")"
-
-
 def _smith_chain(fld: Field, a: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
     """The monic Smith chain of the square matrix a of coefficient tuples,
     which it reduces in place.
@@ -590,14 +567,6 @@ def _smith_chain(fld: Field, a: list[list[tuple[int, ...]]]) -> list[tuple[int, 
             d = _enc_gcd(fld, f, g)
             diag[i], diag[j] = d, (_enc_mul(fld, _enc_divmod(fld, f, d)[0], g) if f else ())
     return [_enc_monic(fld, h) for h in diag]
-
-
-def smith_normal_form(M: PolyMatrix) -> SmithForm:
-    """Smith normal form over GF(q)[x] by elementary row/column operations,
-    on coefficient tuples (see _smith_chain).  Fully deterministic."""
-    fld = M.field
-    chain = _smith_chain(fld, [[e.enc for e in row] for row in M.rows])
-    return SmithForm(tuple(UniPoly(fld, h) for h in chain))
 
 
 def invariant_factors(X: "Matrix") -> tuple[UniPoly, ...]:
@@ -708,15 +677,3 @@ def rational_canonical_form(X: "Matrix") -> "Matrix":
     in divisibility-chain (hence ascending-degree) order."""
     return _rcf_of_factors(X.field, invariant_factors(X))
 
-
-def companion_not_solution(f: UniPoly, a: FieldElement) -> bool:
-    """True iff C(f)^2 differs from a*C(f) for a monic f of degree >= 3.
-
-    Companion blocks of degree 3 or more can never appear in a canonical
-    form solving X^2 = aX; this checks one instance directly."""
-    if f.degree < 3:
-        raise ValueError("check applies to polynomials of degree >= 3")
-    from .matfq import companion
-
-    c = companion(f)
-    return c * c != a * c

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,20 +63,16 @@ class CountReport:
     q: int
     a_encoding: int
     total: int
-    method: str  # "closed_form" | "brute_force" | "orbit_sum"
-    per_orbit: tuple[tuple[str, int], ...] = dc_field(default_factory=tuple)
+    method: str
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "n": self.n,
             "q": self.q,
             "a": self.a_encoding,
             "total": str(self.total),
             "method": self.method,
         }
-        if self.per_orbit:
-            out["per_orbit"] = [[label, str(size)] for label, size in self.per_orbit]
-        return out
 
 
 def _check_shape(inst: EquationInstance, X: Matrix) -> None:
@@ -91,13 +87,6 @@ def is_solution(inst: EquationInstance, X: Matrix) -> bool:
     _check_shape(inst, X)
     inst.require_nonzero_a()
     return X * X == X * inst.a
-
-
-def satisfies_yang_baxter(inst: EquationInstance, X: Matrix) -> bool:
-    """True iff A X A = X A X with A = a*I; defined for every a including 0."""
-    _check_shape(inst, X)
-    a = inst.a
-    return X * (a * a) == (X * X) * a
 
 
 # ---------------------------------------------------------------------------

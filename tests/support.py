@@ -5,9 +5,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from ffyb.gf import Field, all_elements, coeff_tuples, make_field
-from ffyb.matfq import Matrix
-from ffyb.polyfq import UniPoly, monic_polys
+from ffyb.gf import Field, FieldElement, all_elements, coeff_tuples, make_field
+from ffyb.ideal import MultiPoly
+from ffyb.matfq import Matrix, char_coeffs, companion
+from ffyb.orbits import OrbitLabel, list_orbits, representative
+from ffyb.polyfq import (PolyMatrix, UniPoly, _smith_chain, is_irreducible_poly,
+                         monic_polys)
+from ffyb.solutions import EquationInstance, _check_shape
 
 
 def random_matrix(rng: random.Random, field: Field, n: int) -> Matrix:
@@ -196,3 +200,72 @@ def ref_encoded_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     mul = np.array(exp, dtype=np.int64)[(log_a[:, None] + log_a) % (q - 1)]
     mul[0, :] = mul[:, 0] = 0
     return ref_digit_add(k[:, None], k, p, s), mul
+
+
+# -- references no command runs, checked against the package's fast paths ----
+
+def smith_normal_form(M: PolyMatrix) -> tuple[UniPoly, ...]:
+    """The invariant factors h1 | h2 | ... | hn of a square matrix over
+    GF(q)[x], monic, units as 1: the Smith chain of the whole matrix, by
+    elementary row and column operations (polyfq._smith_chain)."""
+    fld = M.field
+    return tuple(UniPoly(fld, h)
+                 for h in _smith_chain(fld, [[e.enc for e in row] for row in M.rows]))
+
+
+def monic_irreducibles(field: Field, degree: int):
+    for g in monic_polys(field, degree):
+        if is_irreducible_poly(g):
+            yield g
+
+
+def companion_not_solution(f: UniPoly, a: FieldElement) -> bool:
+    """True iff C(f)^2 differs from a*C(f) for a monic f of degree >= 3:
+    no companion block of degree 3 or more solves X^2 = aX."""
+    if f.degree < 3:
+        raise ValueError("check applies to polynomials of degree >= 3")
+    c = companion(f)
+    return c * c != a * c
+
+
+def multipoly(field: Field, n_vars: int, terms) -> MultiPoly:
+    """The sum of the (exponent vector, coefficient) pairs in terms."""
+    out: dict = {}
+    for exps, c in terms:
+        exps = tuple(exps)
+        out[exps] = out.get(exps, field.zero()) + c
+    return MultiPoly(field, n_vars, out)
+
+
+def evaluate(g: MultiPoly, point) -> FieldElement:
+    """g at a point, term by term with FieldElement arithmetic."""
+    pt = list(point)
+    if len(pt) != g.n_vars:
+        raise ValueError(f"expected a point of length {g.n_vars}")
+    acc = g.field.zero()
+    for exps, c in g.terms.items():
+        term = c
+        for x, e in zip(pt, exps):
+            for _ in range(e):
+                term = term * x
+        acc = acc + term
+    return acc
+
+
+def orbit_invariants(inst: EquationInstance, label: OrbitLabel) -> tuple[FieldElement, ...]:
+    """The invariant vector of an orbit, evaluated on its representative."""
+    return char_coeffs(representative(inst, label))
+
+
+def satisfies_yang_baxter(inst: EquationInstance, X: Matrix) -> bool:
+    """True iff A X A = X A X with A = a*I; defined for every a including 0."""
+    _check_shape(inst, X)
+    a = inst.a
+    return X * (a * a) == (X * X) * a
+
+
+def orbit_sum_count(inst: EquationInstance) -> tuple[int, list[tuple[str, int]]]:
+    """The solution count as the sum of the orbit sizes, and the (label,
+    size) of each orbit."""
+    per_orbit = [(r.label.text(), r.orbit_size) for r in list_orbits(inst)]
+    return sum(size for _, size in per_orbit), per_orbit

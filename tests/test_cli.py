@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from ffyb import polyfq
+from ffyb import polyfq, verify
 from ffyb.cli import main
+from ffyb.errors import BudgetExceededError
 from ffyb.gf import Field
 
 
@@ -252,6 +253,32 @@ def test_verify_all_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--only", "nonsense")
     assert code == 1
     assert "unknown checks" in err
+
+
+@pytest.mark.parametrize("check,scan,smallest", [("count-oracle", "matrix enumeration", 16),
+                                                  ("variety", "variety scan", 4)])
+def test_verify_all_refuses_a_budget_below_every_case(capsys, check, scan, smallest):
+    # the smallest case is n = 2 over GF(2): 2^4 matrices, 2^2 points
+    code, out, err = run_cli(capsys, "verify-all", "--only", check, "--budget", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"refused: {scan} needs {smallest} steps, budget is 3\n"
+    with pytest.raises(BudgetExceededError) as info:
+        verify.CHECKS[check](3)
+    assert (info.value.required, info.value.budget) == (smallest, 3)
+
+
+def test_verify_all_count_oracle_runs_the_cases_within_the_budget(capsys):
+    rep = run_json(capsys, "verify-all", "--only", "count-oracle", "--budget", "20")
+    assert rep["all_ok"] is True
+    assert rep["checks"][0]["detail"] == "(n=2,q=2):8"
+
+
+def test_import_ffyb_loads_neither_the_cli_nor_the_sweep():
+    code = "import sys, ffyb; print(sorted({'ffyb.cli', 'ffyb.verify'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_exit_code_input_error(capsys):

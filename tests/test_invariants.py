@@ -4,11 +4,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from support import orbit_invariants
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
 from ffyb.invariants import (_minimal_subsets, image_points, minimal_separating_subsets,
-                             orbit_invariants, separation_report,
-                             subset_separates, trace_separates)
+                             separation_report, subset_separates, trace_separates)
 from ffyb.matfq import char_coeffs
 from ffyb.orbits import all_labels, label_rank
 from ffyb.solutions import EquationInstance, brute_force_solutions

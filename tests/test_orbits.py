@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_invertible, ref_generators
-from ffyb import orbits, scan
+from support import orbit_sum_count, random_invertible, ref_generators
+from ffyb import orbits, scan, verify
 from ffyb.errors import BudgetExceededError, InternalInvariantError
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, gl_order, matrix_from_index, matrix_index
@@ -16,8 +16,7 @@ from ffyb.orbits import (SCALAR_A, ZERO, all_labels, block_solution,
                          brute_force_centralizer_order,
                          brute_force_conjugacy_classes, classify,
                          enumerate_gl, label_rank, list_orbits, mixed_label,
-                         orbit_size, orbit_sum_count, representative,
-                         stabilizer_order)
+                         orbit_size, representative, stabilizer_order)
 from ffyb.polyfq import UniPoly, elementary_divisors
 from ffyb.solutions import (EquationInstance, brute_force_solutions,
                             closed_form_count, is_solution)
@@ -132,9 +131,9 @@ def test_orbit_sizes():
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
 def test_orbit_sizes_sum_to_total_count(n, p, s):
     inst = instance(p, s, n)
-    by_orbits = orbit_sum_count(inst)
-    assert by_orbits.total == closed_form_count(inst).total
-    assert len(by_orbits.per_orbit) == n + 1
+    total, per_orbit = orbit_sum_count(inst)
+    assert total == closed_form_count(inst).total
+    assert len(per_orbit) == n + 1
 
 
 @settings(deadline=None, max_examples=60)
@@ -143,7 +142,7 @@ def test_orbit_sizes_sum_to_total_count(n, p, s):
 def test_orbit_sizes_sum_to_total_count_up_to_n30(ps, n, data):
     f = make_field(*ps)
     inst = EquationInstance(f, n, f.from_encoding(data.draw(st.integers(1, f.q - 1))))
-    assert closed_form_count(inst).total == orbit_sum_count(inst).total
+    assert closed_form_count(inst).total == orbit_sum_count(inst)[0]
 
 
 def test_orbit_numbers_too_long_to_print_are_refused():
@@ -246,7 +245,7 @@ def test_census_index_arrays_are_the_public_classes(p, s, n):
 
 
 def test_orbit_census_check_builds_one_matrix_per_class(monkeypatch):
-    from ffyb import cli, solutions
+    from ffyb import solutions
     sizes = []
 
     def counting(field, n, idx):
@@ -256,7 +255,7 @@ def test_orbit_census_check_builds_one_matrix_per_class(monkeypatch):
     real = solutions._matrices_of
     monkeypatch.setattr(solutions, "_matrices_of", counting)
     monkeypatch.setattr(orbits, "_matrices_of", counting)
-    ok, detail = cli._check_orbit_census(orbits.GL_SCAN_BUDGET)
+    ok, detail = verify._check_orbit_census(None)
     assert ok, detail
     assert sizes and set(sizes) == {1}
 

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from support import evaluate
 from ffyb import scan
 from ffyb.errors import SingularMatrixError
 from ffyb.gf import all_elements, make_field
@@ -134,7 +135,7 @@ def test_pruned_variety_matches_evaluation_at_every_point(case, chunk):
     # product() varies the last coordinate fastest: reversed, that is
     # ascending point-encoding order
     want = [pt[::-1] for pt in product(elems, repeat=gens.n)
-            if all(g.evaluate(pt[::-1]).is_zero() for g in gens.generators)]
+            if all(evaluate(g, pt[::-1]).is_zero() for g in gens.generators)]
     with mock.patch.object(scan, "CHUNK", chunk):
         assert variety(gens, f) == want
 
@@ -172,7 +173,7 @@ def test_batched_layer_matches_evaluation_at_every_point(case, chunk):
     f, gens = case
     elems = all_elements(f)
     want = [pt[::-1] for pt in product(elems, repeat=gens.n)
-            if all(g.evaluate(pt[::-1]).is_zero() for g in gens.generators)]
+            if all(evaluate(g, pt[::-1]).is_zero() for g in gens.generators)]
     with mock.patch.object(scan, "CHUNK", chunk):
         assert variety(gens, f) == want
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from support import random_invertible
+from support import random_invertible, satisfies_yang_baxter
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import all_elements, make_field
 from ffyb.matfq import Matrix, matrix_from_index, parse_matrix
@@ -12,8 +12,7 @@ from ffyb.orbits import brute_force_centralizer_order, enumerate_gl
 from ffyb.scan import INDEX_LIMIT, TABLE_ENTRY_LIMIT
 from ffyb.solutions import (EquationInstance, brute_force_count,
                             brute_force_solutions, closed_form_count,
-                            is_solution, satisfies_yang_baxter,
-                            yang_baxter_count)
+                            is_solution, yang_baxter_count)
 
 
 def instance(p, s, n, enc=1):
