@@ -242,14 +242,19 @@ def cmd_verify_all(args) -> tuple[dict, int]:
         names = [n for n in names if n in args.only]
     results = []
     lines_to = sys.stdout if args.output == "table" else sys.stderr
+    seen = set()
     for name in names:
-        ok, detail = CHECKS[name](args.budget)
+        try:
+            ok, detail = CHECKS[name](args.budget)
+            status, message = "PASS" if ok else "FAIL", detail
+        except BudgetExceededError as exc:  # the sweep goes on past a refusal
+            ok, status, message, detail = False, "REFUSED", exc, f"refused: {exc}"
+        seen.add(status)
         results.append({"name": name, "ok": ok, "detail": detail})
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=lines_to)
-    all_ok = all(r["ok"] for r in results)
+        print(f"{status}  {name}: {message}", file=lines_to)
     report = {"schema": SCHEMA_VERSION, "command": "verify-all",
-              "checks": results, "all_ok": all_ok}
-    return report, 0 if all_ok else 1
+              "checks": results, "all_ok": seen <= {"PASS"}}
+    return report, 1 if "FAIL" in seen else 2 if "REFUSED" in seen else 0
 
 
 # ---------------------------------------------------------------------------

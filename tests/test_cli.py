@@ -261,8 +261,11 @@ def test_verify_all_refuses_a_budget_below_every_case(capsys, check, scan, small
     # the smallest case is n = 2 over GF(2): 2^4 matrices, 2^2 points
     code, out, err = run_cli(capsys, "verify-all", "--only", check, "--budget", "3")
     assert code == 2
-    assert out == ""
-    assert err == f"refused: {scan} needs {smallest} steps, budget is 3\n"
+    message = f"{scan} needs {smallest} steps, budget is 3"
+    assert json.loads(out) == {"schema": 1, "command": "verify-all", "all_ok": False,
+                               "checks": [{"name": check, "ok": False,
+                                           "detail": f"refused: {message}"}]}
+    assert err == f"REFUSED  {check}: {message}\n"
     with pytest.raises(BudgetExceededError) as info:
         verify.CHECKS[check](3)
     assert (info.value.required, info.value.budget) == (smallest, 3)
@@ -272,6 +275,21 @@ def test_verify_all_count_oracle_runs_the_cases_within_the_budget(capsys):
     rep = run_json(capsys, "verify-all", "--only", "count-oracle", "--budget", "20")
     assert rep["all_ok"] is True
     assert rep["checks"][0]["detail"] == "(n=2,q=2):8"
+
+
+def test_verify_all_runs_every_check_past_a_refusal(capsys, monkeypatch):
+    # at --budget 20, orbit-census and stabilizers refuse GF(3), n = 2
+    code, out, err = run_cli(capsys, "verify-all", "--budget", "20", "--output", "table")
+    assert code == 2
+    assert [l.split()[0] for l in out.splitlines()] \
+        == ["PASS", "REFUSED", "REFUSED", "PASS", "PASS", "PASS"]
+    assert "REFUSED  orbit-census: matrix enumeration needs 81 steps, budget is 20" in out
+    # a failed check outranks a refused one
+    monkeypatch.setitem(verify.CHECKS, "separation", lambda budget: (False, "broken"))
+    code, out, _ = run_cli(capsys, "verify-all", "--budget", "20")
+    assert code == 1
+    assert json.loads(out)["checks"][4] == {"name": "separation", "ok": False,
+                                            "detail": "broken"}
 
 
 def test_import_ffyb_loads_neither_the_cli_nor_the_sweep():

@@ -61,6 +61,9 @@ def _corpus() -> list[list[str]]:
             ["ideal", "--p", "101", "--n", "3", "--verify"]]
     # the whole cross-verification sweep at its default budgets
     out += [["verify-all"], ["verify-all", "--output", "table"]]
+    # a sweep whose budget refuses some checks still runs and reports the rest
+    out += [["verify-all", "--budget", "20"],
+            ["verify-all", "--budget", "20", "--output", "table"]]
     return out
 
 
