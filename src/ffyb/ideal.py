@@ -252,7 +252,6 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     rgrid[j, g] = (reads.cumsum(axis=1) - 1)[layer, fac]
     cgrid = np.zeros(rgrid.shape[:2] + (1,), dtype=np.int64)
     cgrid[j, g, 0] = rows[:, 3] * q
-    blocks = {}
 
     def block(t: int, g0: int, g1: int):
         # the powers that decode the digits a block reads, whether it reads
@@ -272,9 +271,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
         g0, end = ends[t], ends[t + 1]
         while g0 < end and len(idx):
             g1 = min(end, g0 + max(1, scan.CHUNK // (len(idx) * widths[t])))
-            if (g0, g1) not in blocks:
-                blocks[g0, g1] = block(t, g0, g1)
-            pw, ones, factor_rows, cq = blocks[g0, g1]
+            pw, ones, factor_rows, cq = block(t, g0, g1)
             # in place where possible: at full depth idx holds a whole chunk
             stack = np.empty((ones + len(pw), len(idx)), dtype=np.int64)
             np.floor_divide(idx, pw, out=stack[ones:])

@@ -127,31 +127,22 @@ def _hook_scan(inst: EquationInstance, budget: int | None) -> np.ndarray:
     a_enc = inst.a.encoding
     mul_a = tabs.mul[a_enc * q:(a_enc + 1) * q]
     order, tests = _hook_order(n)
-    # each equation as the canonical digits of its row, its column and its
-    # entry, and the digits that the equations after it at the same depth read
-    eqs = {}
-    for depth, entries in tests.items():
-        reads = [([i * n + k for k in range(n)], [k * n + j for k in range(n)], i * n + j)
-                 for i, j in entries]
-        eqs[depth] = [(row, col, f, {g for r, c, _ in reads[e + 1:] for g in r + c})
-                      for e, (row, col, f) in enumerate(reads)]
+    # each equation as the place values of its row and of its column, and the
+    # position of its entry in its row
+    eqs = {depth: [([q ** (i * n + k) for k in range(n)], [q ** (k * n + j) for k in range(n)], j)
+                   for i, j in entries] for depth, entries in tests.items()}
+
+    def digit(idx: np.ndarray, place: int) -> np.ndarray:
+        d = idx // place
+        d %= q  # in place: one temporary per digit
+        return d
 
     def prune(depth: int, idx: np.ndarray) -> np.ndarray:
-        x = {}  # digit f of every index in idx, decoded on first use
-
-        def digit(f: int) -> np.ndarray:
-            if f not in x:
-                x[f] = idx // q**f % q
-            return x[f]
-
-        for row, col, f, later in eqs.get(depth, ()):
-            lhs = tabs.dot([digit(g) for g in row], [digit(g) for g in col])
-            ok = lhs == mul_a[digit(f)]
+        for row, col, j in eqs.get(depth, ()):
+            x = [digit(idx, w) for w in row]
+            ok = tabs.dot(x, [digit(idx, w) for w in col]) == mul_a[x[j]]
             if not ok.all():
                 idx = idx[ok]
-                if not len(idx):
-                    break
-                x = {g: d[ok] for g, d in x.items() if g in later}
         return idx
 
     return scan.pruned(q, [q ** (i * n + j) for i, j in order], prune)
