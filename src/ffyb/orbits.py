@@ -2,15 +2,16 @@
 
 Every solution is conjugate to exactly one block matrix b*I ⊕ (k copies of
 Q(a)), Q(a) = [[0,1],[0,a]], with b in {0, a}; the extremes are the zero
-matrix and a*I.  Orbits are labeled Zero, ScalarA or Mixed{k,b}, carry the
-rank of their representative as a fingerprint, and their sizes follow from
-the orbit-stabilizer formula with stabilizer order |GL(n-k,q)|*|GL(k,q)|.
-Brute-force oracles cross-check the formulas at small sizes.  GL(n, q) and
-each centralizer are the members of a span with nonzero batched determinant,
-scanned by coefficient index: all matrices, or the commutant {P : P X = X P}
-from a kernel basis of one elimination.  The orbits are the connected
-components of conjugation by generators of GL(n, q), each applied as one
-row and one column operation.
+matrix and a*I.  Orbits are labeled Zero, ScalarA or Mixed{k,b}, and the
+rank r of the representative fixes everything else: its label, k = min(r,
+n-r) and b = a exactly when 2r > n, so Zero and ScalarA are the k = 0 cases.
+The sizes follow from the orbit-stabilizer formula with stabilizer order
+|GL(n-k,q)|*|GL(k,q)|.  Brute-force oracles cross-check the formulas at
+small sizes.  GL(n, q) and each centralizer are the members of a span with
+nonzero batched determinant, scanned by coefficient index: all matrices, or
+the commutant {P : P X = X P} from a kernel basis of one elimination.  The
+orbits are the connected components of conjugation by generators of
+GL(n, q), each applied as one row and one column operation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import scan
 from .errors import InternalInvariantError
 from .gf import Field, FieldElement, exact_div
-from .matfq import Matrix, _echelon, _from_encodings, direct_sum, gl_order
+from .matfq import Matrix, _echelon, _encoding_in, _from_encodings, gl_order
 from .solutions import (EquationInstance, _matrices_of, brute_force_indices, is_solution,
                         require_printable)
 
@@ -86,22 +87,23 @@ class OrbitRecord:
 
 def block_solution(inst: EquationInstance, k: int, b: FieldElement) -> Matrix:
     """The block matrix b*I of size n-2k ⊕ k copies of Q(a)."""
-    if not 0 <= 2 * k <= inst.n:
-        raise ValueError(f"k = {k} out of range for n = {inst.n}")
-    fld = inst.field
-    blocks = [Matrix.scalar(fld, inst.n - 2 * k, b)] if inst.n > 2 * k else []
-    blocks += [_from_encodings(fld, [[0, 1], [0, inst.a.encoding]])] * k
-    return reduce(direct_sum, blocks)
+    n, m = inst.n, inst.n - 2 * k
+    if not 0 <= m <= n:
+        raise ValueError(f"k = {k} out of range for n = {n}")
+    c, rows = _encoding_in(inst.field, b), [[0] * n for _ in range(n)]
+    for i in range(m):
+        rows[i][i] = c
+    for i in range(m, n, 2):
+        rows[i][i + 1], rows[i + 1][i + 1] = 1, inst.a.encoding
+    return _from_encodings(inst.field, rows)
 
 
 def representative(inst: EquationInstance, label: OrbitLabel) -> Matrix:
+    """The block solution b*I ⊕ k*Q(a) of the label's rank r: k = min(r, n-r),
+    and b = a exactly when 2r > n."""
     inst.require_nonzero_a()
-    if label.kind == "zero":
-        return Matrix.zeros(inst.field, inst.n)
-    if label.kind == "scalar_a":
-        return Matrix.scalar(inst.field, inst.n, inst.a)
-    b = inst.field.zero() if label.b == "0" else inst.a
-    return block_solution(inst, label.k, b)
+    n, r = inst.n, label_rank(inst, label)
+    return block_solution(inst, min(r, n - r), inst.a if 2 * r > n else inst.field.zero())
 
 
 def label_rank(inst: EquationInstance, label: OrbitLabel) -> int:
@@ -115,11 +117,8 @@ def label_rank(inst: EquationInstance, label: OrbitLabel) -> int:
 def stabilizer_order(inst: EquationInstance, label: OrbitLabel) -> int:
     """Order of the centralizer of the orbit representative in GL(n, q)."""
     inst.require_nonzero_a()
-    n, q = inst.n, inst.q
-    if label.kind in ("zero", "scalar_a"):
-        require_printable(q, n * n, 1, "the stabilizer order")
-        return gl_order(n, q)
-    k = label.k
+    n, q, r = inst.n, inst.q, label_rank(inst, label)
+    k = min(r, n - r)  # the representative's number of Q(a) blocks
     require_printable(q, (n - k) ** 2 + k * k, 1, "the stabilizer order")
     return gl_order(n - k, q) * gl_order(k, q)
 
@@ -130,29 +129,26 @@ def orbit_size(inst: EquationInstance, label: OrbitLabel) -> int:
     return exact_div(gl_order(n, inst.q), stabilizer_order(inst, label))
 
 
+def _label_of_rank(n: int, r: int) -> OrbitLabel:
+    """The label of the orbit whose representative has rank r."""
+    if r in (0, n):
+        return SCALAR_A if r else ZERO
+    return mixed_label(n, r, "0") if 2 * r <= n else mixed_label(n, n - r, "a")
+
+
 def all_labels(n: int) -> list[OrbitLabel]:
     """The n+1 orbit labels in ascending representative rank."""
-    labels = [ZERO]
-    labels += [mixed_label(n, k, "0") for k in range(1, n // 2 + 1)]
-    labels += [mixed_label(n, k, "a") for k in range((n - 1) // 2, 0, -1)]
-    labels.append(SCALAR_A)
-    return labels
+    return [_label_of_rank(n, r) for r in range(n + 1)]
 
 
 def list_orbits(inst: EquationInstance) -> list[OrbitRecord]:
     """All n+1 orbits, one per rank 0..n, in ascending rank order."""
     inst.require_nonzero_a()
     require_printable(inst.q, inst.n * inst.n, 1, "the stabilizer order")
-    out = []
-    for label in all_labels(inst.n):
-        out.append(OrbitRecord(
-            label=label,
-            representative=representative(inst, label),
-            rank=label_rank(inst, label),
-            stabilizer_order=stabilizer_order(inst, label),
-            orbit_size=orbit_size(inst, label),
-        ))
-    return out
+    return [OrbitRecord(label=label, representative=representative(inst, label), rank=r,
+                        stabilizer_order=stabilizer_order(inst, label),
+                        orbit_size=orbit_size(inst, label))
+            for r, label in enumerate(all_labels(inst.n))]
 
 
 def classify(inst: EquationInstance, X: Matrix) -> OrbitLabel:
@@ -163,14 +159,7 @@ def classify(inst: EquationInstance, X: Matrix) -> OrbitLabel:
     equals the rank; that multiplicity determines the orbit."""
     if not is_solution(inst, X):
         raise ValueError("matrix is not a solution of X^2 = aX")
-    r = X.rank()
-    if r == 0:
-        return ZERO
-    if r == inst.n:
-        return SCALAR_A
-    if r <= inst.n // 2:
-        return mixed_label(inst.n, r, "0")
-    return mixed_label(inst.n, inst.n - r, "a")
+    return _label_of_rank(inst.n, X.rank())
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Shared helpers for the test suite."""
 
 import random
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
 
 from ffyb.gf import Field, FieldElement, all_elements, coeff_tuples, make_field
 from ffyb.ideal import MultiPoly
-from ffyb.matfq import Matrix, char_coeffs, companion
+from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum
 from ffyb.orbits import OrbitLabel, list_orbits, representative
 from ffyb.polyfq import (PolyMatrix, UniPoly, _smith_chain, is_irreducible_poly,
                          monic_polys)
@@ -269,3 +270,12 @@ def orbit_sum_count(inst: EquationInstance) -> tuple[int, list[tuple[str, int]]]
     size) of each orbit."""
     per_orbit = [(r.label.text(), r.orbit_size) for r in list_orbits(inst)]
     return sum(size for _, size in per_orbit), per_orbit
+
+
+def ref_block_solution(inst: EquationInstance, k: int, b: FieldElement) -> Matrix:
+    """b*I of size n-2k ⊕ k copies of Q(a), as a fold of direct_sum over the
+    blocks."""
+    fld = inst.field
+    blocks = [Matrix.scalar(fld, inst.n - 2 * k, b)] if inst.n > 2 * k else []
+    blocks += [Matrix(fld, [[fld.zero(), fld.one()], [fld.zero(), inst.a]])] * k
+    return reduce(direct_sum, blocks)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import orbit_sum_count, random_invertible, ref_generators
+from support import orbit_sum_count, random_invertible, ref_block_solution, ref_generators
 from ffyb import orbits, scan, verify
 from ffyb.errors import BudgetExceededError, InternalInvariantError
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, gl_order, matrix_from_index, matrix_index
-from ffyb.orbits import (SCALAR_A, ZERO, all_labels, block_solution,
+from ffyb.orbits import (SCALAR_A, ZERO, _label_of_rank, all_labels, block_solution,
                          brute_force_centralizer_order,
                          brute_force_conjugacy_classes, classify,
                          enumerate_gl, label_rank, list_orbits, mixed_label,
@@ -33,6 +33,24 @@ def test_representative_shapes():
     assert representative(inst, SCALAR_A).text() == "2,0,0;0,2,0;0,0,2"
     assert representative(inst, mixed_label(3, 1, "0")).text() == "0,0,0;0,0,1;0,0,2"
     assert representative(inst, mixed_label(3, 1, "a")).text() == "2,0,0;0,0,1;0,0,2"
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (7, 1)])
+def test_every_orbit_fact_follows_from_the_rank(p, s):
+    f = make_field(p, s)
+    for n in range(1, 10):
+        for enc in sorted({1, f.q - 1}):
+            inst = EquationInstance(f, n, f.from_encoding(enc))
+            for r in range(n + 1):
+                label = _label_of_rank(n, r)
+                assert label_rank(inst, label) == r
+                assert label == all_labels(n)[r]
+                X = representative(inst, label)
+                assert X.rank() == r
+                assert classify(inst, X) == label
+            for k in range(n // 2 + 1):
+                for b in (f.zero(), inst.a):
+                    assert block_solution(inst, k, b) == ref_block_solution(inst, k, b), (n, k)
 
 
 def test_middle_orbit_normalizes_for_even_n():
