@@ -50,14 +50,13 @@ def _resolve_budget(flag: int | None) -> int | None:
 
 
 def _build_instance(args) -> tuple[EquationInstance, dict]:
+    """The instance of --p, --s, --n and --a, and the report fields that
+    name it."""
     fld = make_field(args.p, args.s)
     extras = {}
     if args.a == "rand-nonzero":
-        if fld.q < 2:
-            raise ValueError("no nonzero element available")
         enc = random.Random(args.seed).randrange(1, fld.q)
-        extras["a_source"] = "rand-nonzero"
-        extras["seed"] = args.seed
+        extras = {"a_source": "rand-nonzero", "seed": args.seed}
     else:
         try:
             enc = int(args.a)
@@ -65,21 +64,8 @@ def _build_instance(args) -> tuple[EquationInstance, dict]:
             raise ValueError(f"--a must be an integer encoding or 'rand-nonzero', "
                              f"got {args.a!r}") from exc
     inst = EquationInstance(fld, args.n, fld.from_encoding(enc))
-    return inst, extras
-
-
-def _base_report(command: str, inst: EquationInstance, extras: dict) -> dict:
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "p": inst.field.p,
-        "s": inst.field.s,
-        "q": inst.q,
-        "n": inst.n,
-        "a": inst.a.encoding,
-    }
-    report.update(extras)
-    return report
+    return inst, {"schema": SCHEMA_VERSION, "command": args.command, "p": fld.p, "s": fld.s,
+                  "q": fld.q, "n": inst.n, "a": inst.a.encoding, **extras}
 
 
 def _emit(report: dict, output: str) -> None:
@@ -109,55 +95,41 @@ def _print_table(obj, indent: str = "") -> None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (report dict, exit code)
+# command handlers; each fills in the report main built and returns the exit
+# code.  verify-all has no instance: it gets None and the report's first two
+# fields.
 
-def cmd_count(args) -> tuple[dict, int]:
-    inst, extras = _build_instance(args)
-    report = _base_report("count", inst, extras)
+def cmd_count(inst: EquationInstance, args, report: dict) -> int:
     if inst.a.is_zero():
-        report["method"] = "a_zero"
-        report["total"] = str(sol_mod.yang_baxter_count(inst))
-        return report, 0
-    code = 0
-    if args.method in ("closed", "both"):
-        closed = sol_mod.closed_form_count(inst)
-        report["closed_form"] = str(closed.total)
-    if args.method in ("brute", "both"):
-        brute = sol_mod.brute_force_count(inst, budget=args.budget)
-        report["brute_force"] = str(brute)
-    report["method"] = {"closed": "closed_form", "brute": "brute_force",
-                        "both": "both"}[args.method]
-    if args.method == "closed":
-        report["total"] = report["closed_form"]
+        report.update(method="a_zero", total=str(sol_mod.yang_baxter_count(inst)))
+    elif args.method == "closed":
+        total = str(sol_mod.closed_form_count(inst).total)
+        report.update(closed_form=total, method="closed_form", total=total)
     elif args.method == "brute":
-        report["total"] = report["brute_force"]
+        total = str(sol_mod.brute_force_count(inst, budget=args.budget))
+        report.update(brute_force=total, method="brute_force", total=total)
     else:
-        agree = report["closed_form"] == report["brute_force"]
-        report["agree"] = agree
-        report["total"] = report["closed_form"]
-        if not agree:
-            code = 1
-    return report, code
+        closed = str(sol_mod.closed_form_count(inst).total)
+        brute = str(sol_mod.brute_force_count(inst, budget=args.budget))
+        report.update(closed_form=closed, brute_force=brute, method="both",
+                      agree=closed == brute, total=closed)
+        return 0 if closed == brute else 1
+    return 0
 
 
-def cmd_enumerate(args) -> tuple[dict, int]:
-    inst, extras = _build_instance(args)
-    report = _base_report("enumerate", inst, extras)
+def cmd_enumerate(inst: EquationInstance, args, report: dict) -> int:
     if args.list:
         sols = sol_mod.brute_force_solutions(inst, budget=args.budget)
         report["total"] = str(len(sols))
         report["solutions"] = [x.text() for x in sols]
     else:
-        total = sol_mod.brute_force_count(inst, budget=args.budget)
-        report["total"] = str(total)
-    return report, 0
+        report["total"] = str(sol_mod.brute_force_count(inst, budget=args.budget))
+    return 0
 
 
-def cmd_classify(args) -> tuple[dict, int]:
-    inst, extras = _build_instance(args)
+def cmd_classify(inst: EquationInstance, args, report: dict) -> int:
     X = parse_matrix(inst.field, args.matrix)
     label = orb_mod.classify(inst, X)
-    report = _base_report("classify", inst, extras)
     report.update({
         "matrix": X.text(),
         "label": label.text(),
@@ -165,20 +137,17 @@ def cmd_classify(args) -> tuple[dict, int]:
         "orbit_size": str(orb_mod.orbit_size(inst, label)),
         "stabilizer_order": str(orb_mod.stabilizer_order(inst, label)),
     })
-    return report, 0
+    return 0
 
 
-def cmd_orbits(args) -> tuple[dict, int]:
-    inst, extras = _build_instance(args)
+def cmd_orbits(inst: EquationInstance, args, report: dict) -> int:
     records = orb_mod.list_orbits(inst)
-    report = _base_report("orbits", inst, extras)
     report["orbits"] = [r.to_json_dict() for r in records]
     report["total"] = str(sum(r.orbit_size for r in records))
-    return report, 0
+    return 0
 
 
-def cmd_smith(args) -> tuple[dict, int]:
-    inst, extras = _build_instance(args)
+def cmd_smith(inst: EquationInstance, args, report: dict) -> int:
     X = parse_matrix(inst.field, args.matrix)
     if X.n_rows != X.n_cols:
         raise ValueError("smith expects a square matrix")
@@ -189,28 +158,23 @@ def cmd_smith(args) -> tuple[dict, int]:
     if cost > budget:
         raise BudgetExceededError(cost, budget, "factoring the minimal polynomial",
                                   "field multiplications")
-    report = _base_report("smith", inst, extras)
     report.update({
         "matrix": X.text(),
         "invariant_factors": [h.text() for h in factors],
         "elementary_divisors": [g.text() for g in polyfq._divisors_of_factors(factors)],
         "rational_canonical_form": polyfq._rcf_of_factors(X.field, factors).text(),
     })
-    return report, 0
+    return 0
 
 
-def cmd_invariants(args) -> tuple[dict, int]:
-    inst, extras = _build_instance(args)
-    pts = inv_mod.image_points(inst)
+def cmd_invariants(inst: EquationInstance, args, report: dict) -> int:
+    report["image_points"] = [list(row) for row in inv_mod._image_encodings(inst)]
     sep = inv_mod.separation_report(inst, with_minimal_subsets=args.minimal_subsets)
-    report = _base_report("invariants", inst, extras)
-    report["image_points"] = [[c.encoding for c in p.coords] for p in pts]
     report.update(sep.to_json_dict())
-    return report, 0
+    return 0
 
 
-def cmd_ideal(args) -> tuple[dict, int]:
-    inst, extras = _build_instance(args)
+def cmd_ideal(inst: EquationInstance, args, report: dict) -> int:
     # C(n+1, 2) generators, each with at least one exponent vector of n entries
     entries = comb(inst.n + 1, 2) * inst.n
     if entries > sol_mod.LIST_LIMIT:
@@ -218,22 +182,19 @@ def cmd_ideal(args) -> tuple[dict, int]:
                                   "exponent entries")
     gens, check = ideal_mod._serialized(
         inst, verify=args.verify, budget=args.budget or ideal_mod.DEFAULT_VARIETY_BUDGET)
-    report = _base_report("ideal", inst, extras)
     report["generator_count"] = len(gens)
     report["generators"] = gens
-    code = 0
-    if check is not None:
-        report["variety"] = [list(pt) for pt in check.points]
-        report["verdict"] = check.equal
-        if not check.equal:
-            code = 1
-    return report, code
+    if check is None:
+        return 0
+    report["variety"] = [list(pt) for pt in check.points]
+    report["verdict"] = check.equal
+    return 0 if check.equal else 1
 
 
 # ---------------------------------------------------------------------------
 # verify-all: the cross-verification sweep of verify.py, one line per check.
 
-def cmd_verify_all(args) -> tuple[dict, int]:
+def cmd_verify_all(inst, args, report: dict) -> int:
     names = list(CHECKS)
     if args.only:
         unknown = [n for n in args.only if n not in CHECKS]
@@ -252,9 +213,8 @@ def cmd_verify_all(args) -> tuple[dict, int]:
         seen.add(status)
         results.append({"name": name, "ok": ok, "detail": detail})
         print(f"{status}  {name}: {message}", file=lines_to)
-    report = {"schema": SCHEMA_VERSION, "command": "verify-all",
-              "checks": results, "all_ok": seen <= {"PASS"}}
-    return report, 1 if "FAIL" in seen else 2 if "REFUSED" in seen else 0
+    report.update(checks=results, all_ok=seen <= {"PASS"})
+    return 1 if "FAIL" in seen else 2 if "REFUSED" in seen else 0
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +297,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         args.budget = _resolve_budget(args.budget)
-        report, code = args.handler(args)
+        if args.command == "verify-all":
+            inst, report = None, {"schema": SCHEMA_VERSION, "command": args.command}
+        else:
+            inst, report = _build_instance(args)
+        code = args.handler(inst, args, report)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
