@@ -7,10 +7,11 @@ This module builds those image points from the formula and decides which
 coordinate subsets still separate all orbits (including the 2^n sweep for
 inclusion-minimal separating subsets).
 
-All of these decisions read one set of bitmasks: for each pair of image
-points, the coordinates where the two differ.  A subset separates iff it
-meets every such mask, so the sweep is a numpy pass over all 2^n subsets
-per mask and never projects a point.
+A subset separates iff projecting the image points onto it stays
+injective, which one pass over the points decides.  The sweep instead reads
+one set of bitmasks, for each pair of image points the coordinates where
+the two differ: a subset separates iff it meets every such mask, so the
+sweep is a numpy pass over all 2^n subsets per mask.
 """
 
 from __future__ import annotations
@@ -79,12 +80,18 @@ def _image_encodings(inst: EquationInstance) -> list[tuple[int, ...]]:
     return rows
 
 
-def _difference_masks(inst: EquationInstance) -> set[int]:
+def _difference_masks(rows: list[tuple[int, ...]]) -> set[int]:
     """For each pair of image points, the bitmask of the coordinates where
     they differ, bit i-1 standing for coordinate i.  A coordinate subset
     separates the orbits iff its bitmask meets every one of these masks."""
     return {sum(1 << i for i, (x, y) in enumerate(zip(r, s)) if x != y)
-            for r, s in combinations(_image_encodings(inst), 2)}
+            for r, s in combinations(rows, 2)}
+
+
+def _separates(rows: list[tuple[int, ...]], coords) -> bool:
+    """Whether projecting the image points onto the 0-based coords is
+    injective."""
+    return len({tuple(row[i] for i in coords) for row in rows}) == len(rows)
 
 
 def subset_separates(inst: EquationInstance, subset) -> bool:
@@ -95,8 +102,7 @@ def subset_separates(inst: EquationInstance, subset) -> bool:
         raise ValueError("subset must be nonempty")
     if idx[0] < 1 or idx[-1] > inst.n:
         raise ValueError(f"coordinate indices must lie in 1..{inst.n}")
-    mask = sum(1 << (i - 1) for i in idx)
-    return all(mask & d for d in _difference_masks(inst))
+    return _separates(_image_encodings(inst), [i - 1 for i in idx])
 
 
 def trace_separates(inst: EquationInstance) -> bool:
@@ -117,7 +123,7 @@ def minimal_separating_subsets(inst: EquationInstance) -> list[tuple[int, ...]]:
     separating subset separates too.  Ordered by size then
     lexicographically.  Refused for n > 20, before any work."""
     _gate_sweep(inst.n)
-    return _minimal_subsets(_difference_masks(inst), inst.n)
+    return _minimal_subsets(_difference_masks(_image_encodings(inst)), inst.n)
 
 
 def _gate_sweep(n: int) -> None:
@@ -144,14 +150,15 @@ def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
 
 def separation_report(inst: EquationInstance, *,
                       with_minimal_subsets: bool = False) -> SeparationReport:
-    """Full-set, trace and minimal-subset separation from one mask build."""
+    """Full-set and trace separation by projecting one build of the image
+    points; the difference masks only for the minimal-subset sweep."""
     inst.require_nonzero_a()
     if with_minimal_subsets:
         _gate_sweep(inst.n)
-    diffs = _difference_masks(inst)
+    rows = _image_encodings(inst)
     return SeparationReport(
-        full_set_separates=all(diffs),  # each mask lies inside the full set
-        trace_alone_separates=all(d & 1 for d in diffs),
-        minimal_separating_subsets=(tuple(_minimal_subsets(diffs, inst.n))
+        full_set_separates=_separates(rows, range(inst.n)),
+        trace_alone_separates=_separates(rows, [0]),
+        minimal_separating_subsets=(tuple(_minimal_subsets(_difference_masks(rows), inst.n))
                                     if with_minimal_subsets else None),
     )

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from support import orbit_invariants
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
-from ffyb.invariants import (_minimal_subsets, image_points, minimal_separating_subsets,
+from ffyb.invariants import (_difference_masks, _image_encodings, _minimal_subsets,
+                             image_points, minimal_separating_subsets,
                              separation_report, subset_separates, trace_separates)
 from ffyb.matfq import char_coeffs
 from ffyb.orbits import all_labels, label_rank
@@ -206,6 +207,24 @@ def test_minimal_subsets_match_bitmask_brute_force(p, s):
         for enc in range(1, f.q):
             got = minimal_separating_subsets(EquationInstance(f, n, f.from_encoding(enc)))
             assert got == _bitmask_minimal_subsets(f, n, enc), (n, enc)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (7, 1)])
+def test_projection_rule_equals_the_mask_rule(p, s):
+    # a subset separates iff its projection of the image points is injective,
+    # iff its bitmask meets every pairwise difference mask
+    f = make_field(p, s)
+    for n in range(1, 9):
+        for enc in sorted({1, f.q - 1}):
+            inst = EquationInstance(f, n, f.from_encoding(enc))
+            diffs = _difference_masks(_image_encodings(inst))
+            for mask in range(1, 1 << n):
+                subset = [i + 1 for i in range(n) if mask >> i & 1]
+                assert subset_separates(inst, subset) == all(mask & d for d in diffs), \
+                    (n, enc, subset)
+            rep = separation_report(inst)
+            assert rep.full_set_separates == all(diffs)
+            assert rep.trace_alone_separates == all(d & 1 for d in diffs)
 
 
 @st.composite
