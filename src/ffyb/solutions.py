@@ -132,15 +132,10 @@ def _hook_scan(inst: EquationInstance, budget: int | None) -> np.ndarray:
     eqs = {depth: [([q ** (i * n + k) for k in range(n)], [q ** (k * n + j) for k in range(n)], j)
                    for i, j in entries] for depth, entries in tests.items()}
 
-    def digit(idx: np.ndarray, place: int) -> np.ndarray:
-        d = idx // place
-        d %= q  # in place: one temporary per digit
-        return d
-
     def prune(depth: int, idx: np.ndarray) -> np.ndarray:
         for row, col, j in eqs.get(depth, ()):
-            x = [digit(idx, w) for w in row]
-            ok = tabs.dot(x, [digit(idx, w) for w in col]) == mul_a[x[j]]
+            x = [idx // w % q for w in row]
+            ok = tabs.dot(x, [idx // w % q for w in col]) == mul_a[x[j]]
             if not ok.all():
                 idx = idx[ok]
         return idx
