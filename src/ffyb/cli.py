@@ -68,13 +68,6 @@ def _build_instance(args) -> tuple[EquationInstance, dict]:
                   "q": fld.q, "n": inst.n, "a": inst.a.encoding, **extras}
 
 
-def _emit(report: dict, output: str) -> None:
-    if output == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        _print_table(report)
-
-
 def _print_table(obj, indent: str = "") -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -168,8 +161,13 @@ def cmd_smith(inst: EquationInstance, args, report: dict) -> int:
 
 
 def cmd_invariants(inst: EquationInstance, args, report: dict) -> int:
-    report["image_points"] = [list(row) for row in inv_mod._image_encodings(inst)]
+    # n+1 image points of n coordinates each
+    entries = (inst.n + 1) * inst.n
+    if entries > sol_mod.LIST_LIMIT:
+        raise BudgetExceededError(entries, sol_mod.LIST_LIMIT, "image point report",
+                                  "coordinate entries")
     sep = inv_mod.separation_report(inst, with_minimal_subsets=args.minimal_subsets)
+    report["image_points"] = [list(row) for row in sep.points]
     report.update(sep.to_json_dict())
     return 0
 
@@ -313,7 +311,10 @@ def main(argv=None) -> int:
         return 1
     if args.command == "verify-all" and args.output == "table":
         return code  # the per-check lines were already printed
-    _emit(report, args.output)
+    if args.output == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        _print_table(report)
     return code
 
 

@@ -53,11 +53,16 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def coeff_tuples(base: int, length: int):
-    """All length-tuples over 0..base-1, lexicographic, first position most
-    significant.  Shared ordering for the modulus search and for
-    polyfq.monic_polys."""
-    return itertools.product(range(base), repeat=length)
+def power(base, e: int, one):
+    """base ** e for an int e >= 0 by square-and-multiply, one being the
+    unit of base's ring; FieldElement, UniPoly and Matrix all power here."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
 
 
 def _digit_add(a, b, p: int, s: int):
@@ -264,15 +269,7 @@ class FieldElement:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self.inv() if e < 0 else self
-        e = abs(e)
-        out = self.field.one()
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self.inv() if e < 0 else self, abs(e), self.field.one())
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -304,7 +301,7 @@ def make_field(p: int, s: int = 1) -> Field:
     from .polyfq import UniPoly, is_irreducible_poly
 
     prime = make_field(p)
-    for tail in coeff_tuples(p, s):
+    for tail in itertools.product(range(p), repeat=s):
         # x divides every candidate with a zero constant term
         if tail[0] and is_irreducible_poly(UniPoly.from_encodings(prime, (*tail, 1))):
             return Field(p, s, (*tail, 1))

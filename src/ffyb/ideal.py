@@ -58,11 +58,6 @@ from .solutions import EquationInstance
 DEFAULT_VARIETY_BUDGET = 10**7
 
 
-def _grlex_key(exps: tuple[int, ...]):
-    # graded lexicographic with x1 > x2 > ...; larger key = larger monomial
-    return (sum(exps), exps)
-
-
 class MultiPoly:
     """A sparse multivariate polynomial over a Field.
 
@@ -85,7 +80,8 @@ class MultiPoly:
         self.terms = clean
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], FieldElement]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        # graded lexicographic with x1 > x2 > ...; larger key = larger monomial
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -310,9 +306,6 @@ def variety(gens: GeneratorSet, field: Field, *,
 class VarietyCheck:
     """Outcome of comparing the scanned variety with the orbit image."""
 
-    n: int
-    q: int
-    a_encoding: int
     variety_size: int
     image_size: int
     equal: bool
@@ -335,7 +328,6 @@ def _check(inst: EquationInstance, terms, budget: int) -> VarietyCheck:
     weights = [q**i for i in range(n)]
     img = sorted(sum(map(operator.mul, row, weights)) for row in _image_encodings(inst))
     return VarietyCheck(
-        n=n, q=q, a_encoding=inst.a.encoding,
         variety_size=len(idx), image_size=len(img),
         equal=idx.tolist() == img,
         points=tuple(map(tuple, scan.decode(q, n, idx).T.tolist())),

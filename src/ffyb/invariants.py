@@ -16,7 +16,7 @@ sweep is a numpy pass over all 2^n subsets per mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 import numpy as np
@@ -41,6 +41,8 @@ class SeparationReport:
     full_set_separates: bool
     trace_alone_separates: bool
     minimal_separating_subsets: tuple[tuple[int, ...], ...] | None = None
+    # the image points decided from, each as its coordinate encodings
+    points: tuple = dc_field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -161,4 +163,5 @@ def separation_report(inst: EquationInstance, *,
         trace_alone_separates=_separates(rows, [0]),
         minimal_separating_subsets=(tuple(_minimal_subsets(_difference_masks(rows), inst.n))
                                     if with_minimal_subsets else None),
+        points=tuple(rows),
     )

@@ -16,7 +16,7 @@ least significant first; the enumeration scanners run over these indices.
 from __future__ import annotations
 
 from .errors import InternalInvariantError, SingularMatrixError
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, power
 from .polyfq import UniPoly, _rcf_of_factors
 
 
@@ -127,14 +127,7 @@ class Matrix:
             return NotImplemented
         if not self.is_square:
             raise ValueError("matrix power requires a square matrix")
-        out = Matrix.identity(self.field, self.n_rows)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, Matrix.identity(self.field, self.n_rows))
 
     # -- elimination-based operations ----------------------------------------
 

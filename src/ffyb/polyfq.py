@@ -24,7 +24,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError
-from .gf import Field, FieldElement, coeff_tuples
+from .gf import Field, FieldElement, power
 
 if TYPE_CHECKING:  # pragma: no cover
     from .matfq import Matrix
@@ -116,16 +116,12 @@ class UniPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _trimmed(cls, field: Field, enc: list[int]) -> "UniPoly":
-        return cls(field, _trim(enc))
-
-    @classmethod
     def from_elements(cls, field: Field, seq) -> "UniPoly":
-        return cls._trimmed(field, [c.encoding for c in seq])
+        return cls(field, _trim([c.encoding for c in seq]))
 
     @classmethod
     def from_encodings(cls, field: Field, encs) -> "UniPoly":
-        return cls._trimmed(field, [field.from_encoding(e).encoding for e in encs])
+        return cls(field, _trim([field.from_encoding(e).encoding for e in encs]))
 
     @classmethod
     def zero(cls, field: Field) -> "UniPoly":
@@ -215,14 +211,7 @@ class UniPoly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        out = UniPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, UniPoly.one(self.field))
 
     def __divmod__(self, other):
         if not isinstance(other, UniPoly):
@@ -239,17 +228,13 @@ class UniPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def _at(self, x: int) -> int:
-        """The value at the element with encoding x, as an encoding."""
-        add, mul = self.field._add, self.field._mul
+    def __call__(self, point: FieldElement) -> FieldElement:
+        self._check(point)
+        add, mul, x = self.field._add, self.field._mul, point.encoding
         acc = 0
         for c in reversed(self.enc):
             acc = add(mul(acc, x), c)
-        return acc
-
-    def __call__(self, point: FieldElement) -> FieldElement:
-        self._check(point)
-        return FieldElement(self.field, self._at(point.encoding))
+        return FieldElement(self.field, acc)
 
     # -- identity -----------------------------------------------------------
 
@@ -303,7 +288,7 @@ def monic_polys(field: Field, degree: int):
     """Monic degree-d polynomials in canonical order: coefficient tuples over
     element encodings, constant term compared first (the same ordering the
     field modulus search uses)."""
-    for tail in coeff_tuples(field.q, degree):
+    for tail in itertools.product(range(field.q), repeat=degree):
         yield UniPoly(field, (*tail, 1))
 
 
@@ -619,10 +604,6 @@ def invariant_factors(X: "Matrix") -> tuple[UniPoly, ...]:
     return (one,) * (n - k) + tuple(UniPoly(fld, e) for e in _smith_chain(fld, t))
 
 
-def _poly_sort_key(g: UniPoly):
-    return (g.degree, g.enc)
-
-
 def _divisors_of_factors(hs) -> tuple[UniPoly, ...]:
     """The elementary divisors of an invariant-factor chain, sorted.
 
@@ -645,7 +626,7 @@ def _divisors_of_factors(hs) -> tuple[UniPoly, ...]:
                 rest, m = quot, m + 1
             if m:
                 out.append(g**m)
-    return tuple(sorted(out, key=_poly_sort_key))
+    return tuple(sorted(out, key=lambda g: (g.degree, g.enc)))
 
 
 def elementary_divisors(X: "Matrix") -> tuple[UniPoly, ...]:

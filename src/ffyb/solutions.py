@@ -57,22 +57,9 @@ class EquationInstance:
 
 @dataclass
 class CountReport:
-    """A solution count together with how it was obtained."""
+    """The closed-form solution count."""
 
-    n: int
-    q: int
-    a_encoding: int
     total: int
-    method: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "a": self.a_encoding,
-            "total": str(self.total),
-            "method": self.method,
-        }
 
 
 def _check_shape(inst: EquationInstance, X: Matrix) -> None:
@@ -207,8 +194,7 @@ def closed_form_count(inst: EquationInstance) -> CountReport:
     total = 2 + sum((1 if 2 * k == n else 2)
                     * exact_div(gl_n, gl_order(n - k, q) * gl_order(k, q))
                     for k in range(1, n // 2 + 1))
-    return CountReport(n=n, q=q, a_encoding=inst.a.encoding, total=total,
-                       method="closed_form")
+    return CountReport(total)
 
 
 def yang_baxter_count(inst: EquationInstance) -> int:

@@ -106,12 +106,12 @@ def _check_separation(budget: int | None) -> tuple[bool, str]:
     for p, s in [*BRUTE_FIELDS, (7, 1), (2, 3), (3, 2)]:
         for n in range(1, 9):
             for inst in _instances(n, p, s):
-                pts = invariants.image_points(inst)
-                if len(pts) != n + 1:
-                    return False, f"image has {len(pts)} points at n={n} q={inst.q}"
-                if not invariants.subset_separates(inst, range(1, n + 1)):
+                sep = invariants.separation_report(inst)
+                if len(sep.points) != n + 1:
+                    return False, f"image has {len(sep.points)} points at n={n} q={inst.q}"
+                if not sep.full_set_separates:
                     return False, f"full invariant set fails at n={n} q={inst.q}"
-                if p > n and not invariants.trace_separates(inst):
+                if p > n and not sep.trace_alone_separates:
                     return False, f"trace should separate at n={n} p={p}"
     return True, "n+1 distinct image points; full set separates; trace when p > n"
 

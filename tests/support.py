@@ -2,11 +2,11 @@
 
 import random
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from ffyb.gf import Field, FieldElement, all_elements, coeff_tuples, make_field
+from ffyb.gf import Field, FieldElement, all_elements, make_field
 from ffyb.ideal import MultiPoly
 from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum
 from ffyb.orbits import OrbitLabel, list_orbits, representative
@@ -138,7 +138,7 @@ def ref_modulus(p: int, s: int) -> tuple[int, ...]:
     """The first monic irreducible of degree s over GF(p), candidates in
     coefficient-tuple order with the constant term compared first."""
     prime = make_field(p)
-    for tail in coeff_tuples(p, s):
+    for tail in product(range(p), repeat=s):
         g = UniPoly(prime, (*tail, 1))
         if ref_is_irreducible(g):
             return g.enc

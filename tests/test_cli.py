@@ -202,6 +202,35 @@ def test_invariants_command(capsys):
     assert rep["minimal_separating_subsets"] == [[1, 2]]
 
 
+@pytest.mark.parametrize("n", [1000, 10**9])
+def test_invariants_report_refused_before_it_is_built(capsys, monkeypatch, n):
+    # (n+1)*n coordinate entries: 1,001,000 at n = 1000 exceed LIST_LIMIT,
+    # n = 999 has 999,000
+    import ffyb.invariants
+
+    def build(inst):
+        raise AssertionError("image points built")
+
+    monkeypatch.setattr(ffyb.invariants, "_image_encodings", build)
+    code, out, err = run_cli(capsys, "invariants", "--p", "2", "--n", str(n))
+    assert code == 2
+    assert out == ""
+    assert f"image point report needs {(n + 1) * n} coordinate entries" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--minimal-subsets"]])
+def test_invariants_builds_the_image_points_once(capsys, monkeypatch, extra):
+    import ffyb.invariants
+
+    calls = []
+    build = ffyb.invariants._image_encodings
+    monkeypatch.setattr(ffyb.invariants, "_image_encodings",
+                        lambda inst: calls.append(inst) or build(inst))
+    rep = run_json(capsys, "invariants", "--p", "2", "--n", "3", *extra)
+    assert rep["image_points"] == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1]]
+    assert len(calls) == 1
+
+
 def test_ideal_verify(capsys):
     rep = run_json(capsys, "ideal", "--p", "2", "--s", "2", "--n", "3", "--a", "2",
                    "--verify")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ffyb.gf import Field, FieldElement, all_elements, is_prime, make_field
+from ffyb.matfq import Matrix, parse_matrix
+from ffyb.polyfq import UniPoly
 from support import ref_encoded_tables, ref_log_tables
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -111,6 +113,27 @@ def test_pow_and_division():
     assert three**6 == f7.one()  # Fermat
     assert three**-1 == three.inv()
     assert (three / three) == f7.one()
+
+
+def test_powers_are_repeated_products():
+    # FieldElement, UniPoly and Matrix share one square-and-multiply
+    f = make_field(3, 2)
+    x = f.from_encoding(5)
+    cases = [(x, f.one()), (UniPoly.from_encodings(f, (1, 2, 3)), UniPoly.one(f)),
+             (parse_matrix(f, "1,2;0,7"), Matrix.identity(f, 2))]
+    for base, prod in cases:
+        for e in range(10):
+            assert base**e == prod, (base, e)
+            prod = prod * base
+    prod = f.one()
+    for e in range(10):
+        assert x**-e == prod
+        prod = prod * x.inv()
+    with pytest.raises(ZeroDivisionError):
+        f.zero() ** -1
+    for base, _ in cases[1:]:
+        with pytest.raises(TypeError):
+            base ** -1
 
 
 def test_mismatched_fields_rejected():

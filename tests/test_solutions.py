@@ -196,14 +196,6 @@ def test_yang_baxter_vacuous_at_a_zero():
                    for i in range(f.q**4))
 
 
-def test_report_serialization():
-    rep = closed_form_count(instance(2, 1, 3))
-    d = rep.to_json_dict()
-    assert d["total"] == "58"
-    assert d["method"] == "closed_form"
-    assert d["n"] == 3 and d["q"] == 2
-
-
 def test_instance_validation():
     f = make_field(3)
     with pytest.raises(ValueError):
