@@ -17,9 +17,8 @@ from .orbits import (OrbitLabel, OrbitRecord, all_labels, block_solution,
                      brute_force_conjugacy_classes, classify, enumerate_gl,
                      label_rank, list_orbits, mixed_label, orbit_size,
                      representative, stabilizer_order)
-from .invariants import (ImagePoint, SeparationReport, image_points,
-                         minimal_separating_subsets, separation_report,
-                         subset_separates, trace_separates)
+from .invariants import (SeparationReport, minimal_separating_subsets,
+                         separation_report)
 from .ideal import (GeneratorSet, MultiPoly, VarietyCheck, generating_set,
                     variety, verify_variety)
 

@@ -161,6 +161,7 @@ def cmd_smith(inst: EquationInstance, args, report: dict) -> int:
 
 
 def cmd_invariants(inst: EquationInstance, args, report: dict) -> int:
+    inst.require_nonzero_a()  # an input error at every n, before the size refusal
     # n+1 image points of n coordinates each
     entries = (inst.n + 1) * inst.n
     if entries > sol_mod.LIST_LIMIT:
@@ -173,6 +174,7 @@ def cmd_invariants(inst: EquationInstance, args, report: dict) -> int:
 
 
 def cmd_ideal(inst: EquationInstance, args, report: dict) -> int:
+    inst.require_nonzero_a()  # an input error at every n, before the size refusal
     # C(n+1, 2) generators, each with at least one exponent vector of n entries
     entries = comb(inst.n + 1, 2) * inst.n
     if entries > sol_mod.LIST_LIMIT:

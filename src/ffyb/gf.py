@@ -11,7 +11,11 @@ Prime fields compute mod p.  Extension fields compute through exp, log and
 Zech-log tables of size q over the first primitive element, built on first
 use.  The scanners' q x q tables take a few whole-array numpy passes: add is
 an XOR for p = 2 and else stacks GF(p)'s p x p table once per digit, mul
-gathers exp[log a + log b] (prime fields: reduces the products mod p).
+gathers exp[log a + log b] (prime fields: reduces the products mod p).  The
+scanners build them only while q^2 fits one scan chunk (q <= 256): past it a
+table costs more memory and set-up than the scans read from it, so scan.Tables
+computes each entry when it is looked up, from O(q) vectors such as
+log_vectors.
 
 The modulus is chosen deterministically: candidates are ordered
 lexicographically by their non-leading coefficient tuple, constant term
@@ -192,7 +196,8 @@ class Field:
     def encoded_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(add, mul) q x q int64 tables over encodings, built lazily.
 
-        The scanners run on these tables instead of element objects."""
+        The scanners run on these tables instead of element objects, while
+        q^2 fits one scan chunk."""
         if self._tables is None:
             p, s, q = self.p, self.s, self.q
             d = np.arange(p, dtype=np.int64)
@@ -208,15 +213,22 @@ class Field:
                 mul = np.multiply.outer(d, d)
                 mul %= p
             else:
-                exp, log, _ = self._log_tables()
-                # exp twice holds every log a + log b; log 0 = 2(q-1) lands in zeros
-                ext = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
-                lg = np.array([2 * (q - 1), *log[1:]], dtype=np.int64)
+                ext, lg = log_vectors(self)
                 mul = np.add.outer(lg, lg)
                 # gathered in place; mode "raise" would buffer a second q x q array
                 np.take(ext, mul, out=mul, mode="clip")
             self._tables = (add, mul)
         return self._tables
+
+
+def log_vectors(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(ext, lg) of an extension field: a * b = ext[lg[a] + lg[b]] for all
+    encodings a, b.  ext is exp twice, which holds every log a + log b, then
+    zeros, where lg[0] = 2(q-1) sends every product with 0."""
+    q = field.q
+    exp, log, _ = field._log_tables()
+    ext = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+    return ext, np.array([2 * (q - 1), *log[1:]], dtype=np.int64)
 
 
 class FieldElement:
@@ -290,12 +302,14 @@ def make_field(p: int, s: int = 1) -> Field:
 
     The modulus is the first irreducible among monic degree-s polynomials
     ordered by coefficient tuple (constant term compared first)."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if s < 1:
         raise ValueError(f"extension degree s = {s} must be >= 1")
-    if p**s > MAX_ORDER:
+    # before is_prime and p**s, which are big-integer work at a huge p or s;
+    # p^s >= 2^s, so an s past the bit length of MAX_ORDER needs no p**s
+    if p > MAX_ORDER or s > MAX_ORDER.bit_length() or p**s > MAX_ORDER:
         raise ValueError(f"field order {p}^{s} exceeds supported maximum {MAX_ORDER}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if s == 1:
         return Field(p, 1, (0, 1))
     from .polyfq import UniPoly, is_irreducible_poly

@@ -22,18 +22,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, InternalInvariantError
-from .gf import FieldElement
 from .solutions import EquationInstance
 
 SUBSET_SWEEP_MAX_N = 20
-
-
-@dataclass(frozen=True)
-class ImagePoint:
-    """The invariant vector of the rank-j orbit: coordinates C(j,i)*a^i."""
-
-    index: int
-    coords: tuple[FieldElement, ...]
 
 
 @dataclass(frozen=True)
@@ -55,18 +46,12 @@ class SeparationReport:
         return out
 
 
-def image_points(inst: EquationInstance) -> list[ImagePoint]:
-    """The n+1 image points of the orbits, indexed by representative rank.
+def _image_encodings(inst: EquationInstance) -> list[tuple[int, ...]]:
+    """The coordinate encodings of the n+1 image points of the orbits,
+    indexed by representative rank.
 
     Raises if any two coincide: with a != 0 they are always pairwise
     distinct, so a duplicate signals an implementation bug."""
-    fld = inst.field
-    return [ImagePoint(j, tuple(FieldElement(fld, c) for c in row))
-            for j, row in enumerate(_image_encodings(inst))]
-
-
-def _image_encodings(inst: EquationInstance) -> list[tuple[int, ...]]:
-    """The coordinate encodings of the image points, as in image_points."""
     inst.require_nonzero_a()
     n, fld = inst.n, inst.field
     mul = fld._mul
@@ -94,25 +79,6 @@ def _separates(rows: list[tuple[int, ...]], coords) -> bool:
     """Whether projecting the image points onto the 0-based coords is
     injective."""
     return len({tuple(row[i] for i in coords) for row in rows}) == len(rows)
-
-
-def subset_separates(inst: EquationInstance, subset) -> bool:
-    """True iff projecting the image points onto the 1-based coordinate
-    subset stays injective, i.e. those invariants still separate all orbits."""
-    idx = sorted(set(subset))
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    if idx[0] < 1 or idx[-1] > inst.n:
-        raise ValueError(f"coordinate indices must lie in 1..{inst.n}")
-    return _separates(_image_encodings(inst), [i - 1 for i in idx])
-
-
-def trace_separates(inst: EquationInstance) -> bool:
-    """Whether the trace (the first invariant) alone separates the orbits.
-
-    Its n+1 orbit values are 0, a, 2a, ..., na, so this holds whenever the
-    characteristic exceeds n."""
-    return subset_separates(inst, [1])
 
 
 def minimal_separating_subsets(inst: EquationInstance) -> list[tuple[int, ...]]:

@@ -4,31 +4,41 @@ An index in [0, q^width) stands for a vector of `width` base-q digits, least
 significant first: a matrix (width n^2) or a point of F_q^n (width n).  All
 field arithmetic is done by lookups in the field's add/mul tables, used
 through flat views indexed a*q + b, which numpy gathers faster than a 2-D
-fancy index.
+fancy index.  A field whose q x q table would pass one scan chunk (q > 256)
+gets no table: its `add` and `mul` take the same indices and compute each
+entry from O(q) vectors when it is looked up.  A scan reads a few chunks of
+entries, so past that size building a table costs more memory and time than
+the scan it serves.
 
 `gate` decides what a scan may cost: it refuses more than min(budget,
-INDEX_LIMIT) indices before it builds the tables, so the solution, variety,
-GL and centralizer scans all refuse an index space that int64 cannot hold,
-whatever the budget.  `pruned` builds indices digit by digit and never
-extends a prefix that already fails a test on its digits, so most indices
-are never formed.  The scan may fix the digits in any order: each is given
-with its place value in the index, so the scan's output is the canonical
-indices, ascending.  `decode` gives the (width, rows) digit array of an
-index array, row t holding digit t.
+INDEX_LIMIT) indices before it sets up the arithmetic, so the solution,
+variety, GL and centralizer scans all refuse an index space that int64
+cannot hold, whatever the budget.  It never computes a q^width of more than
+EXACT_BITS bits; past that, the refusal reports a power of 2 below it.
+`pruned` builds indices digit by digit and never extends a prefix that
+already fails a test on its digits, so most indices are never formed.  The
+scan may fix the digits in any order: each is given with its place value in
+the index, so the scan's output is the canonical indices, ascending.
+`decode` gives the (width, rows) digit array of an index array, row t
+holding digit t.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import BudgetExceededError
-from .gf import Field
+from .gf import Field, log_vectors
 
 CHUNK = 1 << 16
 # indices are int64: a wider index space would wrap around
 INDEX_LIMIT = 2**63 - 1
 # q^2 entries per table: 2^24 int64 entries are 128 MB for each of the two.
 TABLE_ENTRY_LIMIT = 2**24
+# a refused q^width is given exactly up to this many bits
+EXACT_BITS = 10**5
 
 
 def decode(q: int, width: int, idx: np.ndarray) -> np.ndarray:
@@ -38,8 +48,11 @@ def decode(q: int, width: int, idx: np.ndarray) -> np.ndarray:
 
 def gate(field: Field, width: int, budget: int, what: str) -> Tables:
     """The tables for a scan of all q^width indices, refused before they are
-    built when q^width exceeds the budget or INDEX_LIMIT."""
-    space = field.q ** width
+    set up when q^width exceeds the budget or INDEX_LIMIT."""
+    q = field.q
+    # past EXACT_BITS, 2^(width * floor(log2 q)) <= q^width, capped, is far above limit
+    space = (q ** width if width * q.bit_length() <= EXACT_BITS
+             else 1 << min(width * (q.bit_length() - 1), EXACT_BITS))
     limit = min(budget, INDEX_LIMIT)
     if space > limit:
         raise BudgetExceededError(space, limit, what)
@@ -73,10 +86,63 @@ def pruned(q: int, places: list[int], prune) -> np.ndarray:
     return np.sort(np.concatenate(out))
 
 
-class Tables:
-    """A field's add and mul tables as flat arrays indexed a*q + b.
+class Computed:
+    """A q x q table that is never built: the entry at flat index a*q + b is
+    f(a, b), worked out when it is looked up.  It takes what a flat table
+    takes: an int, a slice, or an int64 array of any shape."""
 
-    The q^2-entry refusal comes before the tables are built, so an oversized
+    __slots__ = ("q", "f")
+
+    def __init__(self, q: int, f):
+        self.q, self.f = q, f
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            i = np.arange(*i.indices(self.q * self.q), dtype=np.int64)
+        a = i // self.q  # faster than np.divmod, which divides twice
+        return self.f(a, i - a * self.q)
+
+
+def _rebase(k: np.ndarray, p: int, src: int, dst: int, s: int) -> np.ndarray:
+    """The s base-src digits of k, each taken mod p, read in base dst."""
+    return sum(k // src**t % src % p * dst**t for t in range(s))
+
+
+@lru_cache(maxsize=None)
+def computed_tables(field: Field) -> tuple[Computed, Computed]:
+    """(add, mul) of a field computed per lookup from O(q) vectors.
+
+    add is an XOR for p = 2.  For odd p, red takes each base-(2p-1) digit
+    mod p, so red[a + b] is a + b mod p in a prime field.  Past s = 1,
+    spread first rewrites each base-p digit in base 2p - 1, where two
+    encodings add with no carry.  mul is a*b mod p for a prime field and
+    exp[log a + log b] through log_vectors for an extension field.  red has
+    (2p-1)^s entries, 78,125 at GF(3^7), the most below TABLE_ENTRY_LIMIT."""
+    p, s, q = field.p, field.s, field.q
+    if p == 2:
+        add = np.bitwise_xor
+    else:
+        red = _rebase(np.arange((2 * p - 1) ** s, dtype=np.int64), p, 2 * p - 1, p, s)
+        spread = _rebase(np.arange(q, dtype=np.int64), p, p, 2 * p - 1, s)
+
+        def add(a, b):  # spread is the identity at s = 1
+            return red[a + b] if s == 1 else red[spread[a] + spread[b]]
+    if s == 1:
+        def mul(a, b):
+            return a * b % p
+    else:
+        ext, lg = log_vectors(field)
+
+        def mul(a, b):
+            return ext[lg[a] + lg[b]]
+    return Computed(q, add), Computed(q, mul)
+
+
+class Tables:
+    """A field's add and mul tables, looked up at flat indices a*q + b: dense
+    arrays while q^2 <= CHUNK, Computed lookups past it.
+
+    The q^2-entry refusal comes before either is set up, so an oversized
     field costs nothing."""
 
     def __init__(self, field: Field, budget: int | None = None):
@@ -86,7 +152,10 @@ class Tables:
             raise BudgetExceededError(q * q, limit, "arithmetic tables")
         self.field = field
         self.q = q
-        self.add, self.mul = (t.ravel() for t in field.encoded_tables())
+        if q * q > CHUNK:
+            self.add, self.mul = computed_tables(field)
+        else:
+            self.add, self.mul = (t.ravel() for t in field.encoded_tables())
 
     def dot(self, row, col) -> np.ndarray:
         """sum_k row[k] * col[k] over paired digit rows."""

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import random
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from ffyb.gf import Field, FieldElement, all_elements, make_field
 from ffyb.ideal import MultiPoly
+from ffyb.invariants import _image_encodings, _separates
 from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum
 from ffyb.orbits import OrbitLabel, list_orbits, representative
 from ffyb.polyfq import (PolyMatrix, UniPoly, _smith_chain, is_irreducible_poly,
@@ -279,3 +281,39 @@ def ref_block_solution(inst: EquationInstance, k: int, b: FieldElement) -> Matri
     blocks = [Matrix.scalar(fld, inst.n - 2 * k, b)] if inst.n > 2 * k else []
     blocks += [Matrix(fld, [[fld.zero(), fld.one()], [fld.zero(), inst.a]])] * k
     return reduce(direct_sum, blocks)
+
+
+# -- image points as FieldElements, and separation one subset at a time ------
+
+@dataclass(frozen=True)
+class ImagePoint:
+    """The invariant vector of the rank-j orbit: coordinates C(j,i)*a^i."""
+
+    index: int
+    coords: tuple[FieldElement, ...]
+
+
+def image_points(inst: EquationInstance) -> list[ImagePoint]:
+    """The n+1 image points of the orbits, indexed by representative rank."""
+    fld = inst.field
+    return [ImagePoint(j, tuple(FieldElement(fld, c) for c in row))
+            for j, row in enumerate(_image_encodings(inst))]
+
+
+def subset_separates(inst: EquationInstance, subset) -> bool:
+    """True iff projecting the image points onto the 1-based coordinate
+    subset stays injective, i.e. those invariants still separate all orbits."""
+    idx = sorted(set(subset))
+    if not idx:
+        raise ValueError("subset must be nonempty")
+    if idx[0] < 1 or idx[-1] > inst.n:
+        raise ValueError(f"coordinate indices must lie in 1..{inst.n}")
+    return _separates(_image_encodings(inst), [i - 1 for i in idx])
+
+
+def trace_separates(inst: EquationInstance) -> bool:
+    """Whether the trace (the first invariant) alone separates the orbits.
+
+    Its n+1 orbit values are 0, a, 2a, ..., na, so this holds whenever the
+    characteristic exceeds n."""
+    return subset_separates(inst, [1])

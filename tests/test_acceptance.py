@@ -8,11 +8,11 @@ from math import comb
 
 import pytest
 
-from support import companion_not_solution, orbit_sum_count, satisfies_yang_baxter
+from support import (companion_not_solution, image_points, orbit_sum_count,
+                     satisfies_yang_baxter, subset_separates, trace_separates)
 from ffyb.gf import all_elements, make_field
 from ffyb.ideal import generating_set, variety, verify_variety
-from ffyb.invariants import (image_points, minimal_separating_subsets,
-                             subset_separates, trace_separates)
+from ffyb.invariants import minimal_separating_subsets
 from ffyb.matfq import Matrix, matrix_from_index
 from ffyb.orbits import (block_solution, brute_force_centralizer_order,
                          brute_force_conjugacy_classes, classify, list_orbits,

@@ -372,6 +372,39 @@ def test_search_spaces_too_long_to_print_are_still_refused(capsys):
     assert "matrix enumeration needs at least 2^40000 steps" in err
 
 
+@pytest.mark.parametrize("argv,want", [
+    # is_prime trial-divides up to sqrt(p), so the order cap comes first
+    (("count", "--p", "2305843009213693951", "--n", "2"), 1),
+    (("count", "--p", "1000000000000000000000000000057", "--n", "2"), 1),
+    # p**s has 1.6*10^8 bits
+    (("count", "--p", "3", "--s", "100000000", "--n", "2"), 1),
+    # q**width is 3^(9*10^8)
+    (("enumerate", "--p", "3", "--n", "30000"), 2),
+    (("count", "--method", "brute", "--p", "3", "--n", "30000"), 2),
+])
+def test_huge_inputs_are_refused_before_any_big_integer_work(argv, want):
+    # a big-integer pow cannot be interrupted in-process, so each runs in a
+    # child that is killed if it outlives the timeout
+    proc = subprocess.run([sys.executable, "-m", "ffyb", *argv],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == want, proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("ideal", "--n", "3"), ("ideal", "--n", "126"), ("ideal", "--n", "3", "--verify"),
+    ("invariants", "--n", "3"), ("invariants", "--n", "1000"),
+    ("invariants", "--n", "1000000000", "--minimal-subsets"),
+])
+def test_a_zero_is_an_input_error_at_every_n(capsys, argv):
+    # a is checked before the report-size refusal, so the exit code does not
+    # depend on n
+    code, out, err = run_cli(capsys, *argv, "--p", "2", "--a", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a = 0")
+
+
 def test_long_counts_below_the_digit_limit_still_print(capsys):
     rep = run_json(capsys, "count", "--p", "2", "--n", "100")
     assert len(rep["total"]) == 1506
@@ -381,7 +414,7 @@ def test_long_counts_below_the_digit_limit_still_print(capsys):
 
 def test_exit_code_internal_invariant_failure(monkeypatch, capsys):
     # with every field product read as 0 all n+1 image points collapse onto
-    # the origin, which image_points must report as a bug, not as bad input
+    # the origin, which _image_encodings must report as a bug, not as bad input
     monkeypatch.setattr(Field, "_mul", lambda self, x, y: 0)
     code, out, err = run_cli(capsys, "invariants", "--p", "5", "--n", "3", "--a", "2")
     assert code == 3

@@ -2,14 +2,13 @@ from math import comb
 
 import pytest
 
-from support import evaluate, multipoly
+from support import evaluate, image_points, multipoly
 from ffyb import ideal, scan
 from ffyb.cli import main
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import all_elements, make_field
 from ffyb.ideal import (GeneratorSet, MultiPoly, generating_set, variety,
                         verify_variety)
-from ffyb.invariants import image_points
 from ffyb.solutions import EquationInstance
 
 VARIETY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]

@@ -4,12 +4,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import orbit_invariants
+from support import image_points, orbit_invariants, subset_separates, trace_separates
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
 from ffyb.invariants import (_difference_masks, _image_encodings, _minimal_subsets,
-                             image_points, minimal_separating_subsets,
-                             separation_report, subset_separates, trace_separates)
+                             minimal_separating_subsets, separation_report)
 from ffyb.matfq import char_coeffs
 from ffyb.orbits import all_labels, label_rank
 from ffyb.solutions import EquationInstance, brute_force_solutions
