@@ -242,12 +242,12 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     reads = np.zeros((n + 1, n + 1), dtype=bool)
     reads[layer, fac] = True
     # the (width x polynomials x degree) grid of each factor's row in its
-    # layer's stack, and the grid of coefficients times q, both padded with
-    # zero coefficients
+    # layer's stack, and the grid of coefficients, both padded with zero
+    # coefficients
     rgrid = np.zeros((max(widths), ends[-1], fac.shape[1]), dtype=np.int64)
     rgrid[j, g] = (reads.cumsum(axis=1) - 1)[layer, fac]
     cgrid = np.zeros(rgrid.shape[:2] + (1,), dtype=np.int64)
-    cgrid[j, g, 0] = rows[:, 3] * q
+    cgrid[j, g, 0] = rows[:, 3]
 
     def block(t: int, g0: int, g1: int):
         # the powers that decode the digits a block reads, whether it reads
@@ -267,7 +267,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
         g0, end = ends[t], ends[t + 1]
         while g0 < end and len(idx):
             g1 = min(end, g0 + max(1, scan.CHUNK // (len(idx) * widths[t])))
-            pw, ones, factor_rows, cq = block(t, g0, g1)
+            pw, ones, factor_rows, coef = block(t, g0, g1)
             # in place where possible: at full depth idx holds a whole chunk
             stack = np.empty((ones + len(pw), len(idx)), dtype=np.int64)
             np.floor_divide(idx, pw, out=stack[ones:])
@@ -275,18 +275,12 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
             stack[:ones] = 1
             vals = stack[factor_rows[0]]
             for r in factor_rows[1:]:
-                vals *= q
-                vals += stack[r]
-                vals = mul[vals]
+                vals = mul(vals, stack[r])
             del stack
-            vals += cq
-            vals = mul[vals]
+            vals = mul(coef, vals)
             while len(vals) > 1:  # pairwise sums of the halves
                 h = len(vals) // 2
-                low = vals[:h]
-                low *= q
-                low += vals[h:]
-                vals = add[low]
+                vals = add(vals[:h], vals[h:])
             idx = idx[~vals[0].any(axis=0)]
             g0 = g1
         return idx

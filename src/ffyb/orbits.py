@@ -184,8 +184,7 @@ def _span_scan(tabs: scan.Tables, n: int, basis: np.ndarray, free: list[int]) ->
         if rest:  # else free is every entry, ascending, and the members are c
             mats = np.zeros((n * n, len(idx)), dtype=np.int64)
             mats[free] = c
-            mats[rest] = reduce(lambda acc, cv: add[acc * q + mul[cv[0] * q + cv[1]]],
-                                zip(c, terms), 0)
+            mats[rest] = reduce(add, map(mul, c, terms))
         return idx[tabs.det(n, mats) != 0]
 
     return scan.pruned(q, [q**t for t in range(len(basis))], prune)
@@ -194,6 +193,8 @@ def _span_scan(tabs: scan.Tables, n: int, basis: np.ndarray, free: list[int]) ->
 def _gl_scan(field: Field, n: int, budget: int) -> np.ndarray:
     """Ascending indices of the invertible n x n matrices: the span scan of
     the unit basis, whose coefficient indices are the matrix indices."""
+    if n < 1:
+        raise ValueError("matrix size n must be >= 1")
     tabs = scan.gate(field, n * n, budget, "GL enumeration")
     return _span_scan(tabs, n, np.eye(n * n, dtype=np.int64), list(range(n * n)))
 
@@ -220,13 +221,13 @@ def _conjugate(tabs: scan.Tables, n: int, gens: np.ndarray, idx: np.ndarray) -> 
     _conjugators, X the matrices of idx: only row i and column j change."""
     q, add, mul = tabs.q, tabs.add, tabs.mul
     i, j = gens[:2]
-    u, v, w, z = gens[2:, :, None, None] * q
+    u, v, w, z = gens[2:, :, None, None]
     x = scan.decode(q, n * n, idx).reshape(n, n, -1)
-    row = add[mul[u + x[i]] * q + mul[v + x[j]]]
+    row = add(mul(u, x[i]), mul(v, x[j]))
     t = np.arange(len(i))
     ci, cj = x[:, i].transpose(1, 0, 2), x[:, j].transpose(1, 0, 2)
     ci[t, i], cj[t, i] = row[t, i], row[t, j]  # entries (i, i) and (i, j) after the row step
-    col = add[mul[w + cj] * q + mul[z + ci]]
+    col = add(mul(w, cj), mul(z, ci))
     place = q ** np.arange(n * n, dtype=np.int64).reshape(n, n)
     return (idx + ((row - x[i]) * place[i][:, :, None]).sum(1)
             + ((col - cj) * place[:, j].T[:, :, None]).sum(1))
@@ -283,11 +284,11 @@ def _commutant_basis(tabs: scan.Tables, X: Matrix) -> tuple[np.ndarray, list[int
     f gives the vector with P_f = 1, the other free entries 0 and each pivot
     entry minus its row's entry at f.  One batched product pair checks that
     every basis matrix commutes with X."""
-    q, add, mul, n, p = tabs.q, tabs.add, tabs.mul, X.n_rows, X.field.p
-    neg, one, x = mul[(p - 1) * q:p * q], np.eye(n, dtype=np.int64), np.array(X.enc)
+    add, mul, neg, n = tabs.add, tabs.mul, tabs.neg, X.n_rows
+    one, x = np.eye(n, dtype=np.int64), np.array(X.enc)
     # row (i, j), column (a, b): [a = i] X_bj - [b = j] X_ia
-    eqs = add[one[:, None, :, None] * x.T[None, :, None, :] * q
-              + neg[x[:, None, :, None] * one[None, :, None, :]]]
+    eqs = add(one[:, None, :, None] * x.T[None, :, None, :],
+              neg[x[:, None, :, None] * one[None, :, None, :]])
     rows, rank, _ = _echelon(X.field, eqs.reshape(n * n, n * n).tolist())
     pivots = [r.index(next(filter(None, r))) for r in rows[:rank]]
     free = sorted(set(range(n * n)) - set(pivots))
@@ -295,7 +296,7 @@ def _commutant_basis(tabs: scan.Tables, X: Matrix) -> tuple[np.ndarray, list[int
     basis[:, pivots] = neg[np.array(rows[:rank], dtype=np.int64).reshape(rank, n * n)[:, free].T]
 
     def prod(a, b):  # batched products of (n, n, m) digit arrays
-        return reduce(lambda s, t: add[s * q + t], mul[a[:, :, None] * q + b[None]].swapaxes(0, 1))
+        return reduce(add, mul(a[:, :, None], b[None]).swapaxes(0, 1))
 
     mats, x = basis.T.reshape(n, n, -1), x[:, :, None]
     if (prod(mats, x) != prod(x, mats)).any():

@@ -2,13 +2,14 @@
 
 An index in [0, q^width) stands for a vector of `width` base-q digits, least
 significant first: a matrix (width n^2) or a point of F_q^n (width n).  All
-field arithmetic is done by lookups in the field's add/mul tables, used
-through flat views indexed a*q + b, which numpy gathers faster than a 2-D
-fancy index.  A field whose q x q table would pass one scan chunk (q > 256)
-gets no table: its `add` and `mul` take the same indices and compute each
-entry from O(q) vectors when it is looked up.  A scan reads a few chunks of
-entries, so past that size building a table costs more memory and time than
-the scan it serves.
+field arithmetic goes through `Tables`, whose add(a, b) and mul(a, b) take
+pairs of encodings.  While q <= 256 they gather from the field's q x q
+tables at the flat index a*q + b, which numpy gathers faster than a 2-D
+fancy index; no other module knows that format.  A field whose q x q table
+would pass one scan chunk (q > 256) gets no table: its add and mul compute
+each entry from O(q) vectors when it is looked up.  A scan reads a few
+chunks of entries, so past that size building a table costs more memory and
+time than the scan it serves.
 
 `gate` decides what a scan may cost: it refuses more than min(budget,
 INDEX_LIMIT) indices before it sets up the arithmetic, so the solution,
@@ -25,7 +26,7 @@ holding digit t.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -86,31 +87,15 @@ def pruned(q: int, places: list[int], prune) -> np.ndarray:
     return np.sort(np.concatenate(out))
 
 
-class Computed:
-    """A q x q table that is never built: the entry at flat index a*q + b is
-    f(a, b), worked out when it is looked up.  It takes what a flat table
-    takes: an int, a slice, or an int64 array of any shape."""
-
-    __slots__ = ("q", "f")
-
-    def __init__(self, q: int, f):
-        self.q, self.f = q, f
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            i = np.arange(*i.indices(self.q * self.q), dtype=np.int64)
-        a = i // self.q  # faster than np.divmod, which divides twice
-        return self.f(a, i - a * self.q)
-
-
 def _rebase(k: np.ndarray, p: int, src: int, dst: int, s: int) -> np.ndarray:
     """The s base-src digits of k, each taken mod p, read in base dst."""
     return sum(k // src**t % src % p * dst**t for t in range(s))
 
 
 @lru_cache(maxsize=None)
-def computed_tables(field: Field) -> tuple[Computed, Computed]:
-    """(add, mul) of a field computed per lookup from O(q) vectors.
+def computed_tables(field: Field):
+    """(add, mul) of a field as functions of encodings (a, b), computed per
+    lookup from O(q) vectors.
 
     add is an XOR for p = 2.  For odd p, red takes each base-(2p-1) digit
     mod p, so red[a + b] is a + b mod p in a prime field.  Past s = 1,
@@ -135,12 +120,26 @@ def computed_tables(field: Field) -> tuple[Computed, Computed]:
 
         def mul(a, b):
             return ext[lg[a] + lg[b]]
-    return Computed(q, add), Computed(q, mul)
+    return add, mul
+
+
+def _gather(table: np.ndarray, q: int):
+    """f(a, b) = table[a*q + b] of a flat q x q table, for ints or int64
+    arrays a and b that broadcast together."""
+    take = table.take
+
+    def f(a, b):
+        i = a * q + b  # numpy adds into the temporary a * q once it is large
+        # gathered in place; mode "raise" would buffer a second index array
+        return take(i, None, i, "clip") if isinstance(i, np.ndarray) else table[i]
+    return f
 
 
 class Tables:
-    """A field's add and mul tables, looked up at flat indices a*q + b: dense
-    arrays while q^2 <= CHUNK, Computed lookups past it.
+    """A field's arithmetic on encodings: add(a, b) and mul(a, b) take ints
+    or int64 arrays that broadcast together; neg and inv are vectors indexed
+    by encoding, inv[0] = 0.  add and mul gather from dense q x q tables
+    while q^2 <= CHUNK and compute each entry from O(q) vectors past it.
 
     The q^2-entry refusal comes before either is set up, so an oversized
     field costs nothing."""
@@ -155,30 +154,29 @@ class Tables:
         if q * q > CHUNK:
             self.add, self.mul = computed_tables(field)
         else:
-            self.add, self.mul = (t.ravel() for t in field.encoded_tables())
+            self.add, self.mul = (_gather(t.ravel(), q) for t in field.encoded_tables())
 
-    def dot(self, row, col) -> np.ndarray:
-        """sum_k row[k] * col[k] over paired digit rows."""
-        q, add, mul = self.q, self.add, self.mul
-        acc = None
-        for r, c in zip(row, col):
-            prod = mul[r * q + c]
-            acc = prod if acc is None else add[acc * q + prod]
-        return acc
+    # neg and inv are built on first use: most scans read neither
+    @cached_property
+    def neg(self) -> np.ndarray:
+        return self.mul(self.field.p - 1, np.arange(self.q, dtype=np.int64))
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        f = self.field
+        return np.array([0] + [f._inv(k) for k in range(1, f.q)], dtype=np.int64)
 
     def det(self, n: int, mats: np.ndarray) -> np.ndarray:
         """Batched determinants of n x n digit arrays, by elimination below
         the pivots; a matrix with no pivot in a column gets det 0."""
-        q, add, mul, fld = self.q, self.add, self.mul, self.field
-        neg = mul[(fld.p - 1) * q:fld.p * q]
-        inv_of = np.array([0] + [fld._inv(k) for k in range(1, q)], dtype=np.int64)
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
         a = mats.reshape(n, n, mats.shape[1]).copy()
         cols, det = np.arange(a.shape[2]), np.ones(a.shape[2], dtype=np.int64)
         for c in range(n - 1):  # the last pivot needs no swap and clears no row
             r = c + (a[c:, c] != 0).argmax(0)  # the pivot row, or c if there is none
             det[r != c] = neg[det[r != c]]
             a[r, c:, cols], a[c, c:] = a[c, c:, cols], a[r, c:, cols].T  # swap rows c and r
-            det = mul[det * q + a[c, c]]
-            f = mul[neg[a[c + 1:, c]] * q + inv_of[a[c, c]]]
-            a[c + 1:, c + 1:] = add[a[c + 1:, c + 1:] * q + mul[f[:, None] * q + a[c, c + 1:]]]
-        return mul[det * q + a[n - 1, n - 1]]
+            det = mul(det, a[c, c])
+            f = mul(neg[a[c + 1:, c]], inv[a[c, c]])
+            a[c + 1:, c + 1:] = add(a[c + 1:, c + 1:], mul(f[:, None], a[c, c + 1:]))
+        return mul(det, a[n - 1, n - 1])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -111,8 +112,7 @@ def _hook_scan(inst: EquationInstance, budget: int | None) -> np.ndarray:
     tabs = scan.gate(inst.field, n * n,
                      DEFAULT_SCAN_BUDGET if budget is None else budget, "matrix enumeration")
     q = tabs.q
-    a_enc = inst.a.encoding
-    mul_a = tabs.mul[a_enc * q:(a_enc + 1) * q]
+    mul_a = tabs.mul(inst.a.encoding, np.arange(q, dtype=np.int64))
     order, tests = _hook_order(n)
     # each equation as the place values of its row and of its column, and the
     # position of its entry in its row
@@ -122,7 +122,7 @@ def _hook_scan(inst: EquationInstance, budget: int | None) -> np.ndarray:
     def prune(depth: int, idx: np.ndarray) -> np.ndarray:
         for row, col, j in eqs.get(depth, ()):
             x = [idx // w % q for w in row]
-            ok = tabs.dot(x, [idx // w % q for w in col]) == mul_a[x[j]]
+            ok = reduce(tabs.add, map(tabs.mul, x, [idx // w % q for w in col])) == mul_a[x[j]]
             if not ok.all():
                 idx = idx[ok]
         return idx

@@ -1,5 +1,6 @@
-"""Fields past one scan chunk: the computed add/mul lookups against the dense
-reference tables, and the oracles that run on them against the closed forms."""
+"""Scan arithmetic on both sides of one scan chunk: the dense and the computed
+add/mul lookups against the dense reference tables, and the oracles that run
+on the computed ones against the closed forms."""
 
 import tracemalloc
 
@@ -21,35 +22,56 @@ COMPUTED_FIELDS = [(p, s) for p in range(2, 1025) if is_prime(p)
                    for s in range(1, 11) if 256 < p**s <= 1024]
 
 
+# Every field with q <= 256, which Tables serves from dense q x q tables.
+DENSE_FIELDS = [(p, s) for p in range(2, 257) if is_prime(p)
+                for s in range(1, 9) if p**s <= 256]
+
+
 def test_the_cut_is_one_scan_chunk():
     assert 256 * 256 == scan.CHUNK
-    assert isinstance(scan.Tables(make_field(2, 8)).mul, np.ndarray)
-    assert isinstance(scan.Tables(make_field(257)).mul, scan.Computed)
+    # fresh fields: nothing cached, so only Tables can build the dense tables
+    dense, computed = (Field(p, s, make_field(p, s).modulus) for p, s in [(2, 8), (257, 1)])
+    scan.Tables(dense), scan.Tables(computed)
+    assert dense._tables is not None and computed._tables is None
     assert {q for p, s in COMPUTED_FIELDS for q in [p**s]} >= {257, 289, 343, 512, 625,
                                                                729, 961, 1021, 1024}
+    assert {q for p, s in DENSE_FIELDS for q in [p**s]} >= {2, 4, 8, 9, 25, 49, 169, 251, 256}
+
+
+def assert_tables_equal_the_reference(f: Field):
+    p, q = f.p, f.q
+    tabs = scan.Tables(f)
+    rng = np.random.default_rng(q)
+    k = np.arange(q, dtype=np.int64)
+    flat, rows = rng.permutation(q * q), rng.permutation(q)
+    a, b = rng.integers(0, q, (3, 4)), rng.integers(0, q, (5, 6))
+    ref_add, ref_mul = ref_encoded_tables(f)
+    for got, want in zip((tabs.add, tabs.mul), (ref_add, ref_mul), strict=True):
+        # every (a, b), as one shuffled 1-D pair and as one broadcast grid
+        assert np.array_equal(got(flat // q, flat % q), want.ravel()[flat])
+        grid = got(rows[:, None], k)
+        assert grid.dtype == np.int64
+        assert np.array_equal(grid, want[rows])
+        # a 4-D broadcast from two digit arrays, as the commutant builds it
+        assert np.array_equal(got(a[:, None, :, None], b[None, :, None, :]),
+                              want[a[:, None, :, None], b[None, :, None, :]])
+        for c in (0, 1, p - 1, q - 1, int(rng.integers(q))):
+            d = int(rng.integers(q))
+            assert got(c, d) == want[c, d]  # scalar ints
+    for c in (0, 1, p - 1, q - 1, int(rng.integers(q))):
+        assert np.array_equal(tabs.mul(c, k), ref_mul[c])  # a row
+    assert np.array_equal(tabs.neg, ref_mul[p - 1])
+    assert tabs.inv[0] == 0 and (ref_mul[k[1:], tabs.inv[1:]] == 1).all()
 
 
 @pytest.mark.parametrize("p,s", COMPUTED_FIELDS)
 def test_computed_tables_equal_the_dense_reference(p, s):
-    f = make_field(p, s)
-    q = f.q
-    tabs = scan.Tables(f)
-    rng = np.random.default_rng(q)
-    flat = rng.permutation(q * q)
-    a, b = rng.integers(0, q, (3, 4)), rng.integers(0, q, (5, 6))
-    for got, want in zip((tabs.add, tabs.mul), ref_encoded_tables(f), strict=True):
-        assert isinstance(got, scan.Computed)
-        # every flat index, in one shuffled 1-D and one 2-D array
-        assert np.array_equal(got[flat], want.ravel()[flat])
-        assert got[flat].dtype == np.int64
-        assert np.array_equal(got[flat.reshape(q, q)], want.ravel()[flat.reshape(q, q)])
-        # a 4-D array broadcast from two digit arrays, as the commutant builds it
-        assert np.array_equal(got[a[:, None, :, None] * q + b[None, :, None, :]],
-                              want[a[:, None, :, None], b[None, :, None, :]])
-        for c in (0, 1, p - 1, q - 1, int(rng.integers(q))):
-            assert np.array_equal(got[c * q:(c + 1) * q], want[c])  # a row slice
-            d = int(rng.integers(q))
-            assert got[c * q + d] == want[c, d]  # a scalar int
+    assert_tables_equal_the_reference(make_field(p, s))
+
+
+@pytest.mark.parametrize("p,s", DENSE_FIELDS)
+def test_dense_tables_equal_the_dense_reference(p, s):
+    assert_tables_equal_the_reference(make_field(p, s))
 
 
 @pytest.mark.parametrize("p,s", COMPUTED_FIELDS)

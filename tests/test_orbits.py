@@ -182,6 +182,14 @@ def test_gl_enumeration_sizes():
     assert len(enumerate_gl(make_field(2), 3)) == 168
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_gl_enumeration_refuses_n_below_one(n):
+    # refused before scan.gate: q^0 = 1 index would pass it
+    with mock.patch.object(scan, "gate", side_effect=AssertionError("gate reached")):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            enumerate_gl(make_field(3), n)
+
+
 def test_census_n2_q2():
     inst = instance(2, 1, 2)
     classes = brute_force_conjugacy_classes(inst)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from support import evaluate
 from ffyb import scan
 from ffyb.errors import SingularMatrixError
-from ffyb.gf import all_elements, make_field
+from ffyb.gf import Field, all_elements, make_field
 from ffyb.ideal import GeneratorSet, MultiPoly, generating_set, variety
 from ffyb.matfq import Matrix, matrix_from_index
 from ffyb.solutions import EquationInstance, brute_force_indices, is_solution
@@ -50,6 +50,18 @@ def test_batched_det_and_inverse_match_matrix(batch):
                 continue
             raise AssertionError("Matrix.inverse accepted a singular matrix")
         assert X * X.inverse() == Matrix.identity(f, n)
+
+
+def test_det_builds_the_inverse_vector_once_per_tables():
+    f = make_field(7)
+    mats = np.array([[2, 1, 1, 3], [0, 4, 5, 6], [0, 0, 0, 1]], dtype=np.int64).T
+    with mock.patch.object(Field, "_inv", autospec=True, side_effect=Field._inv) as inv:
+        tabs = scan.Tables(f)
+        assert inv.call_count == 0  # a scan that reads no determinant builds nothing
+        dets = [tabs.det(2, mats) for _ in range(2)]
+    assert inv.call_count <= f.q - 1
+    for det in dets:
+        assert det.tolist() == [5, 1, 0]
 
 
 @functools.cache
