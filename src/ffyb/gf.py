@@ -9,13 +9,7 @@ scanners.
 
 Prime fields compute mod p.  Extension fields compute through exp, log and
 Zech-log tables of size q over the first primitive element, built on first
-use.  The scanners' q x q tables take a few whole-array numpy passes: add is
-an XOR for p = 2 and else stacks GF(p)'s p x p table once per digit, mul
-gathers exp[log a + log b] (prime fields: reduces the products mod p).  The
-scanners build them only while q^2 fits one scan chunk (q <= 256): past it a
-table costs more memory and set-up than the scans read from it, so scan.Tables
-computes each entry when it is looked up, from O(q) vectors such as
-log_vectors.
+use.
 
 The modulus is chosen deterministically: candidates are ordered
 lexicographically by their non-leading coefficient tuple, constant term
@@ -29,7 +23,6 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InternalInvariantError
 
@@ -84,7 +77,7 @@ def _digit_add(a, b, p: int, s: int):
 class Field:
     """GF(p^s) with a fixed modulus.  Immutable; safe to share."""
 
-    __slots__ = ("p", "s", "q", "modulus", "_logs", "_tables")
+    __slots__ = ("p", "s", "q", "modulus", "_logs")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
@@ -92,7 +85,6 @@ class Field:
         self.q = p**s
         self.modulus = modulus
         self._logs = None
-        self._tables = None
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -192,43 +184,6 @@ class Field:
             return pow(a, -1, self.p)
         exp, log, _ = self._logs or self._log_tables()
         return exp[-log[a] % (self.q - 1)]
-
-    def encoded_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(add, mul) q x q int64 tables over encodings, built lazily.
-
-        The scanners run on these tables instead of element objects, while
-        q^2 fits one scan chunk."""
-        if self._tables is None:
-            p, s, q = self.p, self.s, self.q
-            d = np.arange(p, dtype=np.int64)
-            if p == 2:  # digitwise sums mod 2 are XORs
-                add = np.bitwise_xor.outer(*[np.arange(q, dtype=np.int64)] * 2)
-            else:  # GF(p): row a of the sums mod p is a window of d written twice
-                add = add_p = as_strided(np.tile(d, 2), (p, p), (d.itemsize, d.itemsize)).copy()
-                for t in range(1, s):  # digit t on top: (hi, lo) -> hi * p^t + lo on both axes
-                    w = p**t
-                    add = (add_p[:, None, :, None] * w
-                           + add[None, :, None, :]).reshape(p * w, p * w)
-            if s == 1:
-                mul = np.multiply.outer(d, d)
-                mul %= p
-            else:
-                ext, lg = log_vectors(self)
-                mul = np.add.outer(lg, lg)
-                # gathered in place; mode "raise" would buffer a second q x q array
-                np.take(ext, mul, out=mul, mode="clip")
-            self._tables = (add, mul)
-        return self._tables
-
-
-def log_vectors(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(ext, lg) of an extension field: a * b = ext[lg[a] + lg[b]] for all
-    encodings a, b.  ext is exp twice, which holds every log a + log b, then
-    zeros, where lg[0] = 2(q-1) sends every product with 0."""
-    q = field.q
-    exp, log, _ = field._log_tables()
-    ext = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
-    return ext, np.array([2 * (q - 1), *log[1:]], dtype=np.int64)
 
 
 class FieldElement:

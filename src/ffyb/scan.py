@@ -3,13 +3,12 @@
 An index in [0, q^width) stands for a vector of `width` base-q digits, least
 significant first: a matrix (width n^2) or a point of F_q^n (width n).  All
 field arithmetic goes through `Tables`, whose add(a, b) and mul(a, b) take
-pairs of encodings.  While q <= 256 they gather from the field's q x q
-tables at the flat index a*q + b, which numpy gathers faster than a 2-D
-fancy index; no other module knows that format.  A field whose q x q table
-would pass one scan chunk (q > 256) gets no table: its add and mul compute
-each entry from O(q) vectors when it is looked up.  A scan reads a few
-chunks of entries, so past that size building a table costs more memory and
-time than the scan it serves.
+pairs of encodings and compute each entry from O(q) vectors
+(`arithmetic`).  While q^2 fits one scan chunk (q <= 256) those formulas
+run once over all q^2 pairs, and add and mul gather from the two tables at
+the flat index a*q + b, several times faster per lookup; no other module
+knows that format.  A scan reads a few chunks of entries, so past that
+size building a table costs more memory and time than the scan it serves.
 
 `gate` decides what a scan may cost: it refuses more than min(budget,
 INDEX_LIMIT) indices before it sets up the arithmetic, so the solution,
@@ -31,12 +30,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError
-from .gf import Field, log_vectors
+from .gf import Field
 
 CHUNK = 1 << 16
 # indices are int64: a wider index space would wrap around
 INDEX_LIMIT = 2**63 - 1
-# q^2 entries per table: 2^24 int64 entries are 128 MB for each of the two.
+# refused past 2^24 = q^2 table entries; no table is built past one CHUNK, so
+# this bounds only the O(q) vectors and red, at most 78,125 entries (GF(3^7))
 TABLE_ENTRY_LIMIT = 2**24
 # a refused q^width is given exactly up to this many bits
 EXACT_BITS = 10**5
@@ -92,17 +92,26 @@ def _rebase(k: np.ndarray, p: int, src: int, dst: int, s: int) -> np.ndarray:
     return sum(k // src**t % src % p * dst**t for t in range(s))
 
 
+def _take(table: np.ndarray, i):
+    """table[i], gathered into i when it is a fresh index array; mode "raise"
+    would buffer a second index array."""
+    return table.take(i, None, i, "clip") if isinstance(i, np.ndarray) else table[i]
+
+
 @lru_cache(maxsize=None)
-def computed_tables(field: Field):
+def arithmetic(field: Field, dense: bool):
     """(add, mul) of a field as functions of encodings (a, b), computed per
-    lookup from O(q) vectors.
+    lookup from O(q) vectors or, when dense, gathered from the q x q tables
+    that the same formulas give once over all pairs.
 
     add is an XOR for p = 2.  For odd p, red takes each base-(2p-1) digit
     mod p, so red[a + b] is a + b mod p in a prime field.  Past s = 1,
     spread first rewrites each base-p digit in base 2p - 1, where two
     encodings add with no carry.  mul is a*b mod p for a prime field and
-    exp[log a + log b] through log_vectors for an extension field.  red has
-    (2p-1)^s entries, 78,125 at GF(3^7), the most below TABLE_ENTRY_LIMIT."""
+    ext[lg a + lg b] for an extension field: ext is exp twice, which holds
+    every log a + log b, then zeros, where lg[0] = 2(q-1) sends every
+    product with 0.  red has (2p-1)^s entries, 78,125 at GF(3^7), the most
+    below TABLE_ENTRY_LIMIT."""
     p, s, q = field.p, field.s, field.q
     if p == 2:
         add = np.bitwise_xor
@@ -111,16 +120,23 @@ def computed_tables(field: Field):
         spread = _rebase(np.arange(q, dtype=np.int64), p, p, 2 * p - 1, s)
 
         def add(a, b):  # spread is the identity at s = 1
-            return red[a + b] if s == 1 else red[spread[a] + spread[b]]
+            return _take(red, a + b if s == 1 else spread[a] + spread[b])
     if s == 1:
         def mul(a, b):
-            return a * b % p
+            i = a * b
+            i %= p  # in place: a * b % p would buffer a second array
+            return i
     else:
-        ext, lg = log_vectors(field)
+        exp, log, _ = field._log_tables()
+        ext = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
+        lg = np.array([2 * (q - 1), *log[1:]], dtype=np.int64)
 
         def mul(a, b):
-            return ext[lg[a] + lg[b]]
-    return add, mul
+            return _take(ext, lg[a] + lg[b])
+    if not dense:
+        return add, mul
+    k = np.arange(q, dtype=np.int64)
+    return tuple(_gather(f(k[:, None], k).ravel(), q) for f in (add, mul))
 
 
 def _gather(table: np.ndarray, q: int):
@@ -151,10 +167,8 @@ class Tables:
             raise BudgetExceededError(q * q, limit, "arithmetic tables")
         self.field = field
         self.q = q
-        if q * q > CHUNK:
-            self.add, self.mul = computed_tables(field)
-        else:
-            self.add, self.mul = (_gather(t.ravel(), q) for t in field.encoded_tables())
+        # the cut keys the cache: a CHUNK changed at run time is never stale
+        self.add, self.mul = arithmetic(field, q * q <= CHUNK)
 
     # neg and inv are built on first use: most scans read neither
     @cached_property

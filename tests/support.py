@@ -1,12 +1,15 @@
 """Shared helpers for the test suite."""
 
 import random
+import tracemalloc
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations, product
+from unittest import mock
 
 import numpy as np
 
+from ffyb import scan
 from ffyb.gf import Field, FieldElement, all_elements, make_field
 from ffyb.ideal import MultiPoly
 from ffyb.invariants import _image_encodings, _separates
@@ -147,7 +150,7 @@ def ref_modulus(p: int, s: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible found")
 
 
-# -- the field's tables entry by entry, the reference for gf's builders ------
+# -- the field's tables entry by entry, the reference for gf and scan -------
 
 def ref_digit_add(a, b, p: int, s: int):
     """Digitwise sum mod p of encodings, elementwise on numpy arrays."""
@@ -203,6 +206,20 @@ def ref_encoded_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     mul = np.array(exp, dtype=np.int64)[(log_a[:, None] + log_a) % (q - 1)]
     mul[0, :] = mul[:, 0] = 0
     return ref_digit_add(k[:, None], k, p, s), mul
+
+
+def arithmetic_peak(p: int, s: int, chunk: int = scan.CHUNK) -> int:
+    """The tracemalloc peak, in bytes, of setting up the scan arithmetic of a
+    fresh GF(p^s), nothing cached, with scan.CHUNK set to chunk."""
+    f = Field(p, s, make_field(p, s).modulus)
+    scan.arithmetic.cache_clear()
+    with mock.patch.object(scan, "CHUNK", chunk):
+        tracemalloc.start()
+        try:
+            scan.Tables(f)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 # -- references no command runs, checked against the package's fast paths ----

@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import ref_encoded_tables
+from support import arithmetic_peak, ref_encoded_tables
 from ffyb import scan
 from ffyb.gf import Field, is_prime, make_field
 from ffyb.ideal import verify_variety
 from ffyb.matfq import gl_order
 from ffyb.orbits import (all_labels, brute_force_centralizer_order, enumerate_gl,
-                         representative, stabilizer_order)
+                         mixed_label, representative, stabilizer_order)
 from ffyb.solutions import EquationInstance, brute_force_count, closed_form_count
 
 # Every field with 256 < q <= 1024: the primes 257..1021, 2^9, 2^10, 3^6,
@@ -29,10 +29,10 @@ DENSE_FIELDS = [(p, s) for p in range(2, 257) if is_prime(p)
 
 def test_the_cut_is_one_scan_chunk():
     assert 256 * 256 == scan.CHUNK
-    # fresh fields: nothing cached, so only Tables can build the dense tables
-    dense, computed = (Field(p, s, make_field(p, s).modulus) for p, s in [(2, 8), (257, 1)])
-    scan.Tables(dense), scan.Tables(computed)
-    assert dense._tables is not None and computed._tables is None
+    # the two int64 tables of GF(2^8) take 2 * 8 * 256^2 bytes; one table of
+    # GF(257) would take 8 * 257^2
+    assert arithmetic_peak(2, 8) >= 2 * 8 * 256**2
+    assert arithmetic_peak(257, 1) < 8 * 257**2
     assert {q for p, s in COMPUTED_FIELDS for q in [p**s]} >= {257, 289, 343, 512, 625,
                                                                729, 961, 1021, 1024}
     assert {q for p, s in DENSE_FIELDS for q in [p**s]} >= {2, 4, 8, 9, 25, 49, 169, 251, 256}
@@ -90,11 +90,22 @@ def test_oracles_on_computed_tables_match_the_closed_forms(p, s):
                 == stabilizer_order(one, label))
 
 
+@pytest.mark.parametrize("p,s", [(257, 1), (17, 2), (2, 9)])
+def test_centralizer_at_n_2_past_one_chunk(p, s):
+    # Tables.det at n = 2 on computed arithmetic: the commutant of diag(a, 0)
+    # is the q^2 diagonal matrices, (q - 1)^2 of them invertible
+    f = make_field(p, s)
+    inst = EquationInstance(f, 2, f.from_encoding(f.q - 1))
+    label = mixed_label(2, 1, "0")
+    got = brute_force_centralizer_order(inst, representative(inst, label))
+    assert got == stabilizer_order(inst, label) == (f.q - 1) ** 2
+
+
 def test_scans_past_one_chunk_allocate_no_q_by_q_table():
-    # two int64 tables of GF(23^2) take 4.5 MB; the O(q) vectors and one
+    # one int64 table of GF(23^2) takes 2.2 MB; the O(q) vectors and one
     # chunk of scan indices stay under 1 MB
     f = Field(23, 2, make_field(23, 2).modulus)  # a fresh field: nothing cached
-    scan.computed_tables.cache_clear()
+    scan.arithmetic.cache_clear()
     tracemalloc.start()
     try:
         assert brute_force_count(EquationInstance(f, 1, f.one())) == 2
@@ -103,4 +114,3 @@ def test_scans_past_one_chunk_allocate_no_q_by_q_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert f._tables is None

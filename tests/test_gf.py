@@ -1,12 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from ffyb.gf import Field, FieldElement, all_elements, is_prime, make_field
+from ffyb import scan
+from ffyb.gf import FieldElement, all_elements, is_prime, make_field
 from ffyb.matfq import Matrix, parse_matrix
 from ffyb.polyfq import UniPoly
-from support import ref_encoded_tables, ref_log_tables
+from support import arithmetic_peak, ref_log_tables
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -148,14 +147,16 @@ def test_is_prime():
 
 
 def test_encoded_tables_agree_with_object_arithmetic():
-    for p, s in [(2, 1), (3, 1), (31, 1), (2, 2), (3, 2), (5, 3), (2, 7)]:
+    # scan.Tables on both sides of one scan chunk: GF(257) and GF(23^2)
+    # compute their entries, the rest gather from dense tables
+    for p, s in [(2, 1), (3, 1), (31, 1), (2, 2), (3, 2), (5, 3), (2, 7), (257, 1), (23, 2)]:
         f = make_field(p, s)
-        add, mul = f.encoded_tables()
+        tabs = scan.Tables(f)
+        k = np.arange(f.q, dtype=np.int64)
         elems = all_elements(f)
         for x in elems:
-            for y in elems:
-                assert add[x.encoding][y.encoding] == (x + y).encoding
-                assert mul[x.encoding][y.encoding] == (x * y).encoding
+            assert tabs.add(x.encoding, k).tolist() == [(x + y).encoding for y in elems]
+            assert tabs.mul(x.encoding, k).tolist() == [(x * y).encoding for y in elems]
 
 
 # Every field of order at most 1024: q = 2, GF(4), odd p with s >= 3 such as
@@ -164,32 +165,24 @@ FIELDS_TO_1024 = [(p, s) for p in range(2, 1025) if is_prime(p)
                   for s in range(1, 11) if p**s <= 1024]
 
 
-def test_encoded_tables_equal_reference_up_to_order_1024():
-    for p, s in FIELDS_TO_1024:
-        f = Field(p, s, make_field(p, s).modulus)  # a fresh field: nothing cached
-        for got, want in zip(f.encoded_tables(), ref_encoded_tables(f), strict=True):
-            assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert np.array_equal(got, want), (p, s)
-
-
 @pytest.mark.parametrize("p,s", [ps for ps in FIELDS_TO_1024 if ps[1] > 1])
 def test_log_tables_equal_reference(p, s):
     f = make_field(p, s)
     assert f._log_tables() == ref_log_tables(f)
 
 
-@pytest.mark.parametrize("p,s", [(23, 2), (3, 5), (257, 1), (2, 7), (521, 1)])
+@pytest.mark.parametrize("p,s", [(23, 2), (3, 5), (257, 1), (2, 7), (521, 1), (2, 8), (251, 1)])
 def test_encoded_tables_peak_is_the_tables(p, s):
-    # no q x q temporary: stacking a digit adds q^2 / p^2 entries, and mul is
-    # reduced or gathered in place; at GF(521) a temporary would pass 1 MB
-    f = Field(p, s, make_field(p, s).modulus)
-    tracemalloc.start()
-    try:
-        add, mul = f.encoded_tables()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= add.nbytes + mul.nbytes + 2**20
+    # no q x q temporary: each table is computed into its own index array
+    q = p**s
+    tables = 2 * 8 * q * q
+    if q * q <= scan.CHUNK:
+        assert arithmetic_peak(p, s) <= tables + 2**20
+    else:
+        # past one scan chunk no table is built; with CHUNK raised the same
+        # field builds its tables, where a q x q temporary would pass 1 MB
+        assert arithmetic_peak(p, s) < 2**20
+        assert arithmetic_peak(p, s, chunk=q * q) <= tables + 2**20
 
 
 # The moduli chosen by the candidate search; every encoding depends on them.

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from support import random_invertible, satisfies_yang_baxter
+from ffyb import scan
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import all_elements, make_field
 from ffyb.matfq import Matrix, matrix_from_index, parse_matrix
@@ -207,11 +208,12 @@ def test_instance_validation():
 def test_table_budget_refused_before_any_allocation():
     f = make_field(1048573)  # the largest prime below the field cap
     inst = EquationInstance(f, 1, f.one())
+    calls = scan.arithmetic.cache_info()
     with pytest.raises(BudgetExceededError) as info:
         brute_force_count(inst)
     assert info.value.what == "arithmetic tables"
     assert info.value.required == f.q * f.q
-    assert f._tables is None
+    assert scan.arithmetic.cache_info() == calls  # no arithmetic was set up
 
 
 def test_table_limit_caps_a_large_default_budget():
@@ -219,6 +221,7 @@ def test_table_limit_caps_a_large_default_budget():
     # tables of that size would need about 1.6 GB
     f = make_field(9973)
     inst = EquationInstance(f, 1, f.one())
+    calls = scan.arithmetic.cache_info()
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError) as info:
@@ -230,4 +233,4 @@ def test_table_limit_caps_a_large_default_budget():
     assert info.value.required == f.q * f.q
     assert info.value.budget == TABLE_ENTRY_LIMIT
     assert peak < 1 << 20
-    assert f._tables is None
+    assert scan.arithmetic.cache_info() == calls  # no arithmetic was set up
