@@ -6,16 +6,18 @@ out of range or rand-nonzero, and malformed --matrix text.  --budget is
 absent or at most the budget the command runs at without it, so no draw
 asks for a legitimately long scan.  Each argv runs in its own child process,
 one at a time, under a 10 s timeout and an address-space limit of about
-2 GB set in the child; it must exit 0-3 and print no traceback.
+2 GB set in the child; it must exit 0-3 and print no traceback, and an exit
+1 must come with the "error:" line of a rejected input, since a FAIL verdict
+(count --method both, ideal --verify, verify-all) also exits 1.
 
-    PYTHONPATH=src python tests/fuzz_cli.py [--examples N]
+    PYTHONPATH=src python tests/fuzz_cli.py
 
 Not part of the pytest suite: each example starts an interpreter.
 """
 
-import argparse
 import collections
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -30,6 +32,7 @@ from ffyb.polyfq import DEFAULT_FACTOR_BUDGET
 from ffyb.solutions import DEFAULT_SCAN_BUDGET
 from ffyb.verify import CHECKS
 
+EXAMPLES = 200
 TIMEOUT_S = 10
 ADDRESS_SPACE = 2 << 30
 
@@ -97,7 +100,8 @@ def _limit_address_space():
 
 def run_child(argv: list[str]) -> tuple[int, float]:
     """The exit code and seconds of `ffyb argv` in a child process; a
-    timeout, an exit code outside 0-3 or a traceback raises AssertionError."""
+    timeout, an exit code outside 0-3, a traceback or an exit 1 with no
+    "error:" line raises AssertionError."""
     env = {k: v for k, v in os.environ.items() if k != "FFYB_BUDGET"}
     start = time.perf_counter()
     try:
@@ -106,16 +110,16 @@ def run_child(argv: list[str]) -> tuple[int, float]:
                               preexec_fn=_limit_address_space)
     except subprocess.TimeoutExpired:
         raise AssertionError(f"no exit within {TIMEOUT_S} s: ffyb {shlex.join(argv)}") from None
-    if not 0 <= proc.returncode <= 3 or "Traceback" in proc.stderr:
+    # cli.main and argparse ("ffyb count: error: ...") report rejected input on such a line
+    rejected = re.search(r"^(ffyb( [a-z-]+)?: )?error: ", proc.stderr, re.MULTILINE)
+    if (not 0 <= proc.returncode <= 3 or "Traceback" in proc.stderr
+            or proc.returncode == 1 and not rejected):
         raise AssertionError(f"exit {proc.returncode}: ffyb {shlex.join(argv)}\n"
                              f"{proc.stderr[-3000:]}")
     return proc.returncode, time.perf_counter() - start
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--examples", type=int, default=200)
-    args = parser.parse_args()
     exits, slowest = collections.Counter(), (0.0, [])
 
     # the inputs that hung before the refusals of make_field and scan.gate
@@ -125,7 +129,7 @@ def main() -> int:
     @example(["enumerate", "--p", "3", "--n", "30000"])
     @example(["count", "--method", "brute", "--p", "3", "--n", "30000"])
     # no shrinking: each shrink step may wait out a whole timeout
-    @settings(max_examples=args.examples, derandomize=True, database=None, deadline=None,
+    @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
               phases=[Phase.explicit, Phase.generate])
     @given(argvs())
     def fuzz(argv):

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from unittest import mock
 
@@ -208,12 +208,18 @@ def ref_encoded_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return ref_digit_add(k[:, None], k, p, s), mul
 
 
+def fresh_arithmetic_cache():
+    """scan.arithmetic behind an empty per-field cache of its own, so that a
+    test sets the arithmetic up inside its own trace and leaves scan's cache
+    as it was."""
+    return mock.patch.object(scan, "arithmetic", lru_cache(scan.arithmetic.__wrapped__))
+
+
 def arithmetic_peak(p: int, s: int, chunk: int = scan.CHUNK) -> int:
-    """The tracemalloc peak, in bytes, of setting up the scan arithmetic of a
-    fresh GF(p^s), nothing cached, with scan.CHUNK set to chunk."""
-    f = Field(p, s, make_field(p, s).modulus)
-    scan.arithmetic.cache_clear()
-    with mock.patch.object(scan, "CHUNK", chunk):
+    """The tracemalloc peak, in bytes, of scan.Tables setting up the
+    arithmetic of a fresh GF(p^s), with scan.CHUNK set to chunk."""
+    f = Field(p, s, make_field(p, s).modulus)  # a fresh field: no log tables yet
+    with mock.patch.object(scan, "CHUNK", chunk), fresh_arithmetic_cache():
         tracemalloc.start()
         try:
             scan.Tables(f)

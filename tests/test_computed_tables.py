@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import arithmetic_peak, ref_encoded_tables
+from support import arithmetic_peak, fresh_arithmetic_cache, ref_encoded_tables
 from ffyb import scan
 from ffyb.gf import Field, is_prime, make_field
 from ffyb.ideal import verify_variety
@@ -104,13 +104,13 @@ def test_centralizer_at_n_2_past_one_chunk(p, s):
 def test_scans_past_one_chunk_allocate_no_q_by_q_table():
     # one int64 table of GF(23^2) takes 2.2 MB; the O(q) vectors and one
     # chunk of scan indices stay under 1 MB
-    f = Field(23, 2, make_field(23, 2).modulus)  # a fresh field: nothing cached
-    scan.arithmetic.cache_clear()
-    tracemalloc.start()
-    try:
-        assert brute_force_count(EquationInstance(f, 1, f.one())) == 2
-        assert verify_variety(EquationInstance(f, 2, f.from_encoding(444))).equal
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    f = Field(23, 2, make_field(23, 2).modulus)  # a fresh field: no log tables yet
+    with fresh_arithmetic_cache():
+        tracemalloc.start()
+        try:
+            assert brute_force_count(EquationInstance(f, 1, f.one())) == 2
+            assert verify_variety(EquationInstance(f, 2, f.from_encoding(444))).equal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak < 1 << 20
