@@ -142,8 +142,7 @@ def cmd_orbits(inst: EquationInstance, args, report: dict) -> int:
 
 def cmd_smith(inst: EquationInstance, args, report: dict) -> int:
     X = parse_matrix(inst.field, args.matrix)
-    if X.n_rows != X.n_cols:
-        raise ValueError("smith expects a square matrix")
+    sol_mod._check_shape(inst, X)
     factors = polyfq.invariant_factors(X)
     # only the minimal polynomial, the last factor, is factored
     cost = polyfq.factor_cost(inst.q, factors[-1].degree)

@@ -275,8 +275,3 @@ def make_field(p: int, s: int = 1) -> Field:
         if tail[0] and is_irreducible_poly(UniPoly.from_encodings(prime, (*tail, 1))):
             return Field(p, s, (*tail, 1))
     raise AssertionError(f"no monic irreducible of degree {s} over GF({p})")  # impossible
-
-
-def all_elements(field: Field) -> list[FieldElement]:
-    """All q elements in encoding order (a bijection with 0..q-1)."""
-    return [FieldElement(field, i) for i in range(field.q)]

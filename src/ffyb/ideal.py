@@ -18,8 +18,7 @@ image points, and it decides every one of the q^n points by evaluating the
 generators.  It runs on integer encodings: _generator_terms builds the
 g_{k,i} once as encoded terms (a coefficient encoding and the variables the
 term multiplies, grouped by scan layer), generating_set wraps them in
-MultiPolys, the ideal command serializes them, and variety turns any
-GeneratorSet into the same terms.  The scan extends prefixes
+MultiPolys, and the ideal command serializes them.  The scan extends prefixes
 (scan.pruned) with the variables fixed from x_n down, each at its place
 value in the point encoding, so a prefix of length t fixes x_n..x_{n-t+1}.
 Each generator sits in the layer where the lowest-index variable it reads
@@ -34,16 +33,16 @@ A prefix on which a generator of the block is nonzero is dropped
 unextended, and that is exact: the generator reads only prefix variables,
 so it is nonzero at every completion of the prefix.
 The survivors are point encodings, ascending, as the scan returns them.
-verify_variety compares them with the encoded image points; only variety
-builds FieldElement tuples.  The budget still counts all q^n points, and
-scan.gate checks it before any table is built; more than 2^63 - 1 points
-are refused whatever the budget.
+verify_variety compares them with the encoded image points, and builds no
+FieldElement.  _common_zeros takes any polynomials as encoded terms; the
+property tests run it on arbitrary sets, through tests/support.py.  The
+budget still counts all q^n points, and scan.gate checks it before any
+table is built; more than 2^63 - 1 points are refused whatever the budget.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -194,30 +193,6 @@ def generating_set(inst: EquationInstance, n: int | None = None) -> GeneratorSet
         for poly in _exponent_terms(_generator_terms(inst, n), n)))
 
 
-def _encoded_terms(gens: GeneratorSet):
-    """The nonzero polynomials of any generator set as encoded terms, as in
-    _generator_terms; the zero polynomial vanishes everywhere and is left
-    out.  A polynomial sits in the layer where the lowest-index variable it
-    reads is fixed, layer 0 for a constant."""
-    n = gens.n
-    polys = []  # (layer, terms)
-    for g in gens.generators:
-        terms = [(c.encoding, [n - v for v, e in enumerate(exps) for _ in range(e)])
-                 for exps, c in g.terms.items()]
-        if terms:
-            polys.append((max([max(fs) for _, fs in terms if fs] or [0]), terms))
-    polys.sort(key=lambda lt: lt[0])
-    degree = max([1] + [len(fs) for _, terms in polys for _, fs in terms])
-    rows, widths = [], [0] * (n + 1)
-    for g, (t, terms) in enumerate(polys):
-        widths[t] = max(widths[t], len(terms))
-        for j, (c, fs) in enumerate(terms):
-            rows += (g, j, t, c, *fs, *[0] * (degree - len(fs)))
-    layers = [t for t, _ in polys]
-    ends = [bisect_left(layers, t) for t in range(n + 2)]
-    return np.array(rows, dtype=np.int64).reshape(-1, degree + 4), ends, widths
-
-
 # ---------------------------------------------------------------------------
 # Prefix-pruned variety scan.
 #
@@ -286,14 +261,6 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
         return idx
 
     return scan.pruned(q, powers[:, 0].tolist(), prune)
-
-
-def variety(gens: GeneratorSet, field: Field, *,
-            budget: int = DEFAULT_VARIETY_BUDGET) -> list[tuple[FieldElement, ...]]:
-    """All common zeros in F_q^n, in ascending point-encoding order."""
-    idx = _common_zeros(_encoded_terms(gens), gens.n, field, budget)
-    return [tuple(map(field.from_encoding, row))
-            for row in scan.decode(field.q, gens.n, idx).T.tolist()]
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,18 @@ entries, with the usual operator overloads; field elements are handed out
 only at the boundary.  Besides products, determinant, rank and inverse, this
 module provides the signed characteristic-polynomial coefficients (the
 conjugation invariants: first entry is the trace, last the determinant),
-companion matrices, direct sums, conjugation, and the order of GL(n, q).
+the Hessenberg reduction that polyfq shares, and the order of GL(n, q).
 
 Canonical text form of a matrix: rows separated by semicolons, entries as
-comma-separated integer encodings, e.g. ``0,1;0,3``.  The canonical integer
-index of an n x n matrix reads its entries (row-major) as base-q digits,
-least significant first; the enumeration scanners run over these indices.
+comma-separated integer encodings, e.g. ``0,1;0,3``.  The enumeration
+scanners index an n x n matrix by its entries (row-major) as base-q digits,
+least significant first, and decode whole index arrays (scan.decode).
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantError, SingularMatrixError
 from .gf import Field, FieldElement, power
-from .polyfq import UniPoly, _rcf_of_factors
 
 
 def _encoding_in(field: Field, e) -> int:
@@ -285,31 +284,6 @@ def char_coeffs(X: Matrix) -> tuple[FieldElement, ...]:
     return tuple(out)
 
 
-def companion(f: UniPoly) -> Matrix:
-    """Companion matrix of a monic polynomial of degree >= 1."""
-    if not f.is_monic():
-        raise ValueError("companion matrix requires a monic polynomial")
-    if f.degree < 1:
-        raise ValueError("companion matrix requires degree >= 1")
-    return _rcf_of_factors(f.field, [f])
-
-
-def direct_sum(b: Matrix, c: Matrix) -> Matrix:
-    """Block-diagonal sum of two square matrices over the same field."""
-    if b.field != c.field:
-        raise ValueError("matrices over different fields")
-    if not (b.is_square and c.is_square):
-        raise ValueError("direct sum requires square matrices")
-    k, m = b.n_rows, c.n_rows
-    return _from_encodings(b.field, [row + (0,) * m for row in b.enc]
-                           + [(0,) * k + row for row in c.enc])
-
-
-def conjugate(p: Matrix, x: Matrix) -> Matrix:
-    """P X P^-1; raises SingularMatrixError when P is not invertible."""
-    return p * x * p.inverse()
-
-
 def gl_order(n: int, q: int) -> int:
     """|GL(n, q)| as an exact integer; the empty product gives 1 at n = 0."""
     if n < 0:
@@ -321,26 +295,7 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-# -- canonical integer index and text codecs ---------------------------------
-
-def matrix_from_index(field: Field, n: int, idx: int) -> Matrix:
-    q = field.q
-    if not 0 <= idx < q ** (n * n):
-        raise ValueError("matrix index out of range")
-    digits = []
-    for _ in range(n * n):
-        idx, r = divmod(idx, q)
-        digits.append(r)
-    return _from_encodings(field, [digits[i:i + n] for i in range(0, n * n, n)])
-
-
-def matrix_index(X: Matrix) -> int:
-    q = X.field.q
-    idx = 0
-    for d in reversed([e for row in X.enc for e in row]):
-        idx = idx * q + d
-    return idx
-
+# -- text codec ------------------------------------------------------------
 
 def parse_matrix(field: Field, text: str) -> Matrix:
     rows = []

@@ -3,8 +3,10 @@
 Provides exact polynomial arithmetic, factoring in time polynomial in log q,
 the invariant factors, elementary divisors and rational canonical form of a
 field matrix, and x*I - X as a PolyMatrix with a Bareiss determinant, which
-only perfbench reads.  The Smith form of a whole polynomial matrix is a test
-reference, in tests/support.py.
+only perfbench reads.  The matrices come from matfq, which imports nothing
+from here.  The Smith form of a whole polynomial matrix, companion matrices
+and the enumeration of monic polynomials are test references, in
+tests/support.py.
 
 A UniPoly stores the integer encodings of its coefficients, not
 FieldElements, and computes on them with the field's encoding operations;
@@ -21,13 +23,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError
 from .gf import Field, FieldElement, power
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .matfq import Matrix
+from .matfq import Matrix, _from_encodings, _hessenberg
 
 
 # -- coefficient-tuple kernels ------------------------------------------------
@@ -257,20 +256,6 @@ class UniPoly:
         return f"UniPoly({self.text()} over {self.field!r})"
 
 
-def parse_unipoly(field: Field, text: str) -> UniPoly:
-    try:
-        encs = [int(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"malformed polynomial text {text!r}") from exc
-    return UniPoly.from_encodings(field, encs)
-
-
-def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    f._check(g)
-    return UniPoly(f.field, _enc_gcd(f.field, f.enc, g.enc))
-
-
 def _exact_poly_div(num: UniPoly, den: UniPoly) -> UniPoly:
     quot, rem = divmod(num, den)
     if not rem.is_zero():
@@ -283,14 +268,6 @@ def _exact_poly_div(num: UniPoly, den: UniPoly) -> UniPoly:
 # the degree and log q: squarefree, distinct-degree and Cantor-Zassenhaus
 # equal-degree splits (Cantor and Zassenhaus, Math. Comp. 36, 1981; von zur
 # Gathen and Gerhard, Modern Computer Algebra, ch. 14).
-
-def monic_polys(field: Field, degree: int):
-    """Monic degree-d polynomials in canonical order: coefficient tuples over
-    element encodings, constant term compared first (the same ordering the
-    field modulus search uses)."""
-    for tail in itertools.product(range(field.q), repeat=degree):
-        yield UniPoly(field, (*tail, 1))
-
 
 def _enc_powmod(fld: Field, b, e: int, g) -> tuple[int, ...]:
     """b^e mod the monic g by square-and-multiply, each product reduced in
@@ -468,7 +445,7 @@ class PolyMatrix:
         return d if sign == 1 else -d
 
 
-def char_matrix(X: "Matrix") -> PolyMatrix:
+def char_matrix(X: Matrix) -> PolyMatrix:
     """The lambda-matrix x*I - X of a square field matrix."""
     if X.n_rows != X.n_cols:
         raise ValueError("characteristic matrix requires a square matrix")
@@ -554,7 +531,7 @@ def _smith_chain(fld: Field, a: list[list[tuple[int, ...]]]) -> list[tuple[int, 
     return [_enc_monic(fld, h) for h in diag]
 
 
-def invariant_factors(X: "Matrix") -> tuple[UniPoly, ...]:
+def invariant_factors(X: Matrix) -> tuple[UniPoly, ...]:
     """Invariant factors of x*I - X (monic, units reported as 1).
 
     X is reduced by a similarity to upper Hessenberg H (matfq's reduction,
@@ -569,8 +546,6 @@ def invariant_factors(X: "Matrix") -> tuple[UniPoly, ...]:
     characteristic polynomial alone, with no Smith form at all."""
     if X.n_rows != X.n_cols:
         raise ValueError("characteristic matrix requires a square matrix")
-    from .matfq import _hessenberg
-
     fld, n = X.field, X.n_rows
     mul, minus_one = fld._mul, fld.p - 1
     h = _hessenberg(fld, X._encodings())
@@ -629,16 +604,14 @@ def _divisors_of_factors(hs) -> tuple[UniPoly, ...]:
     return tuple(sorted(out, key=lambda g: (g.degree, g.enc)))
 
 
-def elementary_divisors(X: "Matrix") -> tuple[UniPoly, ...]:
+def elementary_divisors(X: Matrix) -> tuple[UniPoly, ...]:
     """The multiset of prime-power divisors of x*I - X, as a sorted tuple."""
     return _divisors_of_factors(invariant_factors(X))
 
 
-def _rcf_of_factors(field: Field, hs) -> "Matrix":
+def _rcf_of_factors(field: Field, hs) -> Matrix:
     """The direct sum of the companion blocks of the nontrivial factors hs,
     built as one encoded matrix."""
-    from .matfq import _from_encodings
-
     n = sum(h.degree for h in hs)
     rows = [[0] * n for _ in range(n)]
     o = 0
@@ -653,7 +626,7 @@ def _rcf_of_factors(field: Field, hs) -> "Matrix":
     return _from_encodings(field, rows)
 
 
-def rational_canonical_form(X: "Matrix") -> "Matrix":
+def rational_canonical_form(X: Matrix) -> Matrix:
     """Direct sum of companion blocks of the nontrivial invariant factors,
     in divisibility-chain (hence ascending-degree) order."""
     return _rcf_of_factors(X.field, invariant_factors(X))

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -10,18 +11,18 @@ from unittest import mock
 import numpy as np
 
 from ffyb import scan
-from ffyb.gf import Field, FieldElement, all_elements, make_field
-from ffyb.ideal import MultiPoly
+from ffyb.gf import Field, FieldElement, make_field
+from ffyb.ideal import DEFAULT_VARIETY_BUDGET, GeneratorSet, MultiPoly, _common_zeros
 from ffyb.invariants import _image_encodings, _separates
-from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum
+from ffyb.matfq import Matrix, _from_encodings, char_coeffs
 from ffyb.orbits import OrbitLabel, list_orbits, representative
-from ffyb.polyfq import (PolyMatrix, UniPoly, _smith_chain, is_irreducible_poly,
-                         monic_polys)
+from ffyb.polyfq import (PolyMatrix, UniPoly, _rcf_of_factors, _smith_chain,
+                         is_irreducible_poly)
 from ffyb.solutions import EquationInstance, _check_shape
 
 
 def random_matrix(rng: random.Random, field: Field, n: int) -> Matrix:
-    elems = all_elements(field)
+    elems = [field.from_encoding(k) for k in range(field.q)]
     return Matrix(field, [[rng.choice(elems) for _ in range(n)] for _ in range(n)])
 
 
@@ -45,6 +46,39 @@ def ref_generators(field: Field, n: int) -> list[Matrix]:
 
 
 # -- an entry-wise reference for matfq, on rows of FieldElements ------------
+
+def matrix_from_index(field: Field, n: int, idx: int) -> Matrix:
+    """The n x n matrix whose entries, row-major, are the base-q digits of
+    idx, least significant first: the scanners' canonical index."""
+    q = field.q
+    if not 0 <= idx < q ** (n * n):
+        raise ValueError("matrix index out of range")
+    digits = []
+    for _ in range(n * n):
+        idx, r = divmod(idx, q)
+        digits.append(r)
+    return _from_encodings(field, [digits[i:i + n] for i in range(0, n * n, n)])
+
+
+def matrix_index(X: Matrix) -> int:
+    """The canonical index of X, the inverse of matrix_from_index."""
+    q = X.field.q
+    idx = 0
+    for d in reversed([e for row in X.enc for e in row]):
+        idx = idx * q + d
+    return idx
+
+
+def direct_sum(b: Matrix, c: Matrix) -> Matrix:
+    """Block-diagonal sum of two square matrices over the same field."""
+    if b.field != c.field:
+        raise ValueError("matrices over different fields")
+    if not (b.is_square and c.is_square):
+        raise ValueError("direct sum requires square matrices")
+    k, m = b.n_rows, c.n_rows
+    return _from_encodings(b.field, [row + (0,) * m for row in b.enc]
+                           + [(0,) * k + row for row in c.enc])
+
 
 def ref_rows(X: Matrix) -> list[list]:
     return [[X[i, j] for j in range(X.n_cols)] for i in range(X.n_rows)]
@@ -94,6 +128,14 @@ def ref_inverse(a: list[list], zero, one) -> list[list] | None:
 
 
 # -- trial division, the reference for polyfq's factoring ---------------------
+
+def monic_polys(field: Field, degree: int):
+    """Monic degree-d polynomials in canonical order: coefficient tuples over
+    element encodings, constant term compared first (the same ordering the
+    field modulus search uses)."""
+    for tail in product(range(field.q), repeat=degree):
+        yield UniPoly(field, (*tail, 1))
+
 
 def ref_is_irreducible(f: UniPoly) -> bool:
     """Trial division by every monic polynomial of degree at most deg(f)/2."""
@@ -245,6 +287,15 @@ def monic_irreducibles(field: Field, degree: int):
             yield g
 
 
+def companion(f: UniPoly) -> Matrix:
+    """Companion matrix of a monic polynomial of degree >= 1."""
+    if not f.is_monic():
+        raise ValueError("companion matrix requires a monic polynomial")
+    if f.degree < 1:
+        raise ValueError("companion matrix requires degree >= 1")
+    return _rcf_of_factors(f.field, [f])
+
+
 def companion_not_solution(f: UniPoly, a: FieldElement) -> bool:
     """True iff C(f)^2 differs from a*C(f) for a monic f of degree >= 3:
     no companion block of degree 3 or more solves X^2 = aX."""
@@ -261,6 +312,39 @@ def multipoly(field: Field, n_vars: int, terms) -> MultiPoly:
         exps = tuple(exps)
         out[exps] = out.get(exps, field.zero()) + c
     return MultiPoly(field, n_vars, out)
+
+
+def encoded_terms(gens: GeneratorSet):
+    """The nonzero polynomials of any generator set as encoded terms, as
+    ideal._generator_terms gives them; the zero polynomial vanishes
+    everywhere and is left out.  A polynomial sits in the layer where the
+    lowest-index variable it reads is fixed, layer 0 for a constant."""
+    n = gens.n
+    polys = []  # (layer, terms)
+    for g in gens.generators:
+        terms = [(c.encoding, [n - v for v, e in enumerate(exps) for _ in range(e)])
+                 for exps, c in g.terms.items()]
+        if terms:
+            polys.append((max([max(fs) for _, fs in terms if fs] or [0]), terms))
+    polys.sort(key=lambda lt: lt[0])
+    degree = max([1] + [len(fs) for _, terms in polys for _, fs in terms])
+    rows, widths = [], [0] * (n + 1)
+    for g, (t, terms) in enumerate(polys):
+        widths[t] = max(widths[t], len(terms))
+        for j, (c, fs) in enumerate(terms):
+            rows += (g, j, t, c, *fs, *[0] * (degree - len(fs)))
+    layers = [t for t, _ in polys]
+    ends = [bisect_left(layers, t) for t in range(n + 2)]
+    return np.array(rows, dtype=np.int64).reshape(-1, degree + 4), ends, widths
+
+
+def variety(gens: GeneratorSet, field: Field, *,
+            budget: int = DEFAULT_VARIETY_BUDGET) -> list[tuple[FieldElement, ...]]:
+    """All common zeros in F_q^n, in ascending point-encoding order, by the
+    package's variety scan (ideal._common_zeros) on any generator set."""
+    idx = _common_zeros(encoded_terms(gens), gens.n, field, budget)
+    return [tuple(map(field.from_encoding, row))
+            for row in scan.decode(field.q, gens.n, idx).T.tolist()]
 
 
 def evaluate(g: MultiPoly, point) -> FieldElement:

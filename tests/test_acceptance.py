@@ -8,16 +8,16 @@ from math import comb
 
 import pytest
 
-from support import (companion_not_solution, image_points, orbit_sum_count,
-                     satisfies_yang_baxter, subset_separates, trace_separates)
-from ffyb.gf import all_elements, make_field
-from ffyb.ideal import generating_set, variety, verify_variety
+from support import (companion_not_solution, image_points, matrix_from_index, monic_polys,
+                     orbit_sum_count, satisfies_yang_baxter, subset_separates,
+                     trace_separates)
+from ffyb.gf import make_field
+from ffyb.ideal import generating_set, verify_variety
 from ffyb.invariants import minimal_separating_subsets
-from ffyb.matfq import Matrix, matrix_from_index
 from ffyb.orbits import (block_solution, brute_force_centralizer_order,
                          brute_force_conjugacy_classes, classify, list_orbits,
                          orbit_size)
-from ffyb.polyfq import UniPoly, elementary_divisors, monic_polys
+from ffyb.polyfq import UniPoly, elementary_divisors
 from ffyb.solutions import (EquationInstance, brute_force_count,
                             closed_form_count, yang_baxter_count)
 

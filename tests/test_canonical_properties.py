@@ -15,16 +15,16 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import (random_invertible, ref_factor_monic, ref_is_irreducible,
-                     ref_modulus, smith_normal_form)
+from support import (companion, direct_sum, monic_polys, random_invertible,
+                     ref_factor_monic, ref_is_irreducible, ref_modulus, smith_normal_form)
 from ffyb import polyfq
 from ffyb.errors import InternalInvariantError
 from ffyb.gf import Field, is_prime, make_field
-from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum, parse_matrix
+from ffyb.matfq import Matrix, char_coeffs, parse_matrix
 from ffyb.orbits import all_labels, classify, representative
 from ffyb.polyfq import (PolyMatrix, UniPoly, char_matrix, elementary_divisors,
                          factor_monic, invariant_factors, is_irreducible_poly,
-                         monic_polys, poly_gcd, rational_canonical_form)
+                         rational_canonical_form)
 from ffyb.solutions import EquationInstance
 
 # GF(2), GF(3), GF(4), GF(5), GF(8), GF(9), GF(101), GF(23^2)
@@ -384,23 +384,6 @@ def test_factor_monic_runs_no_irreducibility_test(monkeypatch):
     assert factor_monic(prod) == [(quads[0], 1), (quads[1], 1)]
 
 
-def test_factor_monic_enumerates_no_candidate_divisors(monkeypatch):
-    rng = random.Random(3)
-    cases = []
-    for ps in [(5, 1), (2, 3), (3, 2), (101, 1)]:
-        f = make_field(*ps)
-        for _ in range(10):
-            g = UniPoly(f, (*(rng.randrange(f.q) for _ in range(6)), 1))
-            cases.append((g, factor_monic(g)))
-
-    def refuse(field, degree):
-        raise AssertionError("monic_polys called")
-    monkeypatch.setattr(polyfq, "monic_polys", refuse)
-    for g, want in cases:
-        assert factor_monic(g) == want
-    assert any(len(want) > 1 for _, want in cases)
-
-
 def test_equal_degree_split_of_an_irreducible_raises_instead_of_spinning():
     # x^2 + 1 is irreducible over GF(3), so no draw splits it into linear factors
     with pytest.raises(InternalInvariantError):
@@ -461,4 +444,4 @@ def test_smith_form_and_gcd_with_a_broken_division_raise_instead_of_spinning(mon
         return (), tuple(a)  # quotient 0: the dividend is its own remainder
     monkeypatch.setattr(polyfq, "_enc_divmod", no_progress)
     assert raises_internal_error_within(30, smith_normal_form, M)
-    assert raises_internal_error_within(30, poly_gcd, g, h)
+    assert raises_internal_error_within(30, polyfq._enc_gcd, f, g.enc, h.enc)

@@ -89,6 +89,14 @@ def test_smith_command(capsys):
     assert rep["rational_canonical_form"] == "0,1;0,1"
 
 
+@pytest.mark.parametrize("n, matrix", [("3", "1,0;0,1"), ("2", "1,0,0;0,1,0;0,0,1"),
+                                       ("2", "1,0,0;0,1,0")])
+def test_smith_rejects_a_matrix_that_is_not_n_by_n(capsys, n, matrix):
+    code, out, err = run_cli(capsys, "smith", "--p", "2", "--n", n, "--matrix", matrix)
+    assert code == 1 and out == ""
+    assert f"error: expected a {n}x{n} matrix" in err
+
+
 def test_smith_command_computes_the_invariant_factors_once(monkeypatch, capsys):
     calls = []
     real = polyfq.invariant_factors

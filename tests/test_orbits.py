@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import orbit_sum_count, random_invertible, ref_block_solution, ref_generators
+from support import (matrix_from_index, matrix_index, orbit_sum_count, random_invertible,
+                     ref_block_solution, ref_generators)
 from ffyb import orbits, scan, verify
 from ffyb.errors import BudgetExceededError, InternalInvariantError
 from ffyb.gf import make_field
-from ffyb.matfq import Matrix, gl_order, matrix_from_index, matrix_index
+from ffyb.matfq import Matrix, gl_order
 from ffyb.orbits import (SCALAR_A, ZERO, _label_of_rank, all_labels, block_solution,
                          brute_force_centralizer_order,
                          brute_force_conjugacy_classes, classify,

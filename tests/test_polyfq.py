@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from support import (companion_not_solution, monic_irreducibles, random_invertible,
-                     random_matrix, smith_normal_form)
-from ffyb.gf import all_elements, make_field
-from ffyb.matfq import Matrix, char_coeffs, companion, direct_sum, matrix_from_index
-from ffyb.polyfq import (PolyMatrix, UniPoly, char_matrix, elementary_divisors,
+from support import (companion, companion_not_solution, direct_sum, matrix_from_index,
+                     monic_irreducibles, monic_polys, random_invertible, random_matrix,
+                     smith_normal_form)
+from ffyb.gf import make_field
+from ffyb.matfq import Matrix, char_coeffs
+from ffyb.polyfq import (PolyMatrix, UniPoly, _enc_gcd, char_matrix, elementary_divisors,
                          factor_monic, invariant_factors, is_irreducible_poly,
-                         monic_polys, parse_unipoly, poly_gcd,
                          rational_canonical_form)
 
 
@@ -35,7 +35,7 @@ def block_matrix(field, n, k, b, a):
 def test_gcd_of_x_and_x_minus_a_is_one_for_nonzero_a():
     f5 = make_field(5)
     for enc in range(1, 5):
-        g = poly_gcd(x_poly(f5), x_minus(f5, f5.from_encoding(enc)))
+        g = UniPoly(f5, _enc_gcd(f5, x_poly(f5).enc, x_minus(f5, f5.from_encoding(enc)).enc))
         assert g == UniPoly.one(f5)
 
 
@@ -52,7 +52,7 @@ def test_gcd_of_poly_with_itself_is_its_monic_part():
     f5 = make_field(5)
     two = f5.from_encoding(2)
     f = (x_poly(f5) + UniPoly.one(f5)) * two
-    assert poly_gcd(f, f) == f.monic()
+    assert UniPoly(f5, _enc_gcd(f5, f.enc, f.enc)) == f.monic()
 
 
 def test_division_by_zero_polynomial_raises():
@@ -63,7 +63,7 @@ def test_division_by_zero_polynomial_raises():
 
 def test_poly_text_round_trip():
     f5 = make_field(5)
-    f = parse_unipoly(f5, "0,4,1")
+    f = UniPoly.from_encodings(f5, [0, 4, 1])
     assert f.text() == "0,4,1"
     assert f.degree == 2
     assert f(f5.zero()).is_zero()
@@ -226,8 +226,8 @@ def test_rcf_is_conjugation_invariant_and_similar():
 def test_companion_cubes_over_f2():
     f2 = make_field(2)
     one = f2.one()
-    assert companion_not_solution(parse_unipoly(f2, "0,0,0,1"), one)
-    assert companion_not_solution(parse_unipoly(f2, "1,1,0,1"), one)
+    assert companion_not_solution(UniPoly.from_encodings(f2, [0, 0, 0, 1]), one)
+    assert companion_not_solution(UniPoly.from_encodings(f2, [1, 1, 0, 1]), one)
 
 
 def test_companion_not_solution_exhaustive_cubics():
@@ -254,7 +254,7 @@ def test_companion_square_has_unit_in_first_row_third_column():
 def test_companion_not_solution_rejects_small_degree():
     f2 = make_field(2)
     with pytest.raises(ValueError):
-        companion_not_solution(parse_unipoly(f2, "1,1,1"), f2.one())
+        companion_not_solution(UniPoly.from_encodings(f2, [1, 1, 1]), f2.one())
 
 
 def test_char_matrix_entry_layout():

@@ -8,12 +8,12 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from support import evaluate
+from support import evaluate, matrix_from_index, variety
 from ffyb import scan
 from ffyb.errors import SingularMatrixError
-from ffyb.gf import Field, all_elements, make_field
-from ffyb.ideal import GeneratorSet, MultiPoly, generating_set, variety
-from ffyb.matfq import Matrix, matrix_from_index
+from ffyb.gf import Field, make_field
+from ffyb.ideal import GeneratorSet, MultiPoly, generating_set
+from ffyb.matfq import Matrix
 from ffyb.solutions import EquationInstance, brute_force_indices, is_solution
 
 SCAN_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)]  # GF(2), GF(4), GF(5), GF(8), GF(9)
@@ -144,7 +144,7 @@ def sparse_generator_sets(draw):
 @given(sparse_generator_sets(), st.integers(1, 700))
 def test_pruned_variety_matches_evaluation_at_every_point(case, chunk):
     f, gens = case
-    elems = all_elements(f)
+    elems = [f.from_encoding(k) for k in range(f.q)]
     # product() varies the last coordinate fastest: reversed, that is
     # ascending point-encoding order
     want = [pt[::-1] for pt in product(elems, repeat=gens.n)
@@ -184,7 +184,7 @@ def test_batched_layer_matches_evaluation_at_every_point(case, chunk):
     # CHUNK = 1 makes every block one polynomial, so a layer splits into
     # blocks of different widths
     f, gens = case
-    elems = all_elements(f)
+    elems = [f.from_encoding(k) for k in range(f.q)]
     want = [pt[::-1] for pt in product(elems, repeat=gens.n)
             if all(evaluate(g, pt[::-1]).is_zero() for g in gens.generators)]
     with mock.patch.object(scan, "CHUNK", chunk):

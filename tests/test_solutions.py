@@ -4,11 +4,11 @@ import tracemalloc
 
 import pytest
 
-from support import random_invertible, satisfies_yang_baxter
+from support import matrix_from_index, matrix_index, random_invertible, satisfies_yang_baxter
 from ffyb import scan
 from ffyb.errors import BudgetExceededError
-from ffyb.gf import all_elements, make_field
-from ffyb.matfq import Matrix, matrix_from_index, parse_matrix
+from ffyb.gf import make_field
+from ffyb.matfq import Matrix, parse_matrix
 from ffyb.orbits import brute_force_centralizer_order, enumerate_gl
 from ffyb.scan import INDEX_LIMIT, TABLE_ENTRY_LIMIT
 from ffyb.solutions import (EquationInstance, brute_force_count,
@@ -68,7 +68,6 @@ def test_brute_force_list_matches_count_and_membership():
     assert len(sols) == brute_force_count(inst)
     assert all(is_solution(inst, x) for x in sols)
     # enumeration order is by the canonical matrix index
-    from ffyb.matfq import matrix_index
     idxs = [matrix_index(x) for x in sols]
     assert idxs == sorted(idxs)
 
