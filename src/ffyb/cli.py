@@ -310,12 +310,15 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "verify-all" and args.output == "table":
-        return code  # the per-check lines were already printed
-    if args.output == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        _print_table(report)
+    try:
+        if args.output == "json":
+            print(json.dumps(report, indent=2))
+        elif args.command != "verify-all":  # whose table lines are already printed
+            _print_table(report)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        # Python flushes stdout again at exit: devnull keeps that silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

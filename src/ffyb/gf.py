@@ -7,9 +7,10 @@ integer encoding in 0..q-1: the coefficient vector of its residue mod
 integer is the wire format of the CLI and the digit of the enumeration
 scanners.
 
-Prime fields compute mod p.  Extension fields compute through exp, log and
-Zech-log tables of size q over the first primitive element, built on first
-use.
+Each field binds its own add, mul and inv on encodings on first use and
+branches on nothing per call: mod p in a prime field, XOR for the sum when
+p = 2, and in an extension field lookups in exp, log and Zech-log lists of
+O(q) entries over the first primitive element.
 
 The modulus is chosen deterministically: candidates are ordered
 lexicographically by their non-leading coefficient tuple, constant term
@@ -20,6 +21,7 @@ modulus x, i.e. plain residues mod p.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -74,17 +76,27 @@ def _digit_add(a, b, p: int, s: int):
     return out
 
 
+class _Bound:
+    """A Field attribute that _bind sets with the other three on the first
+    read of any; from then on the instance's own attribute hides this one."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, fld, owner=None):
+        if fld is None:
+            return self
+        fld._bind()
+        return getattr(fld, self.name)
+
+
 class Field:
     """GF(p^s) with a fixed modulus.  Immutable; safe to share."""
 
-    __slots__ = ("p", "s", "q", "modulus", "_logs")
+    _logs, _add, _mul, _inv = _Bound(), _Bound(), _Bound(), _Bound()
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.s = s
-        self.q = p**s
-        self.modulus = modulus
-        self._logs = None
+        self.p, self.s, self.q, self.modulus = p, s, p**s, modulus
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -95,9 +107,7 @@ class Field:
         return hash((self.p, self.s, self.modulus))
 
     def __repr__(self):
-        if self.s == 1:
-            return f"GF({self.p})"
-        return f"GF({self.p}^{self.s})"
+        return f"GF({self.p})" if self.s == 1 else f"GF({self.p}^{self.s})"
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -118,22 +128,26 @@ class Field:
 
     # -- arithmetic on encodings ------------------------------------------
 
-    def _log_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """(exp, log, zech) of an extension field, built on first use.
-
-        exp[i] = g^i for a primitive element g (i < q-1), log inverts it
-        (log[0] is unused), and zech[i] = log(1 + g^i), or -1 where
-        1 + g^i = 0."""
-        if self._logs is None:
+    def _bind(self) -> None:
+        """Set _add, _mul and _inv, the arithmetic on encodings, and _logs.
+        A prime field computes mod p; p = 2 adds by XOR.  An extension field
+        reads _logs = (ext, lg, zech) over its first primitive element g: ext
+        is exp (exp[i] = g^i, i < q-1) written twice, then zeros; lg inverts
+        exp, and lg[0] = 2(q-1) sends every product with 0 into the zeros, so
+        a product is ext[lg a + lg b]; for odd p, zech[i] = lg[1 + g^i], and
+        a sum of nonzero a, b is a * (1 + b/a)."""
+        p, s, q, m = self.p, self.s, self.q, self.q - 1
+        if s == 1:
+            ext = lg = self._logs = None
+            add, self._mul = (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+        else:
             from .polyfq import _enc_powmod, _trim
-            p, s, q = self.p, self.s, self.q
             # g is primitive when g^((q-1)/r) != 1, by powering mod the
             # modulus, for each prime r | q-1; the prime subfield holds none
-            rs = {d for r in range(1, int(q**0.5) + 1) if (q - 1) % r == 0
-                  for d in (r, (q - 1) // r)}
+            rs = {d for r in range(1, int(q**0.5) + 1) if m % r == 0 for d in (r, m // r)}
             g = next(g for g in range(p, q) if all(
                 _enc_powmod(make_field(p), _trim([g // p**t % p for t in range(s)]),
-                            (q - 1) // r, self.modulus) != (1,) for r in rs if is_prime(r)))
+                            m // r, self.modulus) != (1,) for r in rs if is_prime(r)))
             # times_g[k] = g * k, grown one base-p digit of k at a time:
             # g * (d x^t + k) = d * v + g * k with v = g * x^t, all d at once
             times_g = np.zeros(1, dtype=np.int64)
@@ -144,46 +158,32 @@ class Field:
                 times_g = np.concatenate([times_g, step])
                 # v * x: shift the digits up; hi * x^s reduces to -hi * (modulus - x^s)
                 hi, lo = divmod(v, p ** (s - 1))
-                fold = sum(-hi * m % p * p**t for t, m in enumerate(self.modulus[:-1]))
+                fold = sum(-hi * c % p * p**t for t, c in enumerate(self.modulus[:-1]))
                 v = _digit_add(lo * p, fold, p, s)
             # exp[:2L] from exp[:L] and times_g = (g^L * .), by doubling
             exp = np.ones(1, dtype=np.int64)
-            while len(exp) < q - 1:
+            while len(exp) < m:
                 exp = np.concatenate([exp, times_g[exp]])
                 times_g = times_g[times_g]
-            exp = exp[:q - 1]
-            log = np.zeros(q, dtype=np.int64)
-            log[exp] = np.arange(q - 1)
-            succ = exp - exp % p + (exp + 1) % p  # 1 + g^i
-            zech = np.where(succ == 0, -1, log[succ]).tolist()
-            self._logs = (exp.tolist(), log.tolist(), zech)
-        return self._logs
+            exp = exp[:m]
+            lg = np.full(q, q, dtype=np.int64)  # objs[q] = 2(q-1)
+            lg[exp] = np.arange(m)
+            objs = np.array([*range(q), 2 * m], dtype=object)  # the lists share their ints
+            zech = objs[lg[exp - exp % p + (exp + 1) % p]].tolist() if p > 2 else None
+            exp = objs[exp].tolist()
+            ext, lg = exp + exp + [0] * (2 * m + 1), objs[lg].tolist()
+            self._logs = (ext, lg, zech)
+            self._mul = lambda a, b: ext[lg[a] + lg[b]]
 
-    def _add(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
-        if not a or not b:
-            return a or b
-        exp, log, zech = self._logs or self._log_tables()
-        la = log[a]
-        z = zech[(log[b] - la) % (self.q - 1)]
-        return 0 if z < 0 else exp[(la + z) % (self.q - 1)]
+            def add(a, b):  # lg[b] - lg[a] < 0 wraps as mod q-1 does
+                return ext[(la := lg[a]) + zech[lg[b] - la]] if a and b else a + b
+        self._add = operator.xor if p == 2 else add
 
-    def _mul(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return a * b % self.p
-        if not a or not b:
-            return 0
-        exp, log, _ = self._logs or self._log_tables()
-        return exp[(log[a] + log[b]) % (self.q - 1)]
-
-    def _inv(self, a: int) -> int:
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.s == 1:
-            return pow(a, -1, self.p)
-        exp, log, _ = self._logs or self._log_tables()
-        return exp[-log[a] % (self.q - 1)]
+        def inv(a: int) -> int:
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return pow(a, -1, p) if s == 1 else ext[m - lg[a]]
+        self._inv = inv
 
 
 class FieldElement:

@@ -5,10 +5,11 @@ significant first: a matrix (width n^2) or a point of F_q^n (width n).  All
 field arithmetic goes through `Tables`, whose add(a, b) and mul(a, b) take
 pairs of encodings and compute each entry from O(q) vectors
 (`arithmetic`).  While q^2 fits one scan chunk (q <= 256) those formulas
-run once over all q^2 pairs, and add and mul gather from the two tables at
-the flat index a*q + b, several times faster per lookup; no other module
-knows that format.  A scan reads a few chunks of entries, so past that
-size building a table costs more memory and time than the scan it serves.
+run once over all q^2 pairs, and mul, and add past p = 2, gather from a
+table at the flat index a*q + b, several times faster per lookup; no other
+module knows that format.  A scan reads a few chunks of entries, so past
+that size building a table costs more memory and time than the scan it
+serves.
 
 `gate` decides what a scan may cost: it refuses more than min(budget,
 INDEX_LIMIT) indices before it sets up the arithmetic, so the solution,
@@ -104,14 +105,13 @@ def arithmetic(field: Field, dense: bool):
     lookup from O(q) vectors or, when dense, gathered from the q x q tables
     that the same formulas give once over all pairs.
 
-    add is an XOR for p = 2.  For odd p, red takes each base-(2p-1) digit
-    mod p, so red[a + b] is a + b mod p in a prime field.  Past s = 1,
-    spread first rewrites each base-p digit in base 2p - 1, where two
-    encodings add with no carry.  mul is a*b mod p for a prime field and
-    ext[lg a + lg b] for an extension field: ext is exp twice, which holds
-    every log a + log b, then zeros, where lg[0] = 2(q-1) sends every
-    product with 0.  red has (2p-1)^s entries, 78,125 at GF(3^7), the most
-    below TABLE_ENTRY_LIMIT."""
+    add is an XOR for p = 2, dense or not.  For odd p, red takes each
+    base-(2p-1) digit mod p, so red[a + b] is a + b mod p in a prime field.
+    Past s = 1, spread first rewrites each base-p digit in base 2p - 1,
+    where two encodings add with no carry.  mul is a*b mod p for a prime
+    field and ext[lg a + lg b] over the field's own _logs for an extension
+    field.  red has (2p-1)^s entries, 78,125 at GF(3^7), the most below
+    TABLE_ENTRY_LIMIT."""
     p, s, q = field.p, field.s, field.q
     if p == 2:
         add = np.bitwise_xor
@@ -127,16 +127,16 @@ def arithmetic(field: Field, dense: bool):
             i %= p  # in place: a * b % p would buffer a second array
             return i
     else:
-        exp, log, _ = field._log_tables()
-        ext = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
-        lg = np.array([2 * (q - 1), *log[1:]], dtype=np.int64)
+        ext, lg = (np.array(t, dtype=np.int64) for t in field._logs[:2])
 
         def mul(a, b):
             return _take(ext, lg[a] + lg[b])
     if not dense:
         return add, mul
     k = np.arange(q, dtype=np.int64)
-    return tuple(_gather(f(k[:, None], k).ravel(), q) for f in (add, mul))
+    # an XOR is faster than a gather: p = 2 builds the mul table alone
+    return tuple(f if f is np.bitwise_xor else _gather(f(k[:, None], k).ravel(), q)
+                 for f in (add, mul))
 
 
 def _gather(table: np.ndarray, q: int):
@@ -155,7 +155,8 @@ class Tables:
     """A field's arithmetic on encodings: add(a, b) and mul(a, b) take ints
     or int64 arrays that broadcast together; neg and inv are vectors indexed
     by encoding, inv[0] = 0.  add and mul gather from dense q x q tables
-    while q^2 <= CHUNK and compute each entry from O(q) vectors past it.
+    while q^2 <= CHUNK, except the XOR add of p = 2, and compute each entry
+    from O(q) vectors past it.
 
     The q^2-entry refusal comes before either is set up, so an oversized
     field costs nothing."""

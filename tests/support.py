@@ -250,6 +250,20 @@ def ref_encoded_tables(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return ref_digit_add(k[:, None], k, p, s), mul
 
 
+def ref_field_mul(field: Field, a, b):
+    """Products of encodings by schoolbook multiplication of the digit
+    vectors mod p, reduced by the modulus: no log table; elementwise on
+    int64 arrays as well as on ints."""
+    p, s, mod = field.p, field.s, field.modulus
+    da, db = ([c // p**t % p for t in range(s)] for c in (a, b))
+    prod = [sum(da[i] * db[k - i] for i in range(max(0, k - s + 1), min(k, s - 1) + 1)) % p
+            for k in range(2 * s - 1)]
+    for k in range(2 * s - 2, s - 1, -1):  # x^k = x^(k-s) * (x^s - modulus)
+        for t in range(s):
+            prod[k - s + t] = (prod[k - s + t] - prod[k] * mod[t]) % p
+    return sum(d * p**t for t, d in enumerate(prod[:s]))
+
+
 def fresh_arithmetic_cache():
     """scan.arithmetic behind an empty per-field cache of its own, so that a
     test sets the arithmetic up inside its own trace and leaves scan's cache

@@ -19,7 +19,7 @@ from support import (companion, direct_sum, monic_polys, random_invertible,
                      ref_factor_monic, ref_is_irreducible, ref_modulus, smith_normal_form)
 from ffyb import polyfq
 from ffyb.errors import InternalInvariantError
-from ffyb.gf import Field, is_prime, make_field
+from ffyb.gf import is_prime, make_field
 from ffyb.matfq import Matrix, char_coeffs, parse_matrix
 from ffyb.orbits import all_labels, classify, representative
 from ffyb.polyfq import (PolyMatrix, UniPoly, char_matrix, elementary_divisors,
@@ -320,17 +320,20 @@ def test_make_field_finds_the_trial_division_modulus():
 
 
 def test_factor_cost_bounds_the_field_multiplications(monkeypatch):
-    calls = [0]
-    mul = Field._mul
+    calls = [0, 0]  # per factor_monic call, per field
 
-    def counted(fld, a, b):
-        calls[0] += 1
-        return mul(fld, a, b)
-    monkeypatch.setattr(Field, "_mul", counted)
+    def counted(mul):
+        def call(a, b):
+            calls[0] += 1
+            calls[1] += 1
+            return mul(a, b)
+        return call
     rng = random.Random(13)
     for ps in [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 8), (3, 5), (1021, 1),
                (1048573, 1)]:
         f = make_field(*ps)
+        monkeypatch.setattr(f, "_mul", counted(f._mul))  # each field binds its own
+        calls[1] = 0
         for _ in range(40):
             m = rng.randint(1, 8)
             g = UniPoly.one(f)
@@ -340,6 +343,7 @@ def test_factor_cost_bounds_the_field_multiplications(monkeypatch):
             calls[0] = 0
             factor_monic(g)
             assert calls[0] <= polyfq.factor_cost(f.q, m), (f, g)
+        assert calls[1], f  # the hook sees the field's products
 
 
 def test_two_quartics_over_gf101_factor_in_under_a_second():

@@ -8,7 +8,7 @@ import pytest
 from ffyb import polyfq, verify
 from ffyb.cli import main
 from ffyb.errors import BudgetExceededError
-from ffyb.gf import Field
+from ffyb.gf import make_field
 
 
 def run_cli(capsys, *argv):
@@ -423,7 +423,7 @@ def test_long_counts_below_the_digit_limit_still_print(capsys):
 def test_exit_code_internal_invariant_failure(monkeypatch, capsys):
     # with every field product read as 0 all n+1 image points collapse onto
     # the origin, which _image_encodings must report as a bug, not as bad input
-    monkeypatch.setattr(Field, "_mul", lambda self, x, y: 0)
+    monkeypatch.setattr(make_field(5, 1), "_mul", lambda x, y: 0)  # the field the CLI makes
     code, out, err = run_cli(capsys, "invariants", "--p", "5", "--n", "3", "--a", "2")
     assert code == 3
     assert out == ""
@@ -448,6 +448,18 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == "8"
+
+
+def test_a_reader_that_stops_early_sees_no_traceback():
+    # the report is far larger than a pipe buffer, so its write meets the
+    # closed pipe; the command still ends with its own exit code
+    proc = subprocess.Popen([sys.executable, "-m", "ffyb", "invariants", "--p", "2", "--n", "300"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_budget_env_override(monkeypatch, capsys):

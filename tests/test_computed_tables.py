@@ -29,9 +29,9 @@ DENSE_FIELDS = [(p, s) for p in range(2, 257) if is_prime(p)
 
 def test_the_cut_is_one_scan_chunk():
     assert 256 * 256 == scan.CHUNK
-    # the two int64 tables of GF(2^8) take 2 * 8 * 256^2 bytes; one table of
-    # GF(257) would take 8 * 257^2
-    assert arithmetic_peak(2, 8) >= 2 * 8 * 256**2
+    # the int64 mul table of GF(2^8) takes 8 * 256^2 bytes (its add is an
+    # XOR); one table of GF(257) would take 8 * 257^2
+    assert arithmetic_peak(2, 8) >= 8 * 256**2
     assert arithmetic_peak(257, 1) < 8 * 257**2
     assert {q for p, s in COMPUTED_FIELDS for q in [p**s]} >= {257, 289, 343, 512, 625,
                                                                729, 961, 1021, 1024}

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from support import evaluate, matrix_from_index, variety
 from ffyb import scan
 from ffyb.errors import SingularMatrixError
-from ffyb.gf import Field, make_field
+from ffyb.gf import make_field
 from ffyb.ideal import GeneratorSet, MultiPoly, generating_set
 from ffyb.matfq import Matrix
 from ffyb.solutions import EquationInstance, brute_force_indices, is_solution
@@ -56,11 +56,11 @@ def test_batched_det_and_inverse_match_matrix(batch):
 def test_det_builds_the_inverse_vector_once_per_tables():
     f = make_field(7)
     mats = np.array([[2, 1, 1, 3], [0, 4, 5, 6], [0, 0, 0, 1]], dtype=np.int64).T
-    with mock.patch.object(Field, "_inv", autospec=True, side_effect=Field._inv) as inv:
+    with mock.patch.object(f, "_inv", side_effect=f._inv) as inv:
         tabs = scan.Tables(f)
         assert inv.call_count == 0  # a scan that reads no determinant builds nothing
         dets = [tabs.det(2, mats) for _ in range(2)]
-    assert inv.call_count <= f.q - 1
+    assert 0 < inv.call_count <= f.q - 1
     for det in dets:
         assert det.tolist() == [5, 1, 0]
 
