@@ -8,7 +8,8 @@ by default (big integers as decimal strings, stable key order, top-level
 check.  The FFYB_BUDGET environment variable overrides the default
 enumeration budget; --budget overrides both.  Either must be a positive
 integer.  The parser is built once per process, on the first call of
-main, and FFYB_BUDGET is read on every call.
+main, and FFYB_BUDGET is read on every call.  An argv that starts with a
+command is read by that command's parser alone.
 """
 
 from __future__ import annotations
@@ -68,23 +69,33 @@ def _build_instance(args) -> tuple[EquationInstance, dict]:
                   "q": fld.q, "n": inst.n, "a": inst.a.encoding, **extras}
 
 
-def _print_table(obj, indent: str = "") -> None:
+def _print(text: str, file) -> None:
+    """print and flush.  A reader that stops early, as `| head` does, gets no
+    traceback: the file goes to the null device, where Python's flush at exit
+    is silent too, and the caller goes on."""
+    try:
+        print(text, file=file, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), file.fileno())
+
+
+def _table_lines(obj, indent: str = ""):
     if isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list)):
-                print(f"{indent}{k}:")
-                _print_table(v, indent + "  ")
+                yield f"{indent}{k}:"
+                yield from _table_lines(v, indent + "  ")
             else:
-                print(f"{indent}{k}: {v}")
+                yield f"{indent}{k}: {v}"
     elif isinstance(obj, list):
         for v in obj:
             if isinstance(v, (dict, list)):
-                _print_table(v, indent + "  ")
-                print()
+                yield from _table_lines(v, indent + "  ")
+                yield ""
             else:
-                print(f"{indent}- {v}")
+                yield f"{indent}- {v}"
     else:
-        print(f"{indent}{obj}")
+        yield f"{indent}{obj}"
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +222,12 @@ def cmd_verify_all(inst, args, report: dict) -> int:
             ok, status, message, detail = False, "REFUSED", exc, f"refused: {exc}"
         seen.add(status)
         results.append({"name": name, "ok": ok, "detail": detail})
-        print(f"{status}  {name}: {message}", file=lines_to)
+        _print(f"{status}  {name}: {message}", lines_to)
     report.update(checks=results, all_ok=seen <= {"PASS"})
     return 1 if "FAIL" in seen else 2 if "REFUSED" in seen else 0
 
 
 # ---------------------------------------------------------------------------
-
-def _add_common(parser: argparse.ArgumentParser, *, needs_instance: bool = True) -> None:
-    if needs_instance:
-        parser.add_argument("--p", type=int, required=True, help="field characteristic")
-        parser.add_argument("--s", type=int, default=1, help="extension degree")
-        parser.add_argument("--n", type=int, required=True, help="matrix size")
-        parser.add_argument("--a", default="1",
-                            help="integer encoding of a, or 'rand-nonzero'")
-        parser.add_argument("--seed", type=int, default=0,
-                            help="seed for --a rand-nonzero")
-    parser.add_argument("--budget", type=int,
-                        help="max enumeration size (default FFYB_BUDGET or built-in)")
-    parser.add_argument("--output", choices=("json", "table"), default="json")
-
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -238,51 +235,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solution counts, orbits, invariants and the orbit-image "
                     "ideal for X^2 = aX over GF(q).")
     sub = top.add_subparsers(dest="command", required=True)
+    top.commands = sub.choices  # each command's own parser, which main calls directly
 
-    p = sub.add_parser("count", help="solution count (closed form and/or enumeration)")
-    _add_common(p)
+    def command(name, handler, help, needs_instance=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(command=name, handler=handler)  # what the top-level route sets
+        if needs_instance:
+            p.add_argument("--p", type=int, required=True, help="field characteristic")
+            p.add_argument("--s", type=int, default=1, help="extension degree")
+            p.add_argument("--n", type=int, required=True, help="matrix size")
+            p.add_argument("--a", default="1", help="integer encoding of a, or 'rand-nonzero'")
+            p.add_argument("--seed", type=int, default=0, help="seed for --a rand-nonzero")
+        p.add_argument("--budget", type=int,
+                       help="max enumeration size (default FFYB_BUDGET or built-in)")
+        p.add_argument("--output", choices=("json", "table"), default="json")
+        return p
+
+    p = command("count", cmd_count, "solution count (closed form and/or enumeration)")
     p.add_argument("--method", choices=("closed", "brute", "both"), default="closed")
-    p.set_defaults(handler=cmd_count)
-
-    p = sub.add_parser("enumerate", help="brute-force scan of all matrices")
-    _add_common(p)
+    p = command("enumerate", cmd_enumerate, "brute-force scan of all matrices")
     p.add_argument("--list", action="store_true",
                    help="include the solution matrices in the report")
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("classify", help="orbit of a given solution matrix")
-    _add_common(p)
+    p = command("classify", cmd_classify, "orbit of a given solution matrix")
     p.add_argument("--matrix", required=True, help="matrix text, e.g. '0,1;0,3'")
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("orbits", help="all n+1 orbits with sizes and stabilizers")
-    _add_common(p)
-    p.set_defaults(handler=cmd_orbits)
-
-    p = sub.add_parser("smith", help="invariant factors, elementary divisors and "
-                                     "rational canonical form of a matrix")
-    _add_common(p)
+    command("orbits", cmd_orbits, "all n+1 orbits with sizes and stabilizers")
+    p = command("smith", cmd_smith, "invariant factors, elementary divisors and "
+                                    "rational canonical form of a matrix")
     p.add_argument("--matrix", required=True, help="matrix text, e.g. '0,1;0,3'")
-    p.set_defaults(handler=cmd_smith)
-
-    p = sub.add_parser("invariants", help="orbit image points and separation report")
-    _add_common(p)
+    p = command("invariants", cmd_invariants, "orbit image points and separation report")
     p.add_argument("--minimal-subsets", action="store_true",
                    help="sweep all coordinate subsets for minimal separating ones")
-    p.set_defaults(handler=cmd_invariants)
-
-    p = sub.add_parser("ideal", help="quadratic generating set and its variety")
-    _add_common(p)
+    p = command("ideal", cmd_ideal, "quadratic generating set and its variety")
     p.add_argument("--verify", action="store_true",
                    help="scan the variety and compare with the image points")
-    p.set_defaults(handler=cmd_ideal)
-
-    p = sub.add_parser("verify-all", help="run the whole cross-verification sweep")
-    _add_common(p, needs_instance=False)
+    p = command("verify-all", cmd_verify_all, "run the whole cross-verification sweep",
+                needs_instance=False)
     p.add_argument("--only", action="append", metavar="CHECK",
                    help=f"run only the named check (repeatable); "
                         f"one of: {', '.join(CHECKS)}")
-    p.set_defaults(handler=cmd_verify_all)
     return top
 
 
@@ -290,8 +280,10 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = _parser.commands.get(argv[0]) if argv else None
+    try:  # the top-level parser reads only an argv that names no command first
+        args = command.parse_args(argv[1:]) if command else _parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags; remap to input error
         return 0 if exc.code in (0, None) else 1
     try:
@@ -310,15 +302,10 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        if args.output == "json":
-            print(json.dumps(report, indent=2))
-        elif args.command != "verify-all":  # whose table lines are already printed
-            _print_table(report)
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader stopped early, as `| head` does
-        # Python flushes stdout again at exit: devnull keeps that silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if args.output == "json":
+        _print(json.dumps(report, indent=2), sys.stdout)
+    elif args.command != "verify-all":  # whose table lines are already printed
+        _print("\n".join(_table_lines(report)), sys.stdout)
     return code
 
 

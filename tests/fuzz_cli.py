@@ -2,7 +2,8 @@
 
 Draws argv from the CLI grammar with hypothesis, derandomized: all eight
 commands, p up to 10^30, s and n up to 10^9, zero and negative values, --a
-out of range or rand-nonzero, and malformed --matrix text.  --budget is
+out of range or rand-nonzero, malformed --matrix text, a stray flag or
+positional in about one argv in ten, and no command in about one in twenty.  --budget is
 absent or at most the budget the command runs at without it, so no draw
 asks for a legitimately long scan.  Each argv runs in its own child process,
 one at a time, under a 10 s timeout and an address-space limit of about
@@ -91,6 +92,14 @@ def argvs(draw) -> list[str]:
         argv += ["--budget", str(draw(either(st.integers(1, MAX_BUDGET[cmd]), st.integers(-3, 0))))]
     if draw(st.booleans()):
         argv += ["--output", draw(st.sampled_from(["json", "table"]))]
+    # about one argv in ten has a stray flag or positional, which the command's
+    # own parser rejects, and one in twenty has no command, for the top-level
+    # parser; sampled_from draws its first element most often, so these come last
+    stray = draw(st.sampled_from([None] * 18 + ["--bogus", "extra"]))
+    if stray:
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    if draw(st.sampled_from([False] * 19 + [True])):
+        del argv[0]
     return argv
 
 

@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -430,6 +433,63 @@ def test_exit_code_internal_invariant_failure(monkeypatch, capsys):
     assert err.startswith("internal error: ")
 
 
+CORPUS = json.loads((pathlib.Path(__file__).with_name("golden") / "cli_corpus.json").read_text())
+
+
+def test_each_command_parser_gives_the_namespace_of_the_top_level_parser(monkeypatch):
+    import ffyb.cli
+
+    monkeypatch.delenv("FFYB_BUDGET", raising=False)
+    parse, top = argparse.ArgumentParser.parse_args, ffyb.cli.build_parser()
+    seen = []
+
+    def spy(parser, args=None, namespace=None):
+        seen.append(parse(parser, args, namespace))
+        raise SystemExit(0)  # main returns 0 at once, with no command run
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for entry in CORPUS:
+        assert main(entry["argv"]) == 0
+        assert seen.pop() == parse(top, entry["argv"]), entry["argv"]
+        assert not seen
+
+
+def _top_level(capsys, argv):
+    """The exit code main gives and the stdout of the top-level parser alone."""
+    import ffyb.cli
+
+    try:
+        ffyb.cli.build_parser().parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code in (0, None) else 1
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code, usage", [
+    ([], 1, ""),
+    (["-h"], 0, "usage: ffyb [-h]"),
+    (["nonesuch"], 1, ""),
+    (["--p", "2", "count"], 1, ""),
+    (["count", "-h"], 0, "usage: ffyb count [-h]"),
+])
+def test_argv_that_names_no_command_first_is_read_as_before(capsys, argv, code, usage):
+    want = _top_level(capsys, argv)
+    got_code, got_out, _ = run_cli(capsys, *argv)
+    assert (got_code, got_out) == want
+    assert got_code == code
+    assert got_out.startswith(usage)
+
+
+@pytest.mark.parametrize("stray", ["--bogus", "extra"])
+def test_a_command_reports_its_own_unrecognized_arguments(capsys, stray):
+    code, out, err = run_cli(capsys, "count", "--p", "2", "--n", "2", stray)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: ffyb count")
+    assert f"ffyb count: error: unrecognized arguments: {stray}" in err
+
+
 def test_exit_code_bad_flags(capsys):
     assert main(["count", "--nonsense"]) == 1
     assert main(["--help"]) == 0
@@ -451,15 +511,24 @@ def test_module_entry_point():
 
 
 def test_a_reader_that_stops_early_sees_no_traceback():
-    # the report is far larger than a pipe buffer, so its write meets the
-    # closed pipe; the command still ends with its own exit code
-    proc = subprocess.Popen([sys.executable, "-m", "ffyb", "invariants", "--p", "2", "--n", "300"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
-    assert err == b""
+    # the invariants report is far larger than a pipe buffer, so its write
+    # meets the closed pipe; verify-all prints a line per check, and with
+    # unbuffered stdout the line after the first meets it.  Each command
+    # still ends with its own exit code.
+    for argv, unbuffered, first in [
+        (["invariants", "--p", "2", "--n", "300"], "", b"{\n"),
+        (["verify-all", "--output", "table"], "1", b"PASS  count-oracle: "),
+    ]:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen([sys.executable, "-m", "ffyb", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(first), argv
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, (argv, err)
+        assert err == b"", argv
 
 
 def test_budget_env_override(monkeypatch, capsys):
