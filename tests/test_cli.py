@@ -9,7 +9,7 @@ import time
 import pytest
 
 from ffyb import polyfq, verify
-from ffyb.cli import main
+from ffyb.cli import build_parser, main
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
 
@@ -433,14 +433,11 @@ def test_exit_code_internal_invariant_failure(monkeypatch, capsys):
     assert err.startswith("internal error: ")
 
 
-CORPUS = json.loads((pathlib.Path(__file__).with_name("golden") / "cli_corpus.json").read_text())
-
-
 def test_each_command_parser_gives_the_namespace_of_the_top_level_parser(monkeypatch):
-    import ffyb.cli
-
+    golden = pathlib.Path(__file__).with_name("golden") / "cli_corpus.json"
+    corpus = json.loads(golden.read_text())
     monkeypatch.delenv("FFYB_BUDGET", raising=False)
-    parse, top = argparse.ArgumentParser.parse_args, ffyb.cli.build_parser()
+    parse, top = argparse.ArgumentParser.parse_args, build_parser()
     seen = []
 
     def spy(parser, args=None, namespace=None):
@@ -448,7 +445,7 @@ def test_each_command_parser_gives_the_namespace_of_the_top_level_parser(monkeyp
         raise SystemExit(0)  # main returns 0 at once, with no command run
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
-    for entry in CORPUS:
+    for entry in corpus:
         assert main(entry["argv"]) == 0
         assert seen.pop() == parse(top, entry["argv"]), entry["argv"]
         assert not seen
@@ -456,10 +453,8 @@ def test_each_command_parser_gives_the_namespace_of_the_top_level_parser(monkeyp
 
 def _top_level(capsys, argv):
     """The exit code main gives and the stdout of the top-level parser alone."""
-    import ffyb.cli
-
     try:
-        ffyb.cli.build_parser().parse_args(argv)
+        build_parser().parse_args(argv)
         code = 0
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 1
@@ -473,7 +468,8 @@ def _top_level(capsys, argv):
     (["--p", "2", "count"], 1, ""),
     (["count", "-h"], 0, "usage: ffyb count [-h]"),
 ])
-def test_argv_that_names_no_command_first_is_read_as_before(capsys, argv, code, usage):
+def test_help_and_missing_commands_print_what_the_top_level_parser_prints(capsys, argv, code,
+                                                                          usage):
     want = _top_level(capsys, argv)
     got_code, got_out, _ = run_cli(capsys, *argv)
     assert (got_code, got_out) == want
