@@ -3,7 +3,7 @@
 
 class BudgetExceededError(Exception):
     """A computation was refused because it exceeds the allowed budget: scan
-    steps, table entries, or the decimal digits that str() converts."""
+    steps, census edges, or the decimal digits that str() converts."""
 
     def __init__(self, required: int, budget: int, what: str = "enumeration",
                  unit: str = "steps"):

@@ -23,11 +23,11 @@ from itertools import permutations
 import numpy as np
 
 from . import scan
-from .errors import InternalInvariantError
+from .errors import BudgetExceededError, InternalInvariantError
 from .gf import Field, FieldElement, exact_div
 from .matfq import Matrix, _echelon, _encoding_in, _from_encodings, gl_order
-from .solutions import (EquationInstance, _matrices_of, brute_force_indices, is_solution,
-                        require_printable)
+from .solutions import (EquationInstance, _check_shape, _matrices_of, brute_force_indices,
+                        is_solution, require_printable)
 
 GL_SCAN_BUDGET = 10**6
 
@@ -246,13 +246,15 @@ def _census(inst: EquationInstance, budget: int) -> list[np.ndarray]:
     labels each solution with the least index of its component.  Too small a
     generator set could only split an orbit, which the size check against
     orbit_size would catch.  Classes ascend by smallest member index, members
-    sorted by index."""
+    sorted by index.  More than budget edges, k per solution, are refused
+    before the generators or the edge array are formed."""
     inst.require_nonzero_a()
     fld, n = inst.field, inst.n
     sol = np.array(brute_force_indices(inst, budget=budget), dtype=np.int64)
-    tabs = scan.Tables(fld, budget)
-    gens = _conjugators(fld, n)
-    k, m = gens.shape[1], len(sol)
+    k, m = n * (n - 1) * fld.s + fld.q - 2, len(sol)  # the columns of _conjugators
+    if k * m > budget:
+        raise BudgetExceededError(k * m, budget, "conjugation edges", "entries")
+    tabs, gens = scan.Tables(fld), _conjugators(fld, n)
     dst = np.empty((k, m), dtype=np.int32 if m < 2**31 else np.int64)
     step = max(1, scan.CHUNK // max(k, 1))
     for lo in range(0, m, step):
@@ -309,8 +311,7 @@ def brute_force_centralizer_order(inst: EquationInstance, X: Matrix, *,
     """Count the P in GL(n, q) commuting with X: the invertible members of
     its commutant, of dimension d >= n, one scan chunk at a time.  q^n is
     refused before the elimination and q^d before any member is formed."""
-    if X.field != inst.field or not (X.n_rows == X.n_cols == inst.n):
-        raise ValueError(f"expected a {inst.n}x{inst.n} matrix over the instance field")
+    _check_shape(inst, X)
     basis, free = _commutant_basis(scan.gate(inst.field, inst.n, budget, "centralizer"), X)
     return len(_span_scan(scan.gate(inst.field, len(free), budget, "centralizer"),
                           inst.n, basis, free))

@@ -36,9 +36,6 @@ from .gf import Field
 CHUNK = 1 << 16
 # indices are int64: a wider index space would wrap around
 INDEX_LIMIT = 2**63 - 1
-# refused past 2^24 = q^2 table entries; no table is built past one CHUNK, so
-# this bounds only the O(q) vectors and red, at most 78,125 entries (GF(3^7))
-TABLE_ENTRY_LIMIT = 2**24
 # a refused q^width is given exactly up to this many bits
 EXACT_BITS = 10**5
 
@@ -58,7 +55,7 @@ def gate(field: Field, width: int, budget: int, what: str) -> Tables:
     limit = min(budget, INDEX_LIMIT)
     if space > limit:
         raise BudgetExceededError(space, limit, what)
-    return Tables(field, limit)
+    return Tables(field)
 
 
 def pruned(q: int, places: list[int], prune) -> np.ndarray:
@@ -88,11 +85,6 @@ def pruned(q: int, places: list[int], prune) -> np.ndarray:
     return np.sort(np.concatenate(out))
 
 
-def _rebase(k: np.ndarray, p: int, src: int, dst: int, s: int) -> np.ndarray:
-    """The s base-src digits of k, each taken mod p, read in base dst."""
-    return sum(k // src**t % src % p * dst**t for t in range(s))
-
-
 def _take(table: np.ndarray, i):
     """table[i], gathered into i when it is a fresh index array; mode "raise"
     would buffer a second index array."""
@@ -105,30 +97,42 @@ def arithmetic(field: Field, dense: bool):
     lookup from O(q) vectors or, when dense, gathered from the q x q tables
     that the same formulas give once over all pairs.
 
-    add is an XOR for p = 2, dense or not.  For odd p, red takes each
-    base-(2p-1) digit mod p, so red[a + b] is a + b mod p in a prime field.
-    Past s = 1, spread first rewrites each base-p digit in base 2p - 1,
-    where two encodings add with no carry.  mul is a*b mod p for a prime
-    field and ext[lg a + lg b] over the field's own _logs for an extension
-    field.  red has (2p-1)^s entries, 78,125 at GF(3^7), the most below
-    TABLE_ENTRY_LIMIT."""
-    p, s, q = field.p, field.s, field.q
+    add is an XOR for p = 2, dense or not, and red[a + b] with red[k] = k
+    mod p in an odd prime field.  An odd-p extension field adds by its own
+    Zech formula, ext[lg a + zech[lg b - lg a]], on int64 copies of the
+    field's _logs (m = q - 1, lg 0 = 2m).  zech is widened to every d =
+    lg b - lg a in [-2m, 2m], stored at d + 2m: it holds d where a = 0 and 0
+    where b = 0, so a zero operand needs no test.  mul is a*b mod p in a
+    prime field and ext[lg a + lg b] in an extension field.  No vector has
+    more than 4q entries."""
+    p, s, q, m = field.p, field.s, field.q, field.q - 1
+    if s > 1:
+        ext, lg = (np.array(t, dtype=np.int64) for t in field._logs[:2])
     if p == 2:
         add = np.bitwise_xor
-    else:
-        red = _rebase(np.arange((2 * p - 1) ** s, dtype=np.int64), p, 2 * p - 1, p, s)
-        spread = _rebase(np.arange(q, dtype=np.int64), p, p, 2 * p - 1, s)
+    elif s == 1:
+        red = np.arange(2 * p - 1, dtype=np.int64) % p
 
-        def add(a, b):  # spread is the identity at s = 1
-            return _take(red, a + b if s == 1 else spread[a] + spread[b])
+        def add(a, b):
+            return _take(red, a + b)
+    else:
+        # zech[d + 2m] over d in [-2m, -m), [-m, 0), [0, m) and [m, 2m]
+        z = np.array(field._logs[2], dtype=np.int64)
+        zech = np.concatenate([np.arange(-2 * m, -m), z, z, np.zeros(m + 1, np.int64)])
+        lg2 = lg + 2 * m
+
+        def add(a, b):
+            la = lg[a]
+            i = lg2[b] - la  # numpy subtracts into the temporary lg2[b] once it is large
+            i = _take(zech, i)
+            i += la
+            return _take(ext, i)
     if s == 1:
         def mul(a, b):
             i = a * b
             i %= p  # in place: a * b % p would buffer a second array
             return i
     else:
-        ext, lg = (np.array(t, dtype=np.int64) for t in field._logs[:2])
-
         def mul(a, b):
             return _take(ext, lg[a] + lg[b])
     if not dense:
@@ -156,18 +160,11 @@ class Tables:
     or int64 arrays that broadcast together; neg and inv are vectors indexed
     by encoding, inv[0] = 0.  add and mul gather from dense q x q tables
     while q^2 <= CHUNK, except the XOR add of p = 2, and compute each entry
-    from O(q) vectors past it.
+    from O(q) vectors past it, so no field is too large to set up."""
 
-    The q^2-entry refusal comes before either is set up, so an oversized
-    field costs nothing."""
-
-    def __init__(self, field: Field, budget: int | None = None):
-        q = field.q
-        limit = TABLE_ENTRY_LIMIT if budget is None else min(budget, TABLE_ENTRY_LIMIT)
-        if q * q > limit:
-            raise BudgetExceededError(q * q, limit, "arithmetic tables")
+    def __init__(self, field: Field):
         self.field = field
-        self.q = q
+        self.q = q = field.q
         # the cut keys the cache: a CHUNK changed at run time is never stale
         self.add, self.mul = arithmetic(field, q * q <= CHUNK)
 

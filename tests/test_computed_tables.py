@@ -78,16 +78,14 @@ def test_dense_tables_equal_the_dense_reference(p, s):
 def test_oracles_on_computed_tables_match_the_closed_forms(p, s):
     f = make_field(p, s)
     q = f.q
-    budget = q * q  # the table-entry refusal still counts q^2, past 10^6 from q = 1001
     a = f.from_encoding(q - 1)
     one = EquationInstance(f, 1, a)
     assert brute_force_count(one) == closed_form_count(one).total == 2
-    assert verify_variety(EquationInstance(f, 2, a), budget=budget).equal
-    assert len(enumerate_gl(f, 1, budget=budget)) == gl_order(1, q) == q - 1
+    assert verify_variety(EquationInstance(f, 2, a)).equal
+    assert len(enumerate_gl(f, 1)) == gl_order(1, q) == q - 1
     for label in all_labels(1):
         X = representative(one, label)
-        assert (brute_force_centralizer_order(one, X, budget=budget)
-                == stabilizer_order(one, label))
+        assert brute_force_centralizer_order(one, X) == stabilizer_order(one, label)
 
 
 @pytest.mark.parametrize("p,s", [(257, 1), (17, 2), (2, 9)])

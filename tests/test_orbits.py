@@ -387,6 +387,49 @@ def test_centralizer_refusals_come_before_the_work(monkeypatch):
         inst, mixed_label(4, 1, "0"))
 
 
+def test_centralizer_refuses_a_matrix_of_another_shape_or_field_before_any_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the shape check")
+
+    for module, name in [(scan, "gate"), (scan, "pruned"), (orbits, "_echelon")]:
+        monkeypatch.setattr(module, name, refuse)
+    inst = instance(3, 1, 2)
+    for X in (Matrix.identity(inst.field, 3), Matrix.zeros(inst.field, 2, 3)):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            brute_force_centralizer_order(inst, X)
+    for f in (make_field(5), make_field(3, 2)):
+        with pytest.raises(ValueError, match="field differs"):
+            brute_force_centralizer_order(inst, Matrix.identity(f, 2))
+
+
+@pytest.mark.parametrize("p,s,n", [(2, 1, 1), (7, 1, 1), (2, 2, 3), (3, 2, 2), (5, 1, 4)])
+def test_census_edge_count_is_the_generator_count(p, s, n):
+    # _census refuses k * m edges before _conjugators forms the k generators
+    f = make_field(p, s)
+    assert orbits._conjugators(f, n).shape == (6, n * (n - 1) * s + f.q - 2)
+
+
+def test_census_refuses_its_edges_before_the_generators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the budget check")
+
+    monkeypatch.setattr(orbits, "_conjugators", refuse)
+    # GF(7), n = 1: 7 matrices fit a budget of 9, but the 2 solutions and
+    # the 5 dilations d = 2..6 make 10 edges
+    inst = instance(7, 1, 1)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_conjugacy_classes(inst, budget=9)
+    assert (info.value.what, info.value.required, info.value.budget) \
+        == ("conjugation edges", 10, 9)
+    # GF(999983), n = 1 at the default budget: 2 * 999,981 edges
+    f = make_field(999983)
+    with pytest.raises(BudgetExceededError) as info:
+        brute_force_conjugacy_classes(EquationInstance(f, 1, f.one()))
+    assert info.value.required == 2 * (f.q - 2) > orbits.GL_SCAN_BUDGET
+    monkeypatch.undo()
+    assert [len(c) for c in brute_force_conjugacy_classes(inst, budget=10)] == [1, 1]
+
+
 def test_centralizer_raises_on_a_basis_matrix_that_does_not_commute(monkeypatch):
     real = orbits._echelon
 

@@ -5,12 +5,11 @@ import tracemalloc
 import pytest
 
 from support import matrix_from_index, matrix_index, random_invertible, satisfies_yang_baxter
-from ffyb import scan
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, parse_matrix
 from ffyb.orbits import brute_force_centralizer_order, enumerate_gl
-from ffyb.scan import INDEX_LIMIT, TABLE_ENTRY_LIMIT
+from ffyb.scan import INDEX_LIMIT
 from ffyb.solutions import (EquationInstance, brute_force_count,
                             brute_force_solutions, closed_form_count,
                             is_solution, yang_baxter_count)
@@ -204,32 +203,21 @@ def test_instance_validation():
         EquationInstance(f, 2, make_field(5).one())
 
 
-def test_table_budget_refused_before_any_allocation():
+def test_n_1_scan_at_the_largest_prime_field():
+    # q^2 is past 2^40, yet every arithmetic vector holds O(q) entries
     f = make_field(1048573)  # the largest prime below the field cap
-    inst = EquationInstance(f, 1, f.one())
-    calls = scan.arithmetic.cache_info()
-    with pytest.raises(BudgetExceededError) as info:
-        brute_force_count(inst)
-    assert info.value.what == "arithmetic tables"
-    assert info.value.required == f.q * f.q
-    assert scan.arithmetic.cache_info() == calls  # no arithmetic was set up
+    assert brute_force_count(EquationInstance(f, 1, f.one())) == 2
 
 
-def test_table_limit_caps_a_large_default_budget():
-    # q^2 = 99,460,729 fits the default 10^8 scan budget, but two int64
-    # tables of that size would need about 1.6 GB
+def test_n_1_scan_past_one_chunk_stays_under_1_mib():
+    # q^2 = 99,460,729: two int64 q x q tables would need about 1.6 GB, while
+    # red has 2q - 1 entries and a scan chunk q indices
     f = make_field(9973)
     inst = EquationInstance(f, 1, f.one())
-    calls = scan.arithmetic.cache_info()
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError) as info:
-            brute_force_count(inst)
+        assert brute_force_count(inst) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert info.value.what == "arithmetic tables"
-    assert info.value.required == f.q * f.q
-    assert info.value.budget == TABLE_ENTRY_LIMIT
     assert peak < 1 << 20
-    assert scan.arithmetic.cache_info() == calls  # no arithmetic was set up
