@@ -254,7 +254,7 @@ def _census(inst: EquationInstance, budget: int) -> list[np.ndarray]:
     k, m = n * (n - 1) * fld.s + fld.q - 2, len(sol)  # the columns of _conjugators
     if k * m > budget:
         raise BudgetExceededError(k * m, budget, "conjugation edges", "entries")
-    tabs, gens = scan.Tables(fld), _conjugators(fld, n)
+    tabs, gens = scan.tables(fld, k * m), _conjugators(fld, n)
     dst = np.empty((k, m), dtype=np.int32 if m < 2**31 else np.int64)
     step = max(1, scan.CHUNK // max(k, 1))
     for lo in range(0, m, step):

@@ -4,12 +4,12 @@ An index in [0, q^width) stands for a vector of `width` base-q digits, least
 significant first: a matrix (width n^2) or a point of F_q^n (width n).  All
 field arithmetic goes through `Tables`, whose add(a, b) and mul(a, b) take
 pairs of encodings and compute each entry from O(q) vectors
-(`arithmetic`).  While q^2 fits one scan chunk (q <= 256) those formulas
-run once over all q^2 pairs, and mul, and add past p = 2, gather from a
-table at the flat index a*q + b, several times faster per lookup; no other
-module knows that format.  A scan reads a few chunks of entries, so past
-that size building a table costs more memory and time than the scan it
-serves.
+(`arithmetic`).  When q^2 fits one scan chunk (q <= 256) and the scan has
+more than q^2 indices, those formulas run once over all q^2 pairs, and mul,
+and add past p = 2, gather from a table at the flat index a*q + b, several
+times faster per lookup; no other module knows that format.  Past either
+bound a table costs more memory and time than the lookups it serves.
+`tables` keeps one Tables per field and cut, so each is set up once.
 
 `gate` decides what a scan may cost: it refuses more than min(budget,
 INDEX_LIMIT) indices before it sets up the arithmetic, so the solution,
@@ -55,7 +55,14 @@ def gate(field: Field, width: int, budget: int, what: str) -> Tables:
     limit = min(budget, INDEX_LIMIT)
     if space > limit:
         raise BudgetExceededError(space, limit, what)
-    return Tables(field)
+    return tables(field, space)
+
+
+def tables(field: Field, lookups: int) -> Tables:
+    """The field's shared Tables for `lookups` entries: dense if q^2 fits one
+    chunk and is below lookups.  The cut keys the cache: a changed CHUNK finds no stale one."""
+    q2 = field.q ** 2
+    return _shared(field, q2 <= CHUNK and q2 < lookups)
 
 
 def pruned(q: int, places: list[int], prune) -> np.ndarray:
@@ -91,11 +98,10 @@ def _take(table: np.ndarray, i):
     return table.take(i, None, i, "clip") if isinstance(i, np.ndarray) else table[i]
 
 
-@lru_cache(maxsize=None)
 def arithmetic(field: Field, dense: bool):
-    """(add, mul) of a field as functions of encodings (a, b), computed per
-    lookup from O(q) vectors or, when dense, gathered from the q x q tables
-    that the same formulas give once over all pairs.
+    """(add, mul, inv) of a field as functions of encodings, add and mul of
+    (a, b) computed per lookup from O(q) vectors or, when dense, gathered
+    from the q x q tables that the same formulas give once over all pairs.
 
     add is an XOR for p = 2, dense or not, and red[a + b] with red[k] = k
     mod p in an odd prime field.  An odd-p extension field adds by its own
@@ -103,8 +109,9 @@ def arithmetic(field: Field, dense: bool):
     field's _logs (m = q - 1, lg 0 = 2m).  zech is widened to every d =
     lg b - lg a in [-2m, 2m], stored at d + 2m: it holds d where a = 0 and 0
     where b = 0, so a zero operand needs no test.  mul is a*b mod p in a
-    prime field and ext[lg a + lg b] in an extension field.  No vector has
-    more than 4q entries."""
+    prime field and ext[lg a + lg b] in an extension field; inv of k != 0 is
+    k^(p-2) by square and multiply, or ext[m - lg k].  No vector has more
+    than 4q entries."""
     p, s, q, m = field.p, field.s, field.q, field.q - 1
     if s > 1:
         ext, lg = (np.array(t, dtype=np.int64) for t in field._logs[:2])
@@ -132,15 +139,22 @@ def arithmetic(field: Field, dense: bool):
             i = a * b
             i %= p  # in place: a * b % p would buffer a second array
             return i
+
+        def inv(k, e=p - 2):  # k^e, squaring k once per bit of e
+            r = inv(mul(k, k), e >> 1) if e > 1 else np.ones_like(k)
+            return mul(r, k) if e & 1 else r
     else:
         def mul(a, b):
             return _take(ext, lg[a] + lg[b])
+
+        def inv(k):
+            return _take(ext, m - lg[k])
     if not dense:
-        return add, mul
+        return add, mul, inv
     k = np.arange(q, dtype=np.int64)
     # an XOR is faster than a gather: p = 2 builds the mul table alone
-    return tuple(f if f is np.bitwise_xor else _gather(f(k[:, None], k).ravel(), q)
-                 for f in (add, mul))
+    return (*(f if f is np.bitwise_xor else _gather(f(k[:, None], k).ravel(), q)
+              for f in (add, mul)), inv)
 
 
 def _gather(table: np.ndarray, q: int):
@@ -158,15 +172,14 @@ def _gather(table: np.ndarray, q: int):
 class Tables:
     """A field's arithmetic on encodings: add(a, b) and mul(a, b) take ints
     or int64 arrays that broadcast together; neg and inv are vectors indexed
-    by encoding, inv[0] = 0.  add and mul gather from dense q x q tables
-    while q^2 <= CHUNK, except the XOR add of p = 2, and compute each entry
-    from O(q) vectors past it, so no field is too large to set up."""
+    by encoding, inv[0] = 0.  add and mul gather from q x q tables while
+    dense and q^2 <= CHUNK, except the XOR add of p = 2, and else compute
+    each entry from O(q) vectors, so no field is too large to set up."""
 
-    def __init__(self, field: Field):
+    def __init__(self, field: Field, dense: bool = True):
         self.field = field
         self.q = q = field.q
-        # the cut keys the cache: a CHUNK changed at run time is never stale
-        self.add, self.mul = arithmetic(field, q * q <= CHUNK)
+        self.add, self.mul, self._inverse = arithmetic(field, dense and q * q <= CHUNK)
 
     # neg and inv are built on first use: most scans read neither
     @cached_property
@@ -175,8 +188,9 @@ class Tables:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        f = self.field
-        return np.array([0] + [f._inv(k) for k in range(1, f.q)], dtype=np.int64)
+        inv = self._inverse(np.arange(self.q, dtype=np.int64))
+        inv[0] = 0
+        return inv
 
     def det(self, n: int, mats: np.ndarray) -> np.ndarray:
         """Batched determinants of n x n digit arrays, by elimination below
@@ -192,3 +206,6 @@ class Tables:
             f = mul(neg[a[c + 1:, c]], inv[a[c, c]])
             a[c + 1:, c + 1:] = add(a[c + 1:, c + 1:], mul(f[:, None], a[c, c + 1:]))
         return mul(det, a[n - 1, n - 1])
+
+
+_shared = lru_cache(maxsize=None)(Tables)

@@ -265,10 +265,10 @@ def ref_field_mul(field: Field, a, b):
 
 
 def fresh_arithmetic_cache():
-    """scan.arithmetic behind an empty per-field cache of its own, so that a
-    test sets the arithmetic up inside its own trace and leaves scan's cache
-    as it was."""
-    return mock.patch.object(scan, "arithmetic", lru_cache(scan.arithmetic.__wrapped__))
+    """scan's shared Tables behind an empty per-field cache of its own, so
+    that a test sets the arithmetic up inside its own trace and leaves scan's
+    cache as it was."""
+    return mock.patch.object(scan, "_shared", lru_cache(scan._shared.__wrapped__))
 
 
 def arithmetic_peak(p: int, s: int, chunk: int = scan.CHUNK) -> int:

@@ -3,6 +3,7 @@ add/mul lookups against the dense reference tables, and the oracles that run
 on the computed ones against the closed forms."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,3 +113,49 @@ def test_scans_past_one_chunk_allocate_no_q_by_q_table():
         finally:
             tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p,s,n", [(251, 1, 1), (3, 5, 2)])
+def test_scans_with_fewer_indices_than_the_table_build_none(p, s, n):
+    # q and q^2 indices: the lookups compute their entries, and the peak
+    # stays under one int64 q x q table, 8 * q^2 bytes
+    f = make_field(p, s)
+    a = f.from_encoding(f.q - 1)
+    with fresh_arithmetic_cache(), mock.patch.object(scan, "arithmetic",
+                                                     wraps=scan.arithmetic) as spy:
+        tracemalloc.start()
+        try:
+            if n == 1:
+                assert brute_force_count(EquationInstance(f, 1, a)) == 2
+            else:
+                assert verify_variety(EquationInstance(f, 2, a)).equal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {c.args for c in spy.call_args_list} == {(f, False)}
+    assert peak < 8 * f.q**2
+
+
+def test_a_scan_past_the_table_size_gathers_from_the_tables():
+    # n = 2 over GF(5) scans 5^4 indices, more than the 5^2 table entries
+    f = make_field(5)
+    inst = EquationInstance(f, 2, f.one())
+    with fresh_arithmetic_cache(), mock.patch.object(scan, "arithmetic",
+                                                     wraps=scan.arithmetic) as spy:
+        assert brute_force_count(inst) == closed_form_count(inst).total
+    assert {c.args for c in spy.call_args_list} == {(f, True)}
+
+
+def test_scans_of_one_field_share_its_tables():
+    f = make_field(13)
+    with fresh_arithmetic_cache(), mock.patch.object(scan, "arithmetic",
+                                                     wraps=scan.arithmetic) as spy:
+        tabs = scan.gate(f, 3, 13**3, "variety scan")
+        # the cut, not the index space, picks the object
+        assert scan.gate(f, 4, 13**4, "matrix enumeration") is tabs
+        assert scan.gate(f, 1, 13, "variety scan") is not tabs
+        # CHUNK below q^2: the computed Tables, never the stale dense one
+        with mock.patch.object(scan, "CHUNK", 100):
+            assert scan.gate(f, 4, 13**4, "matrix enumeration") is not tabs
+        assert scan.gate(f, 4, 13**4, "matrix enumeration") is tabs
+    assert [c.args for c in spy.call_args_list] == [(f, True), (f, False)]

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from support import evaluate, matrix_from_index, variety
+from support import evaluate, fresh_arithmetic_cache, matrix_from_index, variety
 from ffyb import scan
 from ffyb.errors import SingularMatrixError
 from ffyb.gf import make_field
@@ -53,16 +53,27 @@ def test_batched_det_and_inverse_match_matrix(batch):
         assert X * X.inverse() == Matrix.identity(f, n)
 
 
-def test_det_builds_the_inverse_vector_once_per_tables():
+def test_det_builds_the_inverse_vector_once_per_field():
     f = make_field(7)
     mats = np.array([[2, 1, 1, 3], [0, 4, 5, 6], [0, 0, 0, 1]], dtype=np.int64).T
-    with mock.patch.object(f, "_inv", side_effect=f._inv) as inv:
-        tabs = scan.Tables(f)
-        assert inv.call_count == 0  # a scan that reads no determinant builds nothing
+    with fresh_arithmetic_cache():
+        tabs = scan.gate(f, 4, 7**4, "matrix enumeration")
+        assert "inv" not in vars(tabs)  # a scan that reads no determinant builds nothing
         dets = [tabs.det(2, mats) for _ in range(2)]
-    assert 0 < inv.call_count <= f.q - 1
+        inv = tabs.inv
+        assert scan.gate(f, 4, 7**4, "matrix enumeration").inv is inv
     for det in dets:
         assert det.tolist() == [5, 1, 0]
+    # one vector formula over all encodings, on either side of the cut and
+    # past one scan chunk: no scalar inverse is called
+    for p, s in [(2, 1), (7, 1), (2, 4), (3, 2), (257, 1), (17, 2), (2, 9)]:
+        f = make_field(p, s)
+        want = [0] + [f._inv(k) for k in range(1, f.q)]
+        for width in (1, 3):  # fewer, then more lookups than a q x q table has
+            with fresh_arithmetic_cache(), mock.patch.object(f, "_inv") as scalar_inv:
+                got = scan.gate(f, width, f.q**3, "matrix enumeration").inv
+            assert not scalar_inv.called
+            assert got.tolist() == want
 
 
 @functools.cache
