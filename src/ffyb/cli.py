@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix text, e.g. '0,1;0,3'")
     p = command("invariants", cmd_invariants, "orbit image points and separation report")
     p.add_argument("--minimal-subsets", action="store_true",
-                   help="sweep all coordinate subsets for minimal separating ones")
+                   help="report the minimal separating subset: the powers of p up to n")
     p = command("ideal", cmd_ideal, "quadratic generating set and its variety")
     p.add_argument("--verify", action="store_true",
                    help="scan the variety and compare with the image points")

@@ -4,14 +4,15 @@ The map sending an orbit to the signed characteristic-polynomial
 coefficients of any member lands on n+1 distinct points of F_q^n: the zero
 vector, plus for j = 1..n the point whose i-th coordinate is C(j,i)*a^i.
 This module builds those image points from the formula and decides which
-coordinate subsets still separate all orbits (including the 2^n sweep for
-inclusion-minimal separating subsets).
+coordinate subsets still separate all orbits.
 
 A subset separates iff projecting the image points onto it stays
-injective, which one pass over the points decides.  The sweep instead reads
-one set of bitmasks, for each pair of image points the coordinates where
-the two differ: a subset separates iff it meets every such mask, so the
-sweep is a numpy pass over all 2^n subsets per mask.
+injective, which one pass over the points decides.  The unique minimal
+separating subset is the powers of p up to n, by Lucas's theorem.  The 2^n
+sweep stays as its oracle: it reads, for each pair of image points, the
+bitmask of the coordinates where the two differ, and a subset separates iff
+it meets every such mask, so the sweep is a numpy pass over all 2^n subsets
+per mask.
 """
 
 from __future__ import annotations
@@ -82,26 +83,29 @@ def _separates(rows: list[tuple[int, ...]], coords) -> bool:
 
 
 def minimal_separating_subsets(inst: EquationInstance) -> list[tuple[int, ...]]:
-    """All inclusion-minimal separating coordinate subsets, by 2^n sweep.
+    """[L], L = (1, p, p^2, ...) up to n: the unique minimal separating subset.
+
+    Coordinate p^k of point j is C(j, p^k)*a^(p^k), by Lucas's theorem the
+    k-th base-p digit of j times a nonzero scalar, so L separates.  Points
+    j = 0 and j = p^k differ only at coordinate p^k, so every separating
+    subset contains L."""
+    inst.require_nonzero_a()
+    n, p = inst.n, inst.field.p
+    return [tuple(p**k for k in range(n.bit_length()) if p**k <= n)]
+
+
+def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
+    """The inclusion-minimal subsets of 1..n whose bitmask meets every mask
+    in diffs, ordered by size then lexicographically: the 2^n sweep that is
+    the oracle of minimal_separating_subsets.
 
     Every subset of 1..n is a bitmask; one numpy pass per difference mask
     marks those that meet it, so the separating subsets are marked in
     O(2^n * n^2) array operations.  A subset is minimal when it separates
     and dropping any one coordinate does not, since a superset of a
-    separating subset separates too.  Ordered by size then
-    lexicographically.  Refused for n > 20, before any work."""
-    _gate_sweep(inst.n)
-    return _minimal_subsets(_difference_masks(_image_encodings(inst)), inst.n)
-
-
-def _gate_sweep(n: int) -> None:
+    separating subset separates too.  Refused for n > 20, before any work."""
     if n > SUBSET_SWEEP_MAX_N:
         raise BudgetExceededError(2**n, 2**SUBSET_SWEEP_MAX_N, "subset sweep")
-
-
-def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
-    """The inclusion-minimal subsets of 1..n whose bitmask meets every mask
-    in diffs, ordered by size then lexicographically."""
     masks = np.arange(1 << n, dtype=np.int32)
     separates = np.ones(1 << n, dtype=bool)
     for d in diffs:
@@ -110,7 +114,8 @@ def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
             separates &= (masks & d) != 0
     minimal = separates.copy()
     for i in range(n):
-        minimal &= ~(((masks & (1 << i)) != 0) & separates[masks ^ (1 << i)])
+        # the subsets holding coordinate i+1, each against its partner without it
+        minimal.reshape(-1, 2, 1 << i)[:, 1] &= ~separates.reshape(-1, 2, 1 << i)[:, 0]
     subsets = [tuple(i + 1 for i in range(n) if m >> i & 1)
                for m in np.flatnonzero(minimal).tolist()]
     return sorted(subsets, key=lambda s: (len(s), s))
@@ -119,15 +124,12 @@ def _minimal_subsets(diffs: set[int], n: int) -> list[tuple[int, ...]]:
 def separation_report(inst: EquationInstance, *,
                       with_minimal_subsets: bool = False) -> SeparationReport:
     """Full-set and trace separation by projecting one build of the image
-    points; the difference masks only for the minimal-subset sweep."""
-    inst.require_nonzero_a()
-    if with_minimal_subsets:
-        _gate_sweep(inst.n)
+    points, and the minimal separating subset in closed form."""
     rows = _image_encodings(inst)
     return SeparationReport(
         full_set_separates=_separates(rows, range(inst.n)),
         trace_alone_separates=_separates(rows, [0]),
-        minimal_separating_subsets=(tuple(_minimal_subsets(_difference_masks(rows), inst.n))
+        minimal_separating_subsets=(tuple(minimal_separating_subsets(inst))
                                     if with_minimal_subsets else None),
         points=tuple(rows),
     )

@@ -524,7 +524,7 @@ def _smith_chain(fld: Field, a: list[list[tuple[int, ...]]]) -> list[tuple[int, 
     for i in range(n):
         for j in range(i + 1, n):
             f, g = diag[i], diag[j]
-            if not g or len(f) == 1 or f and not _enc_divmod(fld, g, f)[1]:
+            if not g or f == g or len(f) == 1 or f and not _enc_divmod(fld, g, f)[1]:
                 continue  # f divides g
             d = _enc_gcd(fld, f, g)
             diag[i], diag[j] = d, (_enc_mul(fld, _enc_divmod(fld, f, d)[0], g) if f else ())

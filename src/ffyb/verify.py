@@ -103,16 +103,24 @@ def _check_elementary_divisors(budget: int | None) -> tuple[bool, str]:
 
 
 def _check_separation(budget: int | None) -> tuple[bool, str]:
+    """Claim 2 at n <= 12: the image points, the full set, the trace rule
+    both ways, and the closed-form minimal subset against the 2^n sweep."""
     for p, s in [*BRUTE_FIELDS, (7, 1), (2, 3), (3, 2)]:
-        for n in range(1, 9):
+        for n in range(1, 13):
             for inst in _instances(n, p, s):
-                sep = invariants.separation_report(inst)
+                sep = invariants.separation_report(inst, with_minimal_subsets=True)
+                at = f"n={n} q={inst.q} a={inst.a.encoding}"
                 if len(sep.points) != n + 1:
-                    return False, f"image has {len(sep.points)} points at n={n} q={inst.q}"
+                    return False, f"image has {len(sep.points)} points at {at}"
                 if not sep.full_set_separates:
-                    return False, f"full invariant set fails at n={n} q={inst.q}"
-                if p > n and not sep.trace_alone_separates:
-                    return False, f"trace should separate at n={n} p={p}"
+                    return False, f"full invariant set fails at {at}"
+                if sep.trace_alone_separates != (p > n):
+                    return False, f"trace alone separates: {not p > n}, want {p > n} at {at}"
+                swept = tuple(invariants._minimal_subsets(
+                    invariants._difference_masks(sep.points), n))
+                if sep.minimal_separating_subsets != swept:
+                    return False, (f"minimal subsets {sep.minimal_separating_subsets} "
+                                   f"!= swept {swept} at {at}")
     return True, "n+1 distinct image points; full set separates; trace when p > n"
 
 

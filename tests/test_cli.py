@@ -213,6 +213,16 @@ def test_invariants_command(capsys):
     assert rep["minimal_separating_subsets"] == [[1, 2]]
 
 
+def test_minimal_subsets_answer_up_to_the_report_bound(capsys):
+    rep = run_json(capsys, "invariants", "--p", "2", "--n", "999", "--minimal-subsets")
+    assert rep["minimal_separating_subsets"] == [[2**k for k in range(10)]]
+    code, out, err = run_cli(capsys, "invariants", "--p", "2", "--n", "1000",
+                             "--minimal-subsets")
+    assert code == 2
+    assert out == ""
+    assert "image point report needs 1001000 coordinate entries" in err
+
+
 @pytest.mark.parametrize("n", [1000, 10**9])
 def test_invariants_report_refused_before_it_is_built(capsys, monkeypatch, n):
     # (n+1)*n coordinate entries: 1,001,000 at n = 1000 exceed LIST_LIMIT,

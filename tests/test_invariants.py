@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 from math import comb
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from support import image_points, orbit_invariants, subset_separates, trace_separates
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
+from ffyb import invariants, verify
 from ffyb.invariants import (_difference_masks, _image_encodings, _minimal_subsets,
                              minimal_separating_subsets, separation_report)
 from ffyb.matfq import char_coeffs
@@ -154,10 +156,71 @@ def test_minimal_subsets_are_minimal_and_separating():
                 assert not subset_separates(inst, smaller)
 
 
-def test_subset_sweep_budget():
+def test_closed_form_answers_past_the_sweep_bound(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work done")
+
     inst = instance(2, 1, 21)
+    monkeypatch.setattr(invariants, "_difference_masks", no_work)
+    assert minimal_separating_subsets(inst) == [(1, 2, 4, 8, 16)]
+    assert separation_report(inst, with_minimal_subsets=True).minimal_separating_subsets \
+        == ((1, 2, 4, 8, 16),)
+    # the sweep itself still refuses n = 21, before any work
+    monkeypatch.setattr(invariants, "np", None)
     with pytest.raises(BudgetExceededError):
-        minimal_separating_subsets(inst)
+        _minimal_subsets({1}, 21)
+
+
+def test_closed_form_rejects_a_zero():
+    with pytest.raises(ValueError):
+        minimal_separating_subsets(instance(3, 1, 4, enc=0))
+
+
+LUCAS_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("p,s", LUCAS_FIELDS)
+def test_powers_of_p_equal_the_sweep(p, s):
+    f = make_field(p, s)
+    for n in range(1, 21):
+        for enc in range(1, f.q) if n <= 12 else sorted({1, f.q - 1}):
+            inst = EquationInstance(f, n, f.from_encoding(enc))
+            got = minimal_separating_subsets(inst)
+            assert got == [tuple(p**k for k in range(n) if p**k <= n)], (n, enc)
+            assert got == _minimal_subsets(_difference_masks(_image_encodings(inst)), n), \
+                (n, enc)
+
+
+@pytest.mark.parametrize("wrong,want", [
+    # drops the largest power of p
+    (lambda subset, n: subset[:-1], "minimal subsets ((),) != swept ((1,),) at n=1 q=2 a=1"),
+    # adds 3, which is not a power of 2
+    (lambda subset, n: tuple(sorted({*subset, 3})) if n >= 3 else subset,
+     "minimal subsets ((1, 2, 3),) != swept ((1, 2),) at n=3 q=2 a=1"),
+])
+def test_separation_check_fails_on_a_wrong_closed_form(monkeypatch, wrong, want):
+    real = invariants.minimal_separating_subsets
+    monkeypatch.setattr(invariants, "minimal_separating_subsets",
+                        lambda inst: [wrong(real(inst)[0], inst.n)])
+    assert verify._check_separation(None) == (False, want)
+
+
+@pytest.mark.parametrize("flip_when_p_exceeds_n,want", [
+    (True, "trace alone separates: False, want True at n=1 q=2 a=1"),
+    (False, "trace alone separates: True, want False at n=2 q=2 a=1"),
+])
+def test_separation_check_fails_on_the_trace_rule_either_way(monkeypatch,
+                                                             flip_when_p_exceeds_n, want):
+    real = invariants.separation_report
+
+    def flipped(inst, **kw):
+        rep = real(inst, **kw)
+        if (inst.field.p > inst.n) != flip_when_p_exceeds_n:
+            return rep
+        return dataclasses.replace(rep, trace_alone_separates=not rep.trace_alone_separates)
+
+    monkeypatch.setattr(invariants, "separation_report", flipped)
+    assert verify._check_separation(None) == (False, want)
 
 
 def test_separation_report():

@@ -5,6 +5,7 @@ import pytest
 from support import (companion, companion_not_solution, direct_sum, matrix_from_index,
                      monic_irreducibles, monic_polys, random_invertible, random_matrix,
                      smith_normal_form)
+from ffyb import polyfq
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, char_coeffs
 from ffyb.polyfq import (PolyMatrix, UniPoly, _enc_gcd, char_matrix, elementary_divisors,
@@ -116,6 +117,18 @@ def test_smith_of_zero_matrix_char_matrix():
     f3 = make_field(3)
     sf = smith_normal_form(char_matrix(Matrix.zeros(f3, 4)))
     assert sf == (x_poly(f3),) * 4
+
+
+def test_smith_chain_divides_no_equal_diagonal_pair(monkeypatch):
+    # aI has k = 8 blocks, each x - a: none of the 28 pairs needs a division
+    f = make_field(5)
+    calls = []
+    real = polyfq._enc_divmod
+    monkeypatch.setattr(polyfq, "_enc_divmod", lambda *args: calls.append(args) or real(*args))
+    a = f.from_encoding(3)
+    got = invariant_factors(Matrix.scalar(f, 8, a))
+    assert got == (x_minus(f, a),) * 8
+    assert calls == []
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
