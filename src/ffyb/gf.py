@@ -76,27 +76,18 @@ def _digit_add(a, b, p: int, s: int):
     return out
 
 
-class _Bound:
-    """A Field attribute that _bind sets with the other three on the first
-    read of any; from then on the instance's own attribute hides this one."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, fld, owner=None):
-        if fld is None:
-            return self
-        fld._bind()
-        return getattr(fld, self.name)
-
-
 class Field:
     """GF(p^s) with a fixed modulus.  Immutable; safe to share."""
 
-    _logs, _add, _mul, _inv = _Bound(), _Bound(), _Bound(), _Bound()
-
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p, self.s, self.q, self.modulus = p, s, p**s, modulus
+
+    def __getattr__(self, name):
+        """The first read of _logs, _add, _mul or _inv sets all four (_bind)."""
+        if name not in ("_logs", "_add", "_mul", "_inv"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._bind()
+        return self.__dict__[name]
 
     def __eq__(self, other):
         if not isinstance(other, Field):
@@ -138,8 +129,13 @@ class Field:
         a sum of nonzero a, b is a * (1 + b/a)."""
         p, s, q, m = self.p, self.s, self.q, self.q - 1
         if s == 1:
-            ext = lg = self._logs = None
+            self._logs = None
             add, self._mul = (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+
+            def inv(a: int) -> int:
+                if not a:
+                    raise ZeroDivisionError("inverse of zero field element")
+                return pow(a, -1, p)
         else:
             from .polyfq import _enc_powmod, _trim
             # g is primitive when g^((q-1)/r) != 1, by powering mod the
@@ -177,13 +173,12 @@ class Field:
 
             def add(a, b):  # lg[b] - lg[a] < 0 wraps as mod q-1 does
                 return ext[(la := lg[a]) + zech[lg[b] - la]] if a and b else a + b
-        self._add = operator.xor if p == 2 else add
 
-        def inv(a: int) -> int:
-            if not a:
-                raise ZeroDivisionError("inverse of zero field element")
-            return pow(a, -1, p) if s == 1 else ext[m - lg[a]]
-        self._inv = inv
+            def inv(a: int) -> int:  # ext[m - lg 0] = 0 would pass silently
+                if not a:
+                    raise ZeroDivisionError("inverse of zero field element")
+                return ext[m - lg[a]]
+        self._add, self._inv = (operator.xor if p == 2 else add), inv
 
 
 class FieldElement:

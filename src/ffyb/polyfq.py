@@ -2,11 +2,11 @@
 
 Provides exact polynomial arithmetic, factoring in time polynomial in log q,
 the invariant factors, elementary divisors and rational canonical form of a
-field matrix, and x*I - X as a PolyMatrix with a Bareiss determinant, which
-only perfbench reads.  The matrices come from matfq, which imports nothing
-from here.  The Smith form of a whole polynomial matrix, companion matrices
-and the enumeration of monic polynomials are test references, in
-tests/support.py.
+field matrix, and x*I - X as a PolyMatrix whose Bareiss determinant is the
+reference perfbench and the tests check matfq.char_coeffs against.  The
+matrices come from matfq, which imports nothing from here.  The Smith form
+of a whole polynomial matrix, companion matrices and the enumeration of
+monic polynomials are test references, in tests/support.py.
 
 A UniPoly stores the integer encodings of its coefficients, not
 FieldElements, and computes on them with the field's encoding operations;
@@ -102,9 +102,9 @@ class UniPoly:
 
     It holds the integer encodings of its coefficients (see gf), little
     endian, in the tuple ``enc`` with no trailing zeros; all arithmetic runs
-    on those integers through the field's encoding operations.  ``coeffs``,
-    ``coeff`` and ``lead`` give FieldElements.  The zero polynomial has an
-    empty tuple and degree -1 (standing in for minus infinity)."""
+    on those integers through the field's encoding operations.  ``coeffs``
+    and ``coeff`` give FieldElements.  The zero polynomial has an empty
+    tuple and degree -1 (standing in for minus infinity)."""
 
     __slots__ = ("field", "enc")
 
@@ -254,13 +254,6 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.text()} over {self.field!r})"
-
-
-def _exact_poly_div(num: UniPoly, den: UniPoly) -> UniPoly:
-    quot, rem = divmod(num, den)
-    if not rem.is_zero():
-        raise InternalInvariantError("inexact polynomial division")
-    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +412,7 @@ class PolyMatrix:
         """Determinant by fraction-free (Bareiss) elimination.
 
         Division-free up to exact divisions by the previous pivot, hence
-        correct in any characteristic."""
+        correct in any characteristic; a remainder is InternalInvariantError."""
         n = self.size
         if n == 0:
             return UniPoly.one(self.field)
@@ -437,12 +430,21 @@ class PolyMatrix:
                     return UniPoly.zero(self.field)
             for i in range(r + 1, n):
                 for j in range(r + 1, n):
-                    num = m[r][r] * m[i][j] - m[i][r] * m[r][j]
-                    m[i][j] = _exact_poly_div(num, prev)
+                    m[i][j], rem = divmod(m[r][r] * m[i][j] - m[i][r] * m[r][j], prev)
+                    if not rem.is_zero():
+                        raise InternalInvariantError("inexact polynomial division")
                 m[i][r] = UniPoly.zero(self.field)
             prev = m[r][r]
         d = m[n - 1][n - 1]
         return d if sign == 1 else -d
+
+
+def _char_row(fld: Field, rows, i: int) -> list[tuple[int, ...]]:
+    """Row i of x*I - M on coefficient tuples, M given by its encoded rows."""
+    mul, minus_one = fld._mul, fld.p - 1
+    row = [(mul(e, minus_one),) if e else () for e in rows[i]]
+    row[i] = (mul(rows[i][i], minus_one), 1)
+    return row
 
 
 def char_matrix(X: Matrix) -> PolyMatrix:
@@ -450,17 +452,8 @@ def char_matrix(X: Matrix) -> PolyMatrix:
     if X.n_rows != X.n_cols:
         raise ValueError("characteristic matrix requires a square matrix")
     fld = X.field
-    x = UniPoly.x(fld)
-    rows = []
-    for i in range(X.n_rows):
-        row = []
-        for j in range(X.n_cols):
-            if i == j:
-                row.append(x - UniPoly.constant(X[i, j]))
-            else:
-                row.append(UniPoly.constant(-X[i, j]))
-        rows.append(row)
-    return PolyMatrix(fld, rows)
+    return PolyMatrix(fld, [[UniPoly(fld, e) for e in _char_row(fld, X.enc, i)]
+                            for i in range(X.n_rows)])
 
 
 def _smith_chain(fld: Field, a: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
@@ -547,24 +540,17 @@ def invariant_factors(X: Matrix) -> tuple[UniPoly, ...]:
     if X.n_rows != X.n_cols:
         raise ValueError("characteristic matrix requires a square matrix")
     fld, n = X.field, X.n_rows
-    mul, minus_one = fld._mul, fld.p - 1
-    h = _hessenberg(fld, X._encodings())
-
-    def char_row(i):  # row i of x*I - H
-        row = [(mul(e, minus_one),) if e else () for e in h[i]]
-        row[i] = _enc_plus(fld, (0, 1), (h[i][i],), minus_one)
-        return row
-
+    mul, h = fld._mul, _hessenberg(fld, X._encodings())
     blocks = []  # the first row of each block, reduced so far
     kept = []  # the last column of each block
     for j in range(n):
         if not (j and h[j][j - 1]):
-            blocks.append(char_row(j))
+            blocks.append(_char_row(fld, h, j))
         if j + 1 == n or not h[j + 1][j]:
             kept.append(j)
             continue
         # adding r[j] / h(j+1, j) times row j+1 to a block row r clears r[j]
-        pivot_row, inv = char_row(j + 1), fld._inv(h[j + 1][j])
+        pivot_row, inv = _char_row(fld, h, j + 1), fld._inv(h[j + 1][j])
         for r in blocks:
             if r[j]:
                 g = tuple(mul(e, inv) for e in r[j])

@@ -160,13 +160,7 @@ def arithmetic(field: Field, dense: bool):
 def _gather(table: np.ndarray, q: int):
     """f(a, b) = table[a*q + b] of a flat q x q table, for ints or int64
     arrays a and b that broadcast together."""
-    take = table.take
-
-    def f(a, b):
-        i = a * q + b  # numpy adds into the temporary a * q once it is large
-        # gathered in place; mode "raise" would buffer a second index array
-        return take(i, None, i, "clip") if isinstance(i, np.ndarray) else table[i]
-    return f
+    return lambda a, b: _take(table, a * q + b)  # numpy adds into a large a * q in place
 
 
 class Tables:

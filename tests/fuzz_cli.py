@@ -54,9 +54,11 @@ def ints(lo: int, hi: int, big: int, edges=()):
 
 
 def either(valid, wild):
-    """A draw from wild one time in four, else from valid, so that many argv
-    get past the input checks."""
-    return st.integers(0, 3).flatmap(lambda k: wild if k == 3 else valid)
+    """A draw from wild about one time in four, else from valid, so that many
+    argv get past the input checks.  hypothesis draws the low end of a range
+    most often, so wild comes on the top of 0..2: 155 of the 614 draws (25%)
+    under the settings of main(); on the top of 0..3 it came 108 in 694 (16%)."""
+    return st.integers(0, 2).flatmap(lambda k: wild if k == 2 else valid)
 
 
 P = either(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 257, 521, 4093, 1048573]),

@@ -6,6 +6,7 @@ from support import (companion, companion_not_solution, direct_sum, matrix_from_
                      monic_irreducibles, monic_polys, random_invertible, random_matrix,
                      smith_normal_form)
 from ffyb import polyfq
+from ffyb.errors import InternalInvariantError
 from ffyb.gf import make_field
 from ffyb.matfq import Matrix, char_coeffs
 from ffyb.polyfq import (PolyMatrix, UniPoly, _enc_gcd, char_matrix, elementary_divisors,
@@ -280,3 +281,11 @@ def test_char_matrix_entry_layout():
             want = x_poly(f3) - UniPoly.constant(m[i, j]) if i == j \
                 else UniPoly.constant(-m[i, j])
             assert cm[i, j] == want
+
+
+def test_bareiss_raises_on_an_inexact_division(monkeypatch):
+    # every Bareiss division is exact; a remainder can only come from a broken divmod
+    m = char_matrix(matrix_from_index(make_field(3), 3, 5000))
+    monkeypatch.setattr(UniPoly, "__divmod__", lambda a, b: (a, UniPoly.one(a.field)))
+    with pytest.raises(InternalInvariantError, match="inexact polynomial division"):
+        m.det()

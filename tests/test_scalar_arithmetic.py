@@ -1,7 +1,9 @@
 """The scalar arithmetic each field binds (Field._add, _mul and _inv) against
 the batched scan arithmetic and the references of support.py: every pair of
 the small fields, random pairs of the largest, and fields that make_field
-did not build."""
+did not build; and the hook that binds them on first read."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,3 +67,29 @@ def test_random_pairs_of_the_largest_fields(p, s):
     assert (ref_field_mul(f, nonzero, inv) == 1).all()
     with pytest.raises(ZeroDivisionError):
         f._inv(0)
+
+
+BOUND = ("_logs", "_add", "_mul", "_inv")
+
+
+@pytest.mark.parametrize("p,s", [(7, 1), (3, 2)])
+def test_a_fresh_field_holds_no_arithmetic_and_a_stray_name_binds_none(p, s):
+    f = Field(p, s, make_field(p, s).modulus)
+    assert not set(BOUND) & set(vars(f))
+    assert getattr(f, "nope", None) is None
+    with pytest.raises(AttributeError, match="nope"):
+        f.nope
+    assert not set(BOUND) & set(vars(f))
+
+
+@pytest.mark.parametrize("p,s", [(7, 1), (3, 2)])
+@pytest.mark.parametrize("name", BOUND)
+def test_the_first_read_of_any_binds_all_four_once(p, s, name):
+    f = Field(p, s, make_field(p, s).modulus)
+    with mock.patch.object(f, "_bind", wraps=f._bind) as bind:
+        first = getattr(f, name)
+        assert set(BOUND) <= set(vars(f))
+        assert getattr(f, name) is first
+        for other in BOUND:
+            getattr(f, other)
+    bind.assert_called_once_with()
