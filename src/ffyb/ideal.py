@@ -96,14 +96,6 @@ class MultiPoly:
         """Serialized form: [[exponent vector, coefficient encoding], ...]."""
         return [[list(e), c.encoding] for e, c in self.sorted_terms()]
 
-    def __repr__(self):
-        bits = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                            for i, e in enumerate(exps) if e)
-            bits.append(f"{c.encoding}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits) if bits else "0"
-
 
 @dataclass(frozen=True)
 class GeneratorSet:

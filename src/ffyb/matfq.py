@@ -168,9 +168,6 @@ class Matrix:
     def text(self) -> str:
         return ";".join(",".join(map(str, row)) for row in self.enc)
 
-    def __repr__(self):
-        return f"Matrix({self.text()} over {self.field!r})"
-
 
 def _from_encodings(field: Field, rows) -> Matrix:
     """The matrix with these rows of encodings, trusted to lie in 0..q-1."""

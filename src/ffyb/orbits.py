@@ -47,9 +47,6 @@ class OrbitLabel:
             return "ScalarA"
         return f"Mixed{{k={self.k},b={self.b}}}"
 
-    def __str__(self):
-        return self.text()
-
 
 ZERO = OrbitLabel("zero")
 SCALAR_A = OrbitLabel("scalar_a")

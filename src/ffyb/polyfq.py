@@ -15,8 +15,8 @@ FieldElements appear only where the public API hands out coefficients.
 The invariant factors never build the n x n matrix x*I - X: a sweep of
 x*I - H, H a Hessenberg form of X, uses each nonzero subdiagonal entry as a
 unit pivot, and leaves a k x k upper triangular remainder, k the number of
-unreduced blocks of H.  Only that remainder gets a Smith form, none when
-k = 1.  The Smith form runs on coefficient tuples, with no UniPoly per step.
+unreduced blocks of H.  Cleared wherever a diagonal entry divides, only it
+gets a Smith form (none when k = 1), on coefficient tuples, no UniPoly.
 """
 
 from __future__ import annotations
@@ -202,11 +202,6 @@ class UniPoly:
         self._check(other)
         return UniPoly(self.field, _enc_mul(self.field, self.enc, other.enc))
 
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self * other
-        return NotImplemented
-
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
@@ -370,11 +365,14 @@ def factor_monic(f: UniPoly) -> list[tuple[UniPoly, int]]:
     """Factor a nonzero polynomial into monic irreducibles with multiplicity;
     a constant has none.  Linear factors come first, in encoding order of
     the root; then the rest by degree, each degree in coefficient-tuple
-    order.  Draws come from random.Random(0): the work is deterministic."""
+    order.  The power of x splits off by a shift, so x^e (x - a) needs no
+    draw; the rest draws from random.Random(0): the work is deterministic."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    fld, rng, found = f.field, None, []
-    for g, e in _squarefree_parts(fld, _enc_monic(fld, f.enc)):
+    fld, rng, f = f.field, None, _enc_monic(f.field, f.enc)
+    x_exp = next(i for i, c in enumerate(f) if c)  # x^x_exp divides f exactly
+    found = [((0, 1), x_exp)] if x_exp else []
+    for g, e in _squarefree_parts(fld, f[x_exp:]):
         for u, d in _distinct_degree(fld, g):
             if len(u) - 1 > d and rng is None:  # a split needs draws
                 rng = random.Random(0)
@@ -534,8 +532,11 @@ def invariant_factors(X: Matrix) -> tuple[UniPoly, ...]:
     column j from the first row of every block opened so far, and then row
     j+1 and column j split off as a unit.  The k block rows and the last
     column of each block are left: an upper triangular k x k matrix T whose
-    diagonal holds the blocks' characteristic polynomials.  The answer is
-    n - k ones followed by the Smith chain of T; when k = 1 that is the
+    diagonal holds the blocks' characteristic polynomials.  Bottom-up, each
+    t(i, j), i < j, that t(j, j) divides is cleared by a multiple of row j,
+    and else one that t(i, i) divides by a multiple of column i; a
+    conjugated solution of X^2 = aX mostly leaves T diagonal.  The answer
+    is n - k ones followed by the Smith chain of T; when k = 1 that is the
     characteristic polynomial alone, with no Smith form at all."""
     if X.n_rows != X.n_cols:
         raise ValueError("characteristic matrix requires a square matrix")
@@ -562,6 +563,19 @@ def invariant_factors(X: Matrix) -> tuple[UniPoly, ...]:
     if k == 1:
         return (one,) * (n - 1) + (UniPoly(fld, _enc_monic(fld, blocks[0][-1])),)
     t = [[r[c] for c in kept] for r in blocks]
+    for i in range(k - 2, -1, -1):  # rows below i are done, still zero left of t(i, i)
+        for j in range(i + 1, k):
+            if not t[i][j]:
+                continue
+            quo, rem = _enc_divmod(fld, t[i][j], t[j][j])
+            if not rem:  # row i -= quo * row j
+                cells = [(t[i], c, t[j][c]) for c in range(j, k)]
+            else:  # or column j -= quo * column i, which is zero below row i
+                quo, rem = _enc_divmod(fld, t[i][j], t[i][i])
+                cells = [] if rem else [(r, j, r[i]) for r in t[:i + 1]]
+            for r, c, b in cells:
+                if b:
+                    r[c] = _enc_plus(fld, r[c], _enc_mul(fld, quo, b), fld.p - 1)
     return (one,) * (n - k) + tuple(UniPoly(fld, e) for e in _smith_chain(fld, t))
 
 

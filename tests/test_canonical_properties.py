@@ -100,8 +100,8 @@ def test_invariant_factors_form_a_chain_whose_product_is_the_determinant(X):
     assert prod == char_matrix(X).det()
 
 
-# GF(2), GF(3), GF(4), GF(5), GF(9), GF(101), GF(23^2)
-FORM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (101, 1), (23, 2)]
+# GF(2), GF(3), GF(4), GF(5), GF(7), GF(8), GF(9), GF(101), GF(23^2)
+FORM_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (101, 1), (23, 2)]
 
 
 @st.composite
@@ -301,6 +301,13 @@ def test_factor_monic_equals_trial_division(f):
     assert factor_monic(f) == ref_factor_monic(f)
 
 
+@settings(deadline=None, max_examples=100)
+@given(factoring_inputs(), st.integers(0, 3))
+def test_factor_monic_with_a_power_of_x_equals_trial_division(g, e):
+    f = g * UniPoly.x(g.field) ** e
+    assert factor_monic(f) == ref_factor_monic(f)
+
+
 def test_is_irreducible_poly_equals_trial_division():
     for ps in REF_FIELDS:
         f = make_field(*ps)
@@ -449,3 +456,58 @@ def test_smith_form_and_gcd_with_a_broken_division_raise_instead_of_spinning(mon
     monkeypatch.setattr(polyfq, "_enc_divmod", no_progress)
     assert raises_internal_error_within(30, smith_normal_form, M)
     assert raises_internal_error_within(30, polyfq._enc_gcd, f, g.enc, h.enc)
+
+
+@pytest.fixture
+def smith_inputs(monkeypatch):
+    """The matrices polyfq._smith_chain is handed from now on.  The reference
+    Smith form in support imported its own _smith_chain, so it adds none."""
+    chain, seen = polyfq._smith_chain, []
+
+    def spy(fld, a):
+        seen.append([row[:] for row in a])
+        return chain(fld, a)
+    monkeypatch.setattr(polyfq, "_smith_chain", spy)
+    return seen
+
+
+@pytest.mark.parametrize("ps, rank", [((2, 3), 1), ((3, 2), 2)])
+def test_invariant_factors_of_a_solution_hand_the_smith_chain_a_diagonal(smith_inputs, ps,
+                                                                          rank):
+    f, n = make_field(*ps), 8
+    inst = EquationInstance(f, n, f.from_encoding(f.q - 1))
+    B = representative(inst, all_labels(n)[rank])
+    for seed in range(5):
+        P = random_invertible(random.Random(seed), f, n)
+        X = P * B * P.inverse()
+        smith_inputs.clear()
+        assert invariant_factors(X) == reference_invariant_factors(X)
+        [t] = smith_inputs
+        assert len(t) > 1 and all(not t[i][j] for i in range(len(t))
+                                  for j in range(len(t)) if i != j), (seed, t)
+
+
+def test_invariant_factors_clear_by_a_column_where_only_the_left_diagonal_divides(
+        smith_inputs):
+    # a solution of X^2 = 4X whose T is [[x, 3x], [0, 4x^2 + 4x]]: x divides
+    # 3x, and 4x^2 + 4x does not
+    f = make_field(5)
+    X = parse_matrix(f, "0,3,3;0,0,0;0,4,4")
+    assert X * X == X * f.from_encoding(4)
+    assert invariant_factors(X) == reference_invariant_factors(X)
+    assert smith_inputs == [[[(0, 1), ()], [(), (0, 4, 4)]]]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_factor_monic_splits_off_the_power_of_x_with_no_draw(monkeypatch, e):
+    def refuse(*args):
+        raise AssertionError("random.Random built")
+    for ps in [(5, 1), (7, 1), (2, 3), (3, 2)]:
+        f = make_field(*ps)
+        x = UniPoly.x(f)
+        for a in range(1, f.q):
+            g = x**e * (x - UniPoly.constant(f.from_encoding(a)))
+            want = ref_factor_monic(g)
+            with monkeypatch.context() as m:
+                m.setattr(polyfq.random, "Random", refuse)
+                assert factor_monic(g) == want, (f, a)
