@@ -563,7 +563,7 @@ def invariant_factors(X: Matrix) -> tuple[UniPoly, ...]:
     if k == 1:
         return (one,) * (n - 1) + (UniPoly(fld, _enc_monic(fld, blocks[0][-1])),)
     t = [[r[c] for c in kept] for r in blocks]
-    for i in range(k - 2, -1, -1):  # rows below i are done, still zero left of t(i, i)
+    for i in range(k - 2, -1, -1):  # rows below i are done, still zero left of the diagonal
         for j in range(i + 1, k):
             if not t[i][j]:
                 continue
