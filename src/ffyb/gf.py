@@ -54,14 +54,16 @@ def is_prime(m: int) -> bool:
 
 def power(base, e: int, one):
     """base ** e for an int e >= 0 by square-and-multiply, one being the
-    unit of base's ring; FieldElement, UniPoly and Matrix all power here."""
-    out = one
+    unit of base's ring; FieldElement, UniPoly and Matrix all power here.
+    It forms e.bit_length() - 1 squares and e.bit_count() - 1 products."""
+    out = None
     while e:
         if e & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         e >>= 1
-    return out
+        if e:
+            base = base * base
+    return one if out is None else out
 
 
 def _digit_add(a, b, p: int, s: int):

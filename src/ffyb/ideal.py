@@ -198,7 +198,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     encoded terms vanish."""
     tabs = scan.gate(field, n, budget, "variety scan")
     q, add, mul = tabs.q, tabs.add, tabs.mul
-    powers = q ** np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]  # place of each digit
+    expo = np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]  # digit number of each scan digit
     rows, ends, widths = terms
     widths = [1 << (w - 1).bit_length() for w in widths]  # the sums pair halves
     g, j, layer, fac = rows[:, 0], rows[:, 1], rows[:, 2, None], rows[:, 4:]
@@ -217,7 +217,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
     cgrid[j, g, 0] = rows[:, 3]
 
     def block(t: int, g0: int, g1: int):
-        # the powers that decode the digits a block reads, whether it reads
+        # the digit numbers of the digits a block reads, whether it reads
         # the row of ones, and per degree the (width x block) grid of rows
         # into its stack; a block that is only part of its layer reads
         # fewer digits, and decodes only those
@@ -227,18 +227,17 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
             read = np.zeros(n + 1, dtype=bool)
             read[cols] = True
             grid = (read.cumsum() - 1)[cols]
-        return (powers[read[1:]], bool(read[0]), [grid[..., d] for d in range(grid.shape[2])],
+        return (expo[read[1:]], bool(read[0]), [grid[..., d] for d in range(grid.shape[2])],
                 cgrid[:widths[t], g0:g1])
 
     def prune(t: int, idx: np.ndarray) -> np.ndarray:
         g0, end = ends[t], ends[t + 1]
         while g0 < end and len(idx):
             g1 = min(end, g0 + max(1, scan.CHUNK // (len(idx) * widths[t])))
-            pw, ones, factor_rows, coef = block(t, g0, g1)
+            nums, ones, factor_rows, coef = block(t, g0, g1)
             # in place where possible: at full depth idx holds a whole chunk
-            stack = np.empty((ones + len(pw), len(idx)), dtype=np.int64)
-            np.floor_divide(idx, pw, out=stack[ones:])
-            stack[ones:] %= q
+            stack = np.empty((ones + len(nums), len(idx)), dtype=np.int64)
+            scan.digits(q, nums, idx, out=stack[ones:])
             stack[:ones] = 1
             vals = stack[factor_rows[0]]
             for r in factor_rows[1:]:
@@ -252,7 +251,7 @@ def _common_zeros(terms, n: int, field: Field, budget: int) -> np.ndarray:
             g0 = g1
         return idx
 
-    return scan.pruned(q, powers[:, 0].tolist(), prune)
+    return scan.pruned(q, [q**e for e in range(n - 1, -1, -1)], prune)
 
 
 @dataclass(frozen=True)

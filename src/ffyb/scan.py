@@ -20,8 +20,10 @@ EXACT_BITS bits; past that, the refusal reports a power of 2 below it.
 already fails a test on its digits, so most indices are never formed.  The
 scan may fix the digits in any order: each is given with its place value in
 the index, so the scan's output is the canonical indices, ascending.
-`decode` gives the (width, rows) digit array of an index array, row t
-holding digit t.
+`digits` reads digit t of indices for every scan, and `decode` gives the
+(width, rows) digit array of an index array, row t holding digit t.  An
+index over q = 2^b is bit-packed, so digit t is a shift and a mask, exact
+as b*t <= 62 below INDEX_LIMIT; any other q divides by q^t.
 """
 
 from __future__ import annotations
@@ -40,9 +42,20 @@ INDEX_LIMIT = 2**63 - 1
 EXACT_BITS = 10**5
 
 
+def digits(q: int, t, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Digit t of the base-q indices idx, into out when it is given; t is an
+    int or an int64 array that broadcasts against idx.  For q = 2^b the
+    digit is idx >> b*t & (q - 1), exact since b*t <= 62 in any scan."""
+    if q & (q - 1):
+        out = np.floor_divide(idx, q ** t, out=out)
+        return np.remainder(out, q, out=out)
+    out = np.right_shift(idx, (q.bit_length() - 1) * t, out=out)
+    return np.bitwise_and(out, q - 1, out=out)
+
+
 def decode(q: int, width: int, idx: np.ndarray) -> np.ndarray:
     """The (width, len(idx)) base-q digit array of the indices idx."""
-    return idx // q ** np.arange(width, dtype=np.int64)[:, None] % q
+    return digits(q, np.arange(width, dtype=np.int64)[:, None], idx)
 
 
 def gate(field: Field, width: int, budget: int, what: str) -> Tables:

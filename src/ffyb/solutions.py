@@ -114,15 +114,15 @@ def _hook_scan(inst: EquationInstance, budget: int | None) -> np.ndarray:
     q = tabs.q
     mul_a = tabs.mul(inst.a.encoding, np.arange(q, dtype=np.int64))
     order, tests = _hook_order(n)
-    # each equation as the place values of its row and of its column, and the
+    # each equation as the digit numbers of its row and of its column, and the
     # position of its entry in its row
-    eqs = {depth: [([q ** (i * n + k) for k in range(n)], [q ** (k * n + j) for k in range(n)], j)
+    eqs = {depth: [(range(i * n, i * n + n), range(j, n * n, n), j)
                    for i, j in entries] for depth, entries in tests.items()}
 
     def prune(depth: int, idx: np.ndarray) -> np.ndarray:
         for row, col, j in eqs.get(depth, ()):
-            x = [idx // w % q for w in row]
-            ok = reduce(tabs.add, map(tabs.mul, x, [idx // w % q for w in col])) == mul_a[x[j]]
+            x, y = ([scan.digits(q, t, idx) for t in ts] for ts in (row, col))
+            ok = reduce(tabs.add, map(tabs.mul, x, y)) == mul_a[x[j]]
             if not ok.all():
                 idx = idx[ok]
         return idx

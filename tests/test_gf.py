@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffyb import scan
-from ffyb.gf import FieldElement, is_prime, make_field
+from ffyb.gf import FieldElement, is_prime, make_field, power
 from ffyb.matfq import Matrix, parse_matrix
 from ffyb.polyfq import UniPoly
 from support import arithmetic_peak, ref_log_tables
@@ -133,6 +133,27 @@ def test_powers_are_repeated_products():
     for base, _ in cases[1:]:
         with pytest.raises(TypeError):
             base ** -1
+
+
+class _Counted:
+    """x^k as its exponent k, counting every product formed."""
+    products = 0
+
+    def __init__(self, k):
+        self.k = k
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.k + other.k)
+
+
+def test_power_forms_no_wasted_product():
+    # e.bit_length() - 1 squares and one product per further set bit: x^1
+    # forms none, and the unit is never multiplied in
+    for e in range(200):
+        _Counted.products = 0
+        assert power(_Counted(1), e, _Counted(0)).k == e
+        assert _Counted.products == (e.bit_length() + e.bit_count() - 2 if e else 0), e
 
 
 def test_mismatched_fields_rejected():

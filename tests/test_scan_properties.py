@@ -12,13 +12,68 @@ from support import evaluate, fresh_arithmetic_cache, matrix_from_index, variety
 from ffyb import scan
 from ffyb.errors import SingularMatrixError
 from ffyb.gf import make_field
-from ffyb.ideal import GeneratorSet, MultiPoly, generating_set
+from ffyb.ideal import GeneratorSet, MultiPoly, _common_zeros, _generator_terms, generating_set
 from ffyb.matfq import Matrix
 from ffyb.solutions import EquationInstance, brute_force_indices, is_solution
 
 SCAN_FIELDS = [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)]  # GF(2), GF(4), GF(5), GF(8), GF(9)
 VARIETY_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1)]  # GF(2), GF(3), GF(4), GF(5)
 PROPERTY_FIELDS = VARIETY_FIELDS + [(2, 3), (3, 2)]  # and GF(8), GF(9)
+# digit bases on both sides of the shift: powers of 2 from 1- to 20-bit digits
+DIGIT_BASES = [2, 4, 8, 2**20, 3, 5, 9, 101]
+
+
+@st.composite
+def digit_cases(draw):
+    """A base q, a width with q^width <= 2^63 - 1, indices below q^width, and
+    a digit number t as an int or as an int64 column of them."""
+    q = draw(st.sampled_from(DIGIT_BASES))
+    width = draw(st.integers(1, max(w for w in range(1, 64) if q**w <= scan.INDEX_LIMIT)))
+    idx = draw(st.lists(st.integers(0, q**width - 1), min_size=1, max_size=8))
+    digit = st.integers(0, width - 1)
+    t = draw(st.one_of(digit, st.lists(digit, min_size=1, max_size=4)))
+    return q, width, idx, t if isinstance(t, int) else np.array(t, dtype=np.int64)[:, None]
+
+
+@settings(deadline=None, max_examples=300)
+@given(digit_cases())
+def test_digits_equal_the_division_by_python_ints(case):
+    q, width, idx, t = case
+    arr = np.array(idx, dtype=np.int64)
+    want = ([i // q**t % q for i in idx] if isinstance(t, int)
+            else [[i // q**int(d) % q for i in idx] for d in t[:, 0]])
+    assert scan.digits(q, t, arr).tolist() == want
+    out = np.full(np.broadcast(arr, t).shape, -1, dtype=np.int64)
+    assert scan.digits(q, t, arr, out=out) is out
+    assert out.tolist() == want
+    assert arr.tolist() == idx  # the indices are read, never written
+    assert scan.decode(q, width, arr).tolist() == [[i // q**d % q for i in idx]
+                                                  for d in range(width)]
+
+
+def _division_digits(q, t, idx, out=None):
+    """scan.digits by its division branch, whatever q is."""
+    out = np.floor_divide(idx, q ** t, out=out)
+    return np.remainder(out, q, out=out)
+
+
+def test_power_of_two_scans_equal_their_division_branch():
+    # the shift and the division give the same solution and variety scans
+    def scans():
+        for (p, s), n in [((2, 1), 3), ((2, 2), 2)]:
+            f = make_field(p, s)
+            for a in range(1, f.q):
+                yield brute_force_indices(EquationInstance(f, n, f.from_encoding(a)))
+        for (p, s), n in [((2, 1), 12), ((2, 2), 5)]:
+            f = make_field(p, s)
+            inst = EquationInstance(f, n, f.from_encoding(f.q - 1))
+            yield _common_zeros(_generator_terms(inst, n), n, f, f.q**n).tolist()
+    shifted = list(scans())
+    with mock.patch.object(scan, "digits", wraps=_division_digits) as divided:
+        assert list(scans()) == shifted
+    assert divided.called
+    # the closed-form counts, then the n + 1 image points
+    assert [len(s) for s in shifted] == [58, 22, 22, 22, 13, 6]
 
 
 @st.composite
