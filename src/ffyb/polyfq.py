@@ -584,23 +584,26 @@ def _divisors_of_factors(hs) -> tuple[UniPoly, ...]:
 
     Only the last factor, the minimal polynomial, is factored: every other
     factor divides it, so its multiplicities come from exact division by
-    the same primes."""
+    the same primes.  Equal factors sit next to each other in the chain,
+    so each distinct one is divided once and its power repeated."""
     hs = [h for h in hs if h.degree >= 1]
     if not hs:
         return ()
     fld = hs[-1].field
+    groups = [(enc, len(list(copies)))
+              for enc, copies in itertools.groupby(h.enc for h in hs[:-1])]
     out: list[UniPoly] = []
     for g, e in factor_monic(hs[-1]):
         out.append(g**e)
-        for h in hs[:-1]:
-            rest, m = h.enc, 0
+        for rest, copies in groups:
+            m = 0
             while len(rest) > g.degree:
                 quot, rem = _enc_divmod(fld, rest, g.enc)
                 if rem:
                     break
                 rest, m = quot, m + 1
             if m:
-                out.append(g**m)
+                out += [g**m] * copies
     return tuple(sorted(out, key=lambda g: (g.degree, g.enc)))
 
 

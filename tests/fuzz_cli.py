@@ -9,7 +9,8 @@ asks for a legitimately long scan.  Each argv runs in its own child process,
 one at a time, under a 10 s timeout and an address-space limit of about
 2 GB set in the child; it must exit 0-3 and print no traceback, and an exit
 1 must come with the "error:" line of a rejected input, since a FAIL verdict
-(count --method both, ideal --verify, verify-all) also exits 1.
+(count --method both, ideal --verify, verify-all) also exits 1.  A JSON
+report must be the bytes json.dumps(report, indent=2) gives.
 
     PYTHONPATH=src python tests/fuzz_cli.py
 
@@ -17,6 +18,7 @@ Not part of the pytest suite: each example starts an interpreter.
 """
 
 import collections
+import json
 import os
 import re
 import resource
@@ -111,8 +113,9 @@ def _limit_address_space():
 
 def run_child(argv: list[str]) -> tuple[int, float]:
     """The exit code and seconds of `ffyb argv` in a child process; a
-    timeout, an exit code outside 0-3, a traceback or an exit 1 with no
-    "error:" line raises AssertionError."""
+    timeout, an exit code outside 0-3, a traceback, an exit 1 with no
+    "error:" line or a JSON report that json.dumps would indent otherwise
+    raises AssertionError."""
     env = {k: v for k, v in os.environ.items() if k != "FFYB_BUDGET"}
     start = time.perf_counter()
     try:
@@ -127,6 +130,9 @@ def run_child(argv: list[str]) -> tuple[int, float]:
             or proc.returncode == 1 and not rejected):
         raise AssertionError(f"exit {proc.returncode}: ffyb {shlex.join(argv)}\n"
                              f"{proc.stderr[-3000:]}")
+    out = proc.stdout  # a table never starts with "{"
+    if out.startswith("{") and out != json.dumps(json.loads(out), indent=2) + "\n":
+        raise AssertionError(f"report is not json.dumps(indent=2): ffyb {shlex.join(argv)}")
     return proc.returncode, time.perf_counter() - start
 
 

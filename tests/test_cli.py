@@ -1,4 +1,5 @@
 import argparse
+import enum
 import json
 import os
 import pathlib
@@ -6,9 +7,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ffyb import polyfq, verify
+from ffyb import cli, polyfq, verify
 from ffyb.cli import build_parser, main
 from ffyb.errors import BudgetExceededError
 from ffyb.gf import make_field
@@ -504,6 +507,39 @@ def test_json_reports_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# text with the characters json escapes (quotes, backslashes, controls, a
+# lone surrogate) and non-ASCII ones drawn often, besides any other text
+ESCAPED = '"\\/\x00\b\t\n\x1f\x7fa\xe9\u20ac\ud800\U0001f600'
+TEXT = st.one_of(st.text(), st.text(st.sampled_from(ESCAPED)))
+LEAF = st.one_of(TEXT, st.integers(), st.integers(-2**200, 2**200), st.booleans(), st.none())
+
+
+def json_values(depth: int):
+    """A dict or list nested up to the given depth, empty ones included."""
+    kids = LEAF if depth == 1 else st.one_of(LEAF, json_values(depth - 1))
+    return st.one_of(st.lists(kids, max_size=3), st.dictionaries(TEXT, kids, max_size=3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_values(5))
+def test_reports_are_rendered_as_json_dumps_indents_them(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [np.int64(1), _Level.ONE, 1.5, (1, 2), {1: "x"}])
+def test_the_renderer_refuses_what_is_not_a_plain_json_value(value):
+    # np.int64(1) and _Level.ONE equal True, and json.dumps renders the
+    # second as 1; a report holds neither, so each is a bug to surface
+    with pytest.raises(TypeError):
+        cli._json(value)
+    with pytest.raises(TypeError):
+        cli._json({"a": [value]})
 
 
 def test_module_entry_point():

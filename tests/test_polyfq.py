@@ -202,6 +202,26 @@ def test_elementary_divisors_examples():
     assert elementary_divisors(m3) == (xa, xa, xa)
 
 
+def test_equal_invariant_factors_are_divided_once(monkeypatch):
+    # the chain [x]*k + [x(x - 1)] over GF(5): the k copies of x are one
+    # factor, so the divisions outside factoring do not grow with k
+    f5 = make_field(5)
+    x, x1 = x_poly(f5), x_minus(f5, f5.one())
+    minimal = x * x1
+    factors = factor_monic(minimal)
+    monkeypatch.setattr(polyfq, "factor_monic", lambda h: factors if h == minimal else None)
+    calls = []
+    real = polyfq._enc_divmod
+    monkeypatch.setattr(polyfq, "_enc_divmod", lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for k in range(1, 7):
+        calls.clear()
+        got = polyfq._divisors_of_factors([x] * k + [minimal])
+        assert got == (x,) * (k + 1) + (x1,)
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 6
+
+
 # -- rational canonical form ---------------------------------------------------
 
 def test_rcf_of_companion_is_itself():
