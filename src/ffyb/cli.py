@@ -5,7 +5,7 @@ verify-all; the checks of verify-all are in verify.py.  Reports are JSON
 by default (big integers as decimal strings, stable key order, top-level
 "schema": 1) or plain text with --output table.  _json renders the JSON:
 the bytes of json.dumps(report, indent=2), which before Python 3.13 indents
-in pure Python, at 8-29% of a call's time.  Exit codes: 0 success,
+in pure Python, at 7-28% of a CLI call's time.  Exit codes: 0 success,
 1 input error or failed verification, 2 budget refusal, 3 failed internal
 check.  The FFYB_BUDGET environment variable overrides the default
 enumeration budget; --budget overrides both.  Either must be a positive
